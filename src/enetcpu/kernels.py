@@ -4,6 +4,19 @@ All kernels take and return float32 CHW arrays.  Convolutions contract in
 float64 and round back to float32 once, so results are deterministic
 run-to-run and land within one float32 rounding of an exact-accumulation
 reference regardless of BLAS summation order.
+
+Convolutions are lowered to float64 GEMM (Chellapilla et al., 2006).
+conv2d copies the padded input's windows once into a contiguous
+(C*kh*kw, oh*ow) im2col matrix and multiplies the (oc, C*kh*kw) weight matrix
+into it.  conv_transpose2d is lowered by sub-pixel phase (Dumoulin & Visin,
+arXiv 1603.07285, section 4): the outputs with (Y mod stride, X mod stride)
+= (ry, rx) are reached only by the kernel taps with ky = Y + pad and
+kx = X + pad (mod stride), so each phase is one stride-1 im2col GEMM of the
+un-stuffed input with that sub-kernel, rounded into the phase's strided view
+of the output.  No product with an inserted zero is formed.  The taps keep
+the order in which the zero-stuffed formulation summed them (input channel,
+then ky and kx descending) and only its exact-zero terms are dropped, so its
+float32 output is reproduced bit for bit.
 """
 
 from __future__ import annotations
@@ -112,15 +125,17 @@ def _chw(x: np.ndarray, what: str = "input") -> np.ndarray:
     return np.ascontiguousarray(x, dtype=F32)
 
 
-def _contract(xp: np.ndarray, w: np.ndarray, stride: int, dilation: int) -> np.ndarray:
-    """Windowed tensor contraction over an already-padded input, float64."""
-    kh, kw = w.shape[2], w.shape[3]
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, dilation: int,
+            oh: int, ow: int) -> np.ndarray:
+    """Window matrix of an already-padded input: one contiguous float64
+    (C*kh*kw, oh*ow) buffer, rows in (channel, ky, kx) order."""
     eff_kh = dilation * (kh - 1) + 1
     eff_kw = dilation * (kw - 1) + 1
     win = sliding_window_view(xp, (eff_kh, eff_kw), axis=(1, 2))
     win = win[:, ::stride, ::stride, ::dilation, ::dilation]
-    return np.tensordot(w.astype(np.float64), win.astype(np.float64),
-                        axes=([1, 2, 3], [0, 3, 4]))
+    cols = np.empty((xp.shape[0], kh, kw, oh, ow), dtype=np.float64)
+    cols[...] = win.transpose(0, 3, 4, 1, 2)
+    return cols.reshape(-1, oh * ow)
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray],
@@ -141,25 +156,35 @@ def conv2d(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray],
         raise ShapeError("bias presence does not match params.has_bias")
     if bias is not None and bias.shape != (oc,):
         raise ShapeError(f"bias must be ({oc},), got {bias.shape}")
-    params.conv_out_hw(x.shape[1], x.shape[2])  # raises if kernel does not fit
+    oh, ow = params.conv_out_hw(x.shape[1], x.shape[2])  # raises if kernel does not fit
     xp = np.pad(x, ((0, 0), (params.pad_h, params.pad_h), (params.pad_w, params.pad_w)))
-    out = _contract(xp, np.ascontiguousarray(w, dtype=F32), params.stride, params.dilation)
+    wmat = np.asarray(w, dtype=F32).reshape(oc, -1).astype(np.float64)
+    out = wmat @ _im2col(xp, kh, kw, params.stride, params.dilation, oh, ow)
     if bias is not None:
-        out += bias.astype(np.float64)[:, None, None]
-    return np.ascontiguousarray(out.astype(F32))
+        out += bias.astype(np.float64)[:, None]
+    return out.astype(F32).reshape(oc, oh, ow)
 
 
-def _pad_or_crop(a: np.ndarray, top: int, bottom: int, left: int, right: int) -> np.ndarray:
-    """np.pad that also accepts negative amounts (crop)."""
-    if top < 0:
-        a, top = a[:, -top:, :], 0
-    if bottom < 0:
-        a, bottom = a[:, : a.shape[1] + bottom, :], 0
-    if left < 0:
-        a, left = a[:, :, -left:], 0
-    if right < 0:
-        a, right = a[:, :, : a.shape[2] + right], 0
-    return np.pad(a, ((0, 0), (top, bottom), (left, right)))
+def _phases(n_out: int, k: int, stride: int, pad: int):
+    """Sub-pixel phases of a transposed convolution along one axis.
+
+    Phase r holds the outputs r, r + stride, ...  Yields (r, first, taps,
+    base, count): the flipped-kernel taps first, first + stride, ... are the
+    `taps` that reach phase r, and output j of the phase reads input
+    base + j + t through tap t.
+    """
+    for r in range(min(stride, n_out)):
+        first = (k - 1 - r - pad) % stride
+        yield (r, first, len(range(first, k, stride)),
+               (r + pad - k + 1 + first) // stride, len(range(r, n_out, stride)))
+
+
+def _phase_padding(phases, n_in: int) -> tuple[int, int]:
+    """Zeros to put before and after the input so every phase's reads fit."""
+    reads = [(base, base + count + taps - 1)  # [first, end) input index
+             for _, _, taps, base, count in phases if taps]
+    return (max([0] + [-first for first, _ in reads]),
+            max([0] + [end - n_in for _, end in reads]))
 
 
 def conv_transpose2d(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray],
@@ -187,16 +212,31 @@ def conv_transpose2d(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray],
     ow = (wd - 1) * stride - 2 * pad + kw + out_pad
     if oh < 1 or ow < 1:
         raise ShapeError(f"transposed conv output would be {oh}x{ow}")
-    # scatter == conv of the zero-stuffed input with the flipped kernel
-    stuffed = np.zeros((ic, (h - 1) * stride + 1, (wd - 1) * stride + 1), dtype=F32)
-    stuffed[:, ::stride, ::stride] = x
-    stuffed = _pad_or_crop(stuffed, kh - 1 - pad, kh - 1 - pad + out_pad,
-                           kw - 1 - pad, kw - 1 - pad + out_pad)
-    w_eq = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), dtype=F32)
-    out = _contract(stuffed, w_eq, stride=1, dilation=1)
-    if bias is not None:
-        out += bias.astype(np.float64)[:, None, None]
-    return np.ascontiguousarray(out.astype(F32))
+    rows = list(_phases(oh, kh, stride, pad))
+    cols = list(_phases(ow, kw, stride, pad))
+    top, bottom = _phase_padding(rows, h)
+    left, right = _phase_padding(cols, wd)
+    xp = np.pad(x, ((0, 0), (top, bottom), (left, right)))
+    # taps in ascending flipped order are the zero-stuffed contraction's
+    # (channel, ky, kx) order with ky and kx descending, so each float64 sum
+    # adds the same nonzero terms in the same order
+    w_flip = np.asarray(w, dtype=F32)[:, :, ::-1, ::-1]
+    out = np.empty((oc, oh, ow), dtype=F32)
+    for ry, fy, ty, by, ny in rows:
+        for rx, fx, tx, bx, nx in cols:
+            phase = out[:, ry::stride, rx::stride]
+            if not ty or not tx:  # no tap reaches this phase
+                phase[...] = 0.0 if bias is None else bias[:, None, None]
+                continue
+            sub = w_flip[:, :, fy::stride, fx::stride]
+            wmat = sub.transpose(1, 0, 2, 3).reshape(oc, -1).astype(np.float64)
+            window = xp[:, top + by: top + by + ny + ty - 1,
+                        left + bx: left + bx + nx + tx - 1]
+            acc = wmat @ _im2col(window, ty, tx, 1, 1, ny, nx)
+            if bias is not None:
+                acc += bias.astype(np.float64)[:, None]
+            phase[...] = acc.reshape(oc, ny, nx)
+    return out
 
 
 def conv_asymmetric5(x: np.ndarray, w5x1: np.ndarray, w1x5: np.ndarray,

@@ -55,6 +55,8 @@ def fold_batchnorm(g: Graph, weights: dict[str, np.ndarray], *,
 
     BatchNorms that do not sit on a conv (the entry block's, which follows a
     concat) are left in place; with strict=True they raise FoldError instead.
+    A BatchNorm with a non-finite statistic or var + eps <= 0 raises
+    FoldError, so bad weights never fold into NaN conv weights.
     """
     consumers = g.consumers()
     new_store = dict(weights)
@@ -84,10 +86,14 @@ def fold_batchnorm(g: Graph, weights: dict[str, np.ndarray], *,
             notes.append(f"kept {n.name}: conv {src.name} already folded into")
             continue
 
-        gamma = weights[n.ref("gamma")].astype(np.float64)
-        beta = weights[n.ref("beta")].astype(np.float64)
-        mean = weights[n.ref("mean")].astype(np.float64)
-        var = weights[n.ref("var")].astype(np.float64)
+        stats = {role: weights[n.ref(role)].astype(np.float64)
+                 for role in ("gamma", "beta", "mean", "var")}
+        for role, arr in stats.items():
+            if not np.all(np.isfinite(arr)):
+                raise FoldError(f"cannot fold {n.name}: {role} is not finite")
+        gamma, beta, mean, var = stats.values()
+        if not np.all(var + n.bn_eps > 0):
+            raise FoldError(f"cannot fold {n.name}: var + eps must be positive")
         scale = gamma / np.sqrt(var + n.bn_eps)
 
         if src.kind is NodeKind.ASYM_CONV5:

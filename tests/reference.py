@@ -3,12 +3,15 @@
 Everything here is plain nested loops over float64 scalars, deliberately
 ignoring performance, so the vectorized engine kernels have an independent
 implementation to agree with.  Keep these dumb: no shared code with the
-engine, no clever indexing.
+engine, no clever indexing.  The one exception is stuffed_conv_transpose2d,
+the engine's earlier zero-stuffing kernel, kept verbatim so the current one
+can be checked against it bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def ref_conv2d(x, w, bias=None, stride=1, pad_h=0, pad_w=0, dilation=1):
@@ -65,6 +68,51 @@ def ref_conv_transpose2d(x, w, bias=None, stride=1, pad=0, out_pad=0):
         for o in range(oc):
             out[o] += float(bias[o])
     return out
+
+
+def _stuffed_contract(xp, w, stride, dilation):
+    """Windowed tensor contraction over an already-padded input, float64."""
+    kh, kw = w.shape[2], w.shape[3]
+    eff_kh = dilation * (kh - 1) + 1
+    eff_kw = dilation * (kw - 1) + 1
+    win = sliding_window_view(xp, (eff_kh, eff_kw), axis=(1, 2))
+    win = win[:, ::stride, ::stride, ::dilation, ::dilation]
+    return np.tensordot(w.astype(np.float64), win.astype(np.float64),
+                        axes=([1, 2, 3], [0, 3, 4]))
+
+
+def _pad_or_crop(a, top, bottom, left, right):
+    """np.pad that also accepts negative amounts (crop)."""
+    if top < 0:
+        a, top = a[:, -top:, :], 0
+    if bottom < 0:
+        a, bottom = a[:, : a.shape[1] + bottom, :], 0
+    if left < 0:
+        a, left = a[:, :, -left:], 0
+    if right < 0:
+        a, right = a[:, :, : a.shape[2] + right], 0
+    return np.pad(a, ((0, 0), (top, bottom), (left, right)))
+
+
+def stuffed_conv_transpose2d(x, w, bias, stride, pad, out_pad=0):
+    """The engine's former transposed convolution, kept as a bitwise oracle:
+    a stride-1 convolution of the zero-stuffed input with the flipped kernel,
+    contracted in float64 and rounded once to float32.  The phase-lowered
+    kernel must reproduce its output bit for bit."""
+    x = np.ascontiguousarray(x, dtype=np.float32)
+    ic, oc, kh, kw = w.shape
+    _, h, wd = x.shape
+    stuffed = np.zeros((ic, (h - 1) * stride + 1, (wd - 1) * stride + 1),
+                       dtype=np.float32)
+    stuffed[:, ::stride, ::stride] = x
+    stuffed = _pad_or_crop(stuffed, kh - 1 - pad, kh - 1 - pad + out_pad,
+                           kw - 1 - pad, kw - 1 - pad + out_pad)
+    w_eq = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
+                                dtype=np.float32)
+    out = _stuffed_contract(stuffed, w_eq, stride=1, dilation=1)
+    if bias is not None:
+        out += bias.astype(np.float64)[:, None, None]
+    return np.ascontiguousarray(out.astype(np.float32))
 
 
 def ref_maxpool2x2(x):

@@ -32,6 +32,7 @@ from reference import (
     ref_max_unpool2x2,
     ref_maxpool2x2,
     ref_prelu,
+    stuffed_conv_transpose2d,
 )
 
 F32 = np.float32
@@ -199,6 +200,44 @@ def test_conv2d_dilation1_matches_plain_windowed_contraction():
     assert np.array_equal(got, plain)
 
 
+def _windowed_contraction(x, wt, bias, p):
+    """The tensordot-over-windows contraction conv2d computed before im2col."""
+    xp = np.pad(x, ((0, 0), (p.pad_h, p.pad_h), (p.pad_w, p.pad_w)))
+    eff_kh = p.dilation * (p.kernel_h - 1) + 1
+    eff_kw = p.dilation * (p.kernel_w - 1) + 1
+    win = sliding_window_view(xp, (eff_kh, eff_kw), axis=(1, 2))
+    win = win[:, ::p.stride, ::p.stride, ::p.dilation, ::p.dilation]
+    out = np.tensordot(wt.astype(np.float64), win.astype(np.float64),
+                       axes=([1, 2, 3], [0, 3, 4]))
+    if bias is not None:
+        out += bias.astype(np.float64)[:, None, None]
+    return out.astype(F32)
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_conv2d_bitwise_equals_windowed_contraction():
+    # im2col + one GEMM is the same float64 GEMM on the same layout that
+    # tensordot runs, so the rounded outputs must agree bit for bit
+    rng = np.random.default_rng(8)
+    cases = [c for c in _conv_cases() if c[2] > 1 or c[5] > 1]  # strided or dilated
+    cases += [(1, 1, 1, 0, 0, 1, ic, oc, 9, 13)
+              for ic, oc in ((1, 1), (3, 7), (32, 128), (128, 32))]
+    cases += [(3, 3, 1, 1, 1, 1, 32, 32, 12, 20),       # K = 288
+              (2, 2, 2, 0, 0, 1, 64, 32, 12, 20),
+              (3, 3, 1, 8, 8, 8, 32, 32, 18, 20)]
+    for kh, kw, s, ph, pw, d, ic, oc, h, w in cases:
+        x = rand_input(rng, ic, h, w)
+        wt = rand_conv_weight(rng, oc, ic, kh, kw)
+        bias = rand_bias(rng, oc) if rng.integers(0, 2) else None
+        p = ConvParams(out_channels=oc, kernel_h=kh, kernel_w=kw, stride=s,
+                       pad_h=ph, pad_w=pw, dilation=d, has_bias=bias is not None)
+        assert _bitwise_equal(conv2d(x, wt, bias, p),
+                              _windowed_contraction(x, wt, bias, p))
+
+
 # ---------------------------------------------------------------------------
 # conv_transpose2d
 
@@ -261,6 +300,62 @@ def test_conv_transpose2d_matches_reference_on_randomized_instances():
         count += 1
     assert count == 100
     assert worst <= 1e-6, f"worst conv_transpose2d deviation {worst}"
+
+
+def test_conv_transpose2d_stride_beyond_kernel_leaves_bias_in_gaps():
+    # stride 3 with a 1x1 kernel: only phase (0, 0) has a tap, every other
+    # output position is the bias alone
+    x = np.ones((1, 2, 2), dtype=F32)
+    w = np.full((1, 1, 1, 1), 2.0, dtype=F32)
+    out = conv_transpose2d(x, w, np.array([0.5], dtype=F32), stride=3, pad=0)
+    want = np.full((1, 4, 4), 0.5, dtype=F32)
+    want[0, ::3, ::3] = 2.5
+    np.testing.assert_array_equal(out, want)
+
+
+def test_conv_transpose2d_bitwise_equals_zero_stuffed_contraction():
+    rng = np.random.default_rng(2606)
+    covered = set()
+    count = 0
+    while count < 300:
+        k = int(rng.integers(1, 6))
+        s = int(rng.integers(1, 4))
+        pad = int(rng.integers(0, k))
+        op = int(rng.integers(0, s))
+        ic = int(rng.integers(1, 6))
+        oc = int(rng.integers(1, 6))
+        h = int(rng.integers(1, 9))
+        w = int(rng.integers(1, 9))
+        if (min(h, w) - 1) * s - 2 * pad + k + op < 1:
+            continue  # empty output
+        x = rand_input(rng, ic, h, w)
+        wt = rand_tconv_weight(rng, ic, oc, k, k)
+        bias = rand_bias(rng, oc) if rng.integers(0, 2) else None
+        got = conv_transpose2d(x, wt, bias, stride=s, pad=pad, out_pad=op)
+        want = stuffed_conv_transpose2d(x, wt, bias, stride=s, pad=pad, out_pad=op)
+        assert _bitwise_equal(got, want), (k, s, pad, op, ic, oc, h, w)
+        covered |= {("stride", s), ("kernel", k)}
+        covered |= {flag for flag, on in (("pad", pad > 0), ("out_pad", op > 0),
+                                          ("stride>kernel", s > k)) if on}
+        count += 1
+    assert covered >= {("stride", s) for s in (1, 2, 3)} | {
+        ("kernel", k) for k in range(1, 6)} | {"pad", "out_pad", "stride>kernel"}
+
+
+@pytest.mark.parametrize("ic,oc,h,w,k,s,pad,op", [
+    (16, 16, 9, 16, 3, 2, 1, 1),    # the decoder's upsampling deconvs
+    (4, 4, 18, 32, 3, 2, 1, 1),
+    (16, 19, 36, 64, 2, 2, 0, 0),   # the fullconv classifier
+    (128, 17, 7, 9, 3, 2, 1, 1),    # long reductions
+    (256, 17, 7, 9, 4, 2, 1, 0),
+])
+def test_conv_transpose2d_bitwise_on_network_shapes(ic, oc, h, w, k, s, pad, op):
+    rng = np.random.default_rng(ic * 100 + k)
+    x = rand_input(rng, ic, h, w)
+    wt = rand_tconv_weight(rng, ic, oc, k, k)
+    bias = rand_bias(rng, oc)
+    assert _bitwise_equal(conv_transpose2d(x, wt, bias, s, pad, op),
+                          stuffed_conv_transpose2d(x, wt, bias, s, pad, op))
 
 
 def test_conv_and_transpose_are_adjoint():

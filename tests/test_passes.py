@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from enetcpu.errors import FoldError
+from enetcpu.errors import EnetError, FoldError
 from enetcpu.graph import (
     Graph,
     GraphBuilder,
@@ -134,6 +134,29 @@ def test_fold_enet_removes_all_but_the_post_concat_bn():
     g3, w3, report2 = fold_batchnorm(g2, w2)
     assert report2.removed == ()
     assert [n.name for n in g3.nodes] == [n.name for n in g2.nodes]
+
+
+@pytest.mark.parametrize("role,value", [("var", -1.0), ("var", np.nan),
+                                        ("gamma", np.inf), ("mean", np.nan)])
+def test_fold_rejects_bad_bn_statistics_naming_the_node(role, value):
+    g = build_enet(19, 32, 32)
+    w = init_weights(g, seed=0)
+    w["bottleneck1.1.ext.conv_bn." + role][3] = value
+    with pytest.raises(FoldError, match="bottleneck1.1.ext.conv_bn"):
+        fold_batchnorm(g, w)
+
+
+def test_negative_bn_variance_fails_loudly_fused_and_unfused():
+    # folding must not turn a bad statistic into NaN weights and a NaN map
+    g = build_enet(19, 32, 32)
+    w = init_weights(g, seed=0)
+    w["bottleneck2.3.ext.conv_bn.var"] = np.full(32, -0.5, dtype=F32)
+    x = np.random.default_rng(0).random((3, 32, 32), dtype=F32)
+    with pytest.raises(EnetError):
+        execute(g, w, x)
+    with pytest.raises(EnetError):
+        fg, fw, _ = optimize(g, w)
+        execute(fg, fw, x)
 
 
 # ---------------------------------------------------------------------------
