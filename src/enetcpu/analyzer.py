@@ -45,13 +45,10 @@ class NodeCost:
 
     name: str
     kind: NodeKind
+    stage: str
     out_shape: Shape
     params: int
     macs: int
-
-    @property
-    def stage(self) -> str:
-        return self.name.split(".", 1)[0]
 
 
 @dataclass(frozen=True)
@@ -87,25 +84,6 @@ class CostReport:
         return out
 
 
-def _node_params(n: NodeSpec, in_c: int) -> int:
-    if n.kind is NodeKind.CONV:
-        p = n.conv
-        return p.out_channels * in_c * p.kernel_h * p.kernel_w + \
-            (p.out_channels if p.has_bias else 0)
-    if n.kind is NodeKind.CONV_TRANSPOSE:
-        p = n.conv
-        return in_c * p.out_channels * p.kernel_h * p.kernel_w + \
-            (p.out_channels if p.has_bias else 0)
-    if n.kind is NodeKind.ASYM_CONV5:
-        c = n.conv.out_channels
-        return c * in_c * 5 + c * c * 5 + (c if n.conv.has_bias else 0)
-    if n.kind is NodeKind.BATCHNORM:
-        return 4 * in_c
-    if n.kind is NodeKind.PRELU:
-        return in_c
-    return 0
-
-
 def _node_macs(n: NodeSpec, in_shape: Shape, out_shape: Shape) -> int:
     if n.kind is NodeKind.CONV:
         p = n.conv
@@ -124,26 +102,21 @@ def _node_macs(n: NodeSpec, in_shape: Shape, out_shape: Shape) -> int:
 
 def count_params(g: Graph) -> int:
     """Total trainable parameters in the graph."""
-    shapes = infer_shapes(g)
-    total = 0
-    for n in g.nodes:
-        if n.weight_refs or n.kind in _CONVLIKE:
-            total += _node_params(n, shapes[n.inputs[0]].channels)
-    return total
+    return sum(math.prod(shp) for shp in expected_weight_shapes(g).values())
 
 
 def count_flops(g: Graph,
                 convention: FlopConvention = FlopConvention.FMA2) -> CostReport:
     """Per-node MAC/parameter census at the graph's build resolution."""
     shapes = infer_shapes(g)
+    want = expected_weight_shapes(g)
     per_node = []
     for n in g.nodes:
         in_shape = shapes[n.inputs[0]] if n.inputs else shapes[n.id]
-        params = _node_params(n, in_shape.channels) if (
-            n.weight_refs or n.kind in _CONVLIKE) else 0
-        per_node.append(NodeCost(name=n.name, kind=n.kind,
-                                 out_shape=shapes[n.id], params=params,
-                                 macs=_node_macs(n, in_shape, shapes[n.id])))
+        per_node.append(NodeCost(
+            name=n.name, kind=n.kind, stage=n.stage, out_shape=shapes[n.id],
+            params=sum(math.prod(want[key]) for _, key in n.weight_refs),
+            macs=_node_macs(n, in_shape, shapes[n.id])))
     return CostReport(input_shape=g.input_shape, convention=convention,
                       per_node=tuple(per_node))
 

@@ -10,6 +10,7 @@ a plain dict keyed by "<node name>.<role>" strings.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -137,18 +138,6 @@ class Graph:
             for src in n.inputs:
                 out[src].append(n.id)
         return {k: tuple(v) for k, v in out.items()}
-
-
-def module_names(g: Graph) -> tuple[str, ...]:
-    """Ordered distinct architecture modules (initial, bottlenecks, classifier)."""
-    seen: dict[str, None] = {}
-    for n in g.nodes:
-        if n.kind in (NodeKind.INPUT, NodeKind.OUTPUT):
-            continue
-        parts = n.name.split(".")
-        key = ".".join(parts[:2]) if parts[0].startswith("bottleneck") else parts[0]
-        seen.setdefault(key, None)
-    return tuple(seen)
 
 
 class GraphBuilder:
@@ -464,7 +453,7 @@ def expected_weight_shapes(g: Graph) -> dict[str, tuple[int, ...]]:
     for n in g.nodes:
         if not n.weight_refs:
             continue
-        in_c = shapes[g.node(n.inputs[0]).id].channels
+        in_c = shapes[n.inputs[0]].channels
         if n.kind is NodeKind.CONV:
             p = n.conv
             out[n.ref("weight")] = (p.out_channels, in_c, p.kernel_h, p.kernel_w)
@@ -496,25 +485,20 @@ def init_weights(g: Graph, seed: int = 0) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(seed)
     want = expected_weight_shapes(g)
     store: dict[str, np.ndarray] = {}
-    for key, shp in want.items():
-        role = key.rsplit(".", 1)[1]
-        if role in ("weight", "weight_5x1", "weight_1x5"):
-            if role == "weight" and len(shp) == 4:
-                node_name = key.rsplit(".", 1)[0]
-                n = g.find(node_name)
-                if n.kind is NodeKind.CONV_TRANSPOSE:
-                    fan_in = shp[0] * shp[2] * shp[3]  # (in, out, kh, kw)
-                else:
-                    fan_in = shp[1] * shp[2] * shp[3]
-            else:
-                fan_in = shp[1] * shp[2] * shp[3]
-            store[key] = (rng.standard_normal(shp) / np.sqrt(fan_in)).astype(np.float32)
-        elif role == "bias" or role in ("beta", "mean"):
-            store[key] = np.zeros(shp, dtype=np.float32)
-        elif role in ("gamma", "var"):
-            store[key] = np.ones(shp, dtype=np.float32)
-        elif role == "slopes":
-            store[key] = np.full(shp, PRELU_INIT, dtype=np.float32)
-        else:  # pragma: no cover - role set is closed
-            raise ValidationError(f"unknown weight role in key {key!r}")
+    for n in g.nodes:
+        for role, key in n.weight_refs:
+            shp = want[key]
+            if role.startswith("weight"):
+                # (out, in, kh, kw), or (in, out, kh, kw) when transposed
+                out_axis = 1 if n.kind is NodeKind.CONV_TRANSPOSE else 0
+                fan_in = math.prod(shp) // shp[out_axis]
+                store[key] = (rng.standard_normal(shp) / np.sqrt(fan_in)).astype(np.float32)
+            elif role in ("bias", "beta", "mean"):
+                store[key] = np.zeros(shp, dtype=np.float32)
+            elif role in ("gamma", "var"):
+                store[key] = np.ones(shp, dtype=np.float32)
+            elif role == "slopes":
+                store[key] = np.full(shp, PRELU_INIT, dtype=np.float32)
+            else:  # pragma: no cover - role set is closed
+                raise ValidationError(f"unknown weight role in key {key!r}")
     return store

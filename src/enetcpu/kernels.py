@@ -113,6 +113,9 @@ class BnParams:
                 raise ShapeError(f"batchnorm {name} length != gamma length {n}")
         if self.eps < 0:
             raise ShapeError(f"batchnorm eps must be >= 0, got {self.eps}")
+        for name in ("gamma", "beta", "mean", "var"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ShapeError(f"batchnorm {name} is not finite")
         if np.any(np.asarray(self.var) < 0):
             raise ShapeError("batchnorm variance must be non-negative")
         if np.any(np.asarray(self.var, dtype=np.float64) + self.eps <= 0):
@@ -157,7 +160,8 @@ def conv2d(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray],
     if bias is not None and bias.shape != (oc,):
         raise ShapeError(f"bias must be ({oc},), got {bias.shape}")
     oh, ow = params.conv_out_hw(x.shape[1], x.shape[2])  # raises if kernel does not fit
-    xp = np.pad(x, ((0, 0), (params.pad_h, params.pad_h), (params.pad_w, params.pad_w)))
+    xp = x if params.pad_h == params.pad_w == 0 else np.pad(
+        x, ((0, 0), (params.pad_h, params.pad_h), (params.pad_w, params.pad_w)))
     wmat = np.asarray(w, dtype=F32).reshape(oc, -1).astype(np.float64)
     out = wmat @ _im2col(xp, kh, kw, params.stride, params.dilation, oh, ow)
     if bias is not None:

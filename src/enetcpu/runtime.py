@@ -56,26 +56,31 @@ class ExecutionPlan:
     retained: frozenset[int]
 
 
+def _last_uses(g: Graph) -> tuple[dict[int, int], dict[int, int]]:
+    """Liveness over storage order: for each value id, the position of its
+    last reader; for each maxpool id, the position of the last unpool that
+    reads its indices."""
+    last_use: dict[int, int] = {}
+    idx_last_use: dict[int, int] = {}
+    for i, n in enumerate(g.nodes):
+        for src in n.inputs:
+            last_use[src] = i
+        if n.kind is NodeKind.MAX_UNPOOL and n.index_link is not None:
+            idx_last_use[n.index_link] = i
+    return last_use, idx_last_use
+
+
 def plan_buffers(g: Graph) -> ExecutionPlan:
     """Greedy liveness-driven slot assignment over topological order."""
     shapes = infer_shapes(g)
-    order = tuple(n.id for n in g.nodes)
-    pos = {nid: i for i, nid in enumerate(order)}
-
-    last_use: dict[int, int] = {}
-    for n in g.nodes:
-        for src in n.inputs:
-            last_use[src] = max(last_use.get(src, -1), pos[n.id])
-
-    retained = frozenset(n.index_link for n in g.nodes
-                         if n.kind is NodeKind.MAX_UNPOOL and n.index_link is not None)
+    last_use, idx_last_use = _last_uses(g)
 
     slot_of: dict[int, int] = {}
     slot_sizes: list[int] = []
     free: list[int] = []  # currently unassigned slot ids
     no_reuse = 0
 
-    for n in g.nodes:
+    for i, n in enumerate(g.nodes):
         if n.kind in (NodeKind.INPUT, NodeKind.OUTPUT):
             continue
         need = shapes[n.id].count * _BYTES_F32
@@ -94,18 +99,19 @@ def plan_buffers(g: Graph) -> ExecutionPlan:
             slot_sizes.append(need)
         # release inputs that die at this node (their last consumer is us)
         for src in set(n.inputs):
-            if last_use.get(src) == pos[n.id] and src in slot_of:
+            if last_use[src] == i and src in slot_of:
                 free.append(slot_of[src])
         free.sort()
 
-    return ExecutionPlan(order=order, slot_of=slot_of,
+    return ExecutionPlan(order=tuple(n.id for n in g.nodes), slot_of=slot_of,
                          slot_sizes=tuple(slot_sizes),
                          peak_bytes=sum(slot_sizes), no_reuse_bytes=no_reuse,
-                         retained=retained)
+                         retained=frozenset(idx_last_use))
 
 
-def _node_value(n, g, weights, vals, pool_idx, shapes):
-    """Run one node's kernel and return its output array."""
+def _node_value(n, weights, vals, pool_idx, shapes):
+    """Run one node's kernel and return its output array; a maxpool also
+    parks its indices in pool_idx."""
     a = vals[n.inputs[0]] if n.inputs else None
     if n.kind is NodeKind.CONV:
         bias = weights[n.ref("bias")] if n.conv.has_bias else None
@@ -119,6 +125,10 @@ def _node_value(n, g, weights, vals, pool_idx, shapes):
         bias = weights[n.ref("bias")] if n.conv.has_bias else None
         return conv_asymmetric5(a, weights[n.ref("weight_5x1")],
                                 weights[n.ref("weight_1x5")], bias)
+    if n.kind is NodeKind.MAXPOOL:
+        res = maxpool2x2(a)
+        pool_idx[n.id] = res.indices
+        return res.values
     if n.kind is NodeKind.MAX_UNPOOL:
         if n.index_link not in pool_idx:
             raise ExecutionError(
@@ -168,16 +178,7 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
             f"graph input {g.input_shape}")
 
     shapes = infer_shapes(g)
-    pos = {n.id: i for i, n in enumerate(g.nodes)}
-    last_use: dict[int, int] = {}
-    for n in g.nodes:
-        for src in n.inputs:
-            last_use[src] = max(last_use.get(src, -1), pos[n.id])
-    idx_last_use = {}
-    for n in g.nodes:
-        if n.kind is NodeKind.MAX_UNPOOL and n.index_link is not None:
-            idx_last_use[n.index_link] = max(idx_last_use.get(n.index_link, -1),
-                                             pos[n.id])
+    last_use, idx_last_use = _last_uses(g)
 
     arena = None
     if plan is not None:
@@ -196,21 +197,17 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
             vals[n.id] = x
         elif n.kind is NodeKind.OUTPUT:
             result = vals[n.inputs[0]].copy()
-        elif n.kind is NodeKind.MAXPOOL:
-            res = maxpool2x2(vals[n.inputs[0]])
-            pool_idx[n.id] = res.indices
-            vals[n.id] = _store(res.values, n, plan, arena, shapes)
         else:
-            out = _node_value(n, g, weights, vals, pool_idx, shapes)
+            out = _node_value(n, weights, vals, pool_idx, shapes)
             vals[n.id] = _store(out, n, plan, arena, shapes)
 
         # free values/indices whose last consumer just ran
         for src in set(n.inputs):
-            if last_use.get(src) == i and src in vals:
+            if last_use[src] == i and src in vals:
                 if poison and plan is not None and src in plan.slot_of:
                     vals[src][...] = np.nan
                 del vals[src]
-        if n.kind is NodeKind.MAX_UNPOOL and idx_last_use.get(n.index_link) == i:
+        if idx_last_use.get(n.index_link) == i:
             if poison:
                 pool_idx[n.index_link].fill(-1)
             del pool_idx[n.index_link]

@@ -63,20 +63,6 @@ def check_shape(shape: Shape) -> Shape:
     return shape
 
 
-def create(shape: Shape, fill: float = 0.0) -> np.ndarray:
-    """Allocate a float32 CHW tensor filled with a constant."""
-    check_shape(Shape(*shape))
-    return np.full(tuple(shape), fill, dtype=np.float32)
-
-
-def as_tensor(x: np.ndarray) -> np.ndarray:
-    """Coerce an array to the engine convention (float32, C-contiguous, 3D)."""
-    if x.ndim != 3:
-        raise ShapeError(f"expected a CHW tensor, got ndim={x.ndim}")
-    check_shape(Shape(*x.shape))
-    return np.ascontiguousarray(x, dtype=np.float32)
-
-
 def approx_eq(a: np.ndarray, b: np.ndarray, atol: float = 1e-5, rtol: float = 1e-5) -> bool:
     """Elementwise |a-b| <= atol + rtol*|b| over identically-shaped tensors."""
     if a.shape != b.shape:

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 
 from enetcpu.cli import main
-from enetcpu.enwt import save_weights
+from enetcpu.enwt import load_weights, save_weights
 from enetcpu.pnm import load_labelmap, load_ppm, save_ppm
 
 
@@ -160,6 +160,21 @@ def test_data_errors_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "class-weights",
                        "--histogram", tmp_path / "missing.txt")
     assert code == 2 and "cannot read" in err
+
+
+def test_non_finite_bn_weight_exits_2_fused_and_unfused(tmp_path, capsys):
+    model, image = tmp_path / "m.enwt", tmp_path / "in.ppm"
+    _write_image(image)
+    run(capsys, "build", "--classes", 5, "--out", model)
+    store = load_weights(model)
+    store["bottleneck1.1.ext.conv_bn.gamma"][3] = np.nan
+    save_weights(store, model)
+    for flags in ([], ["--no-fuse"]):
+        labels = tmp_path / f"out{len(flags)}.pgm"
+        code, _, err = run(capsys, "infer", "--model", model, "--image", image,
+                           "--out", labels, *flags)
+        assert code == 2 and "gamma" in err
+        assert not labels.exists()
 
 
 def test_model_without_classifier_bias_exits_2(tmp_path, capsys):

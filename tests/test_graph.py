@@ -19,7 +19,6 @@ from enetcpu.graph import (
     expected_weight_shapes,
     infer_shapes,
     init_weights,
-    module_names,
 )
 from enetcpu.kernels import ConvParams
 from enetcpu.tensor import Shape
@@ -163,14 +162,6 @@ def test_bottleneck_preconditions():
 
 # ---------------------------------------------------------------------------
 # the full network
-
-def test_enet_module_count_and_names():
-    g = build_enet(19, 512, 512)
-    mods = module_names(g)
-    assert len(mods) == 29
-    assert mods[0] == "initial" and mods[-1] == "fullconv"
-    assert mods[1] == "bottleneck1.0" and mods[-2] == "bottleneck5.1"
-
 
 def test_enet_stage_output_shapes_at_512():
     g = build_enet(19, 512, 512)

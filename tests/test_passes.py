@@ -146,11 +146,13 @@ def test_fold_rejects_bad_bn_statistics_naming_the_node(role, value):
         fold_batchnorm(g, w)
 
 
-def test_negative_bn_variance_fails_loudly_fused_and_unfused():
-    # folding must not turn a bad statistic into NaN weights and a NaN map
+@pytest.mark.parametrize("role,value", [("var", -0.5), ("gamma", np.nan),
+                                        ("mean", np.inf), ("beta", np.nan)])
+def test_negative_bn_variance_fails_loudly_fused_and_unfused(role, value):
+    # neither path may turn a bad statistic into NaN weights and a NaN map
     g = build_enet(19, 32, 32)
     w = init_weights(g, seed=0)
-    w["bottleneck2.3.ext.conv_bn.var"] = np.full(32, -0.5, dtype=F32)
+    w["bottleneck2.3.ext.conv_bn." + role] = np.full(32, value, dtype=F32)
     x = np.random.default_rng(0).random((3, 32, 32), dtype=F32)
     with pytest.raises(EnetError):
         execute(g, w, x)

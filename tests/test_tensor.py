@@ -4,23 +4,15 @@ import numpy as np
 import pytest
 
 from enetcpu.errors import ShapeError
-from enetcpu.tensor import MAX_ELEMENTS, DType, Shape, approx_eq, as_tensor, check_shape, create
-
-
-def test_create_fills_and_counts():
-    t = create(Shape(16, 256, 256), 0.0)
-    assert t.shape == (16, 256, 256)
-    assert t.dtype == np.float32
-    assert t.size == 1_048_576
-    assert Shape(16, 256, 256).count == 1_048_576
-    assert np.all(t == 0.0)
-    assert np.all(create(Shape(2, 3, 4), 1.5) == 1.5)
+from enetcpu.tensor import MAX_ELEMENTS, DType, Shape, approx_eq, check_shape
 
 
 def test_chw_flat_layout():
+    assert Shape(16, 256, 256).count == 1_048_576
     # flat index = c*H*W + y*W + x
     c, h, w = 3, 4, 5
-    t = create(Shape(c, h, w))
+    t = np.zeros(Shape(c, h, w), dtype=np.float32)
+    assert t.size == Shape(c, h, w).count
     flat = t.reshape(-1)
     flat[2 * h * w + 1 * w + 3] = 9.0
     assert t[2, 1, 3] == 9.0
@@ -34,13 +26,6 @@ def test_check_shape_rejects_bad_dims():
         check_shape(Shape(1, -1, 4))
     with pytest.raises(ShapeError):
         check_shape(Shape(1, MAX_ELEMENTS, 2))
-
-
-def test_as_tensor_coerces_and_validates():
-    t = as_tensor(np.ones((2, 2, 2), dtype=np.float64))
-    assert t.dtype == np.float32
-    with pytest.raises(ShapeError):
-        as_tensor(np.ones((2, 2)))
 
 
 def test_approx_eq_tolerances():
