@@ -7,8 +7,17 @@ from enetcpu.errors import ShapeError
 from enetcpu.tensor import MAX_ELEMENTS, DType, Shape, approx_eq, check_shape
 
 
-def test_chw_flat_layout():
+def test_create_fills_and_counts():
+    t = np.full(Shape(16, 256, 256), 0.0, dtype=DType.F32.np_dtype)
+    assert t.shape == (16, 256, 256)
+    assert t.dtype == np.float32
+    assert t.size == 1_048_576
     assert Shape(16, 256, 256).count == 1_048_576
+    assert np.all(t == 0.0)
+    assert np.all(np.full(Shape(2, 3, 4), 1.5, dtype=DType.F32.np_dtype) == 1.5)
+
+
+def test_chw_flat_layout():
     # flat index = c*H*W + y*W + x
     c, h, w = 3, 4, 5
     t = np.zeros(Shape(c, h, w), dtype=np.float32)
