@@ -5,18 +5,18 @@ float64 and round back to float32 once, so results are deterministic
 run-to-run and land within one float32 rounding of an exact-accumulation
 reference regardless of BLAS summation order.
 
-Convolutions are lowered to float64 GEMM (Chellapilla et al., 2006).
-conv2d copies the padded input's windows once into a contiguous
-(C*kh*kw, oh*ow) im2col matrix and multiplies the (oc, C*kh*kw) weight matrix
-into it.  conv_transpose2d is lowered by sub-pixel phase (Dumoulin & Visin,
-arXiv 1603.07285, section 4): the outputs with (Y mod stride, X mod stride)
-= (ry, rx) are reached only by the kernel taps with ky = Y + pad and
-kx = X + pad (mod stride), so each phase is one stride-1 im2col GEMM of the
-un-stuffed input with that sub-kernel, rounded into the phase's strided view
-of the output.  No product with an inserted zero is formed.  The taps keep
-the order in which the zero-stuffed formulation summed them (input channel,
-then ky and kx descending) and only its exact-zero terms are dropped, so its
-float32 output is reproduced bit for bit.
+Convolutions are lowered to float64 GEMM (Chellapilla et al., 2006) and take
+their geometry from ConvParams, as shape inference does.  conv2d copies the
+padded input's windows once into a contiguous (C*kh*kw, oh*ow) im2col matrix
+and multiplies the (oc, C*kh*kw) weight matrix into it.  conv_transpose2d is
+lowered by sub-pixel phase (Dumoulin & Visin, arXiv 1603.07285, section 4): the
+outputs with (Y mod stride, X mod stride) = (ry, rx) are reached only by the
+kernel taps with ky = Y + pad_h and kx = X + pad_w (mod stride), so each phase
+is one stride-1 im2col GEMM of the un-stuffed input with that sub-kernel,
+rounded into the phase's strided view of the output.  No product with an
+inserted zero is formed.  The taps keep the order in which the zero-stuffed
+formulation summed them (input channel, then ky and kx descending) and only its
+exact-zero terms are dropped, so its float32 output is reproduced bit for bit.
 """
 
 from __future__ import annotations
@@ -82,6 +82,8 @@ class ConvParams:
 
     def tconv_out_hw(self, h: int, w: int) -> tuple[int, int]:
         """Output dims of a transposed convolution over an h x w input."""
+        if self.dilation != 1:
+            raise ShapeError("transposed convolution does not support dilation")
         oh = (h - 1) * self.stride - 2 * self.pad_h + self.kernel_h + self.out_pad
         ow = (w - 1) * self.stride - 2 * self.pad_w + self.kernel_w + self.out_pad
         if oh < 1 or ow < 1:
@@ -121,6 +123,11 @@ class BnParams:
         if np.any(np.asarray(self.var, dtype=np.float64) + self.eps <= 0):
             raise ShapeError("batchnorm var + eps must be positive")
 
+    def scale(self) -> np.ndarray:
+        """Per-channel float64 gamma / sqrt(var + eps)."""
+        return np.asarray(self.gamma, dtype=np.float64) / np.sqrt(
+            np.asarray(self.var, dtype=np.float64) + self.eps)
+
 
 def _chw(x: np.ndarray, what: str = "input") -> np.ndarray:
     if x.ndim != 3:
@@ -141,14 +148,16 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, dilation: int,
     return cols.reshape(-1, oh * ow)
 
 
-def conv2d(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray],
-           params: ConvParams) -> np.ndarray:
-    """2D convolution with zero padding, optional dilation and bias."""
+def _conv_operands(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray],
+                   params: ConvParams, transposed: bool) -> np.ndarray:
+    """Check a convolution's operands against its params and return x as a
+    float32 CHW array.  Weights are (out, in, kh, kw), or (in, out, kh, kw)
+    when transposed."""
     x = _chw(x)
     if w.ndim != 4:
-        raise ShapeError(f"conv weight must be 4D (out,in,kh,kw), got ndim={w.ndim}")
-    oc, ic, kh, kw = w.shape
-    if (oc, kh, kw) != (params.out_channels, params.kernel_h, params.kernel_w):
+        raise ShapeError(f"conv weight must be 4D, got ndim={w.ndim}")
+    ic, oc = (w.shape[0], w.shape[1]) if transposed else (w.shape[1], w.shape[0])
+    if (oc, *w.shape[2:]) != (params.out_channels, params.kernel_h, params.kernel_w):
         raise ShapeError(
             f"weight shape {w.shape} disagrees with params "
             f"({params.out_channels},{params.kernel_h},{params.kernel_w})"
@@ -159,6 +168,14 @@ def conv2d(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray],
         raise ShapeError("bias presence does not match params.has_bias")
     if bias is not None and bias.shape != (oc,):
         raise ShapeError(f"bias must be ({oc},), got {bias.shape}")
+    return x
+
+
+def conv2d(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray],
+           params: ConvParams) -> np.ndarray:
+    """2D convolution with zero padding, optional dilation and bias."""
+    x = _conv_operands(x, w, bias, params, transposed=False)
+    oc, _, kh, kw = w.shape
     oh, ow = params.conv_out_hw(x.shape[1], x.shape[2])  # raises if kernel does not fit
     xp = x if params.pad_h == params.pad_w == 0 else np.pad(
         x, ((0, 0), (params.pad_h, params.pad_h), (params.pad_w, params.pad_w)))
@@ -192,32 +209,21 @@ def _phase_padding(phases, n_in: int) -> tuple[int, int]:
 
 
 def conv_transpose2d(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray],
-                     stride: int, pad: int, out_pad: int = 0) -> np.ndarray:
+                     params: ConvParams) -> np.ndarray:
     """Transposed convolution (the adjoint of conv2d with the same weights).
 
-    Weight layout is (in_channels, out_channels, kh, kw).  out_pad grows the
-    bottom/right edge by up to stride-1 rows/cols so even output sizes are
-    reachable at stride 2 with odd kernels.
+    Weight layout is (in_channels, out_channels, kh, kw).  Geometry comes
+    from params: per-axis padding, and out_pad, which grows the bottom/right
+    edge by up to stride-1 rows/cols so even output sizes are reachable at
+    stride 2 with odd kernels.
     """
-    x = _chw(x)
-    if w.ndim != 4:
-        raise ShapeError(f"transposed conv weight must be 4D, got ndim={w.ndim}")
-    ic, oc, kh, kw = w.shape
-    if x.shape[0] != ic:
-        raise ShapeError(f"input has {x.shape[0]} channels, weight expects {ic}")
-    if stride < 1 or pad < 0:
-        raise ShapeError(f"bad stride/pad ({stride}, {pad})")
-    if not 0 <= out_pad < stride:
-        raise ShapeError(f"out_pad must be in [0, stride), got {out_pad}")
-    if bias is not None and bias.shape != (oc,):
-        raise ShapeError(f"bias must be ({oc},), got {bias.shape}")
+    x = _conv_operands(x, w, bias, params, transposed=True)
+    _, oc, kh, kw = w.shape
     _, h, wd = x.shape
-    oh = (h - 1) * stride - 2 * pad + kh + out_pad
-    ow = (wd - 1) * stride - 2 * pad + kw + out_pad
-    if oh < 1 or ow < 1:
-        raise ShapeError(f"transposed conv output would be {oh}x{ow}")
-    rows = list(_phases(oh, kh, stride, pad))
-    cols = list(_phases(ow, kw, stride, pad))
+    stride = params.stride
+    oh, ow = params.tconv_out_hw(h, wd)
+    rows = list(_phases(oh, kh, stride, params.pad_h))
+    cols = list(_phases(ow, kw, stride, params.pad_w))
     top, bottom = _phase_padding(rows, h)
     left, right = _phase_padding(cols, wd)
     xp = np.pad(x, ((0, 0), (top, bottom), (left, right)))
@@ -314,8 +320,7 @@ def batchnorm_infer(x: np.ndarray, p: BnParams) -> np.ndarray:
     x = _chw(x)
     if x.shape[0] != len(p.gamma):
         raise ShapeError(f"batchnorm has {len(p.gamma)} channels, input {x.shape[0]}")
-    scale = np.asarray(p.gamma, dtype=np.float64) / np.sqrt(
-        np.asarray(p.var, dtype=np.float64) + p.eps)
+    scale = p.scale()
     shift = np.asarray(p.beta, dtype=np.float64) - np.asarray(p.mean, dtype=np.float64) * scale
     out = x.astype(np.float64) * scale[:, None, None] + shift[:, None, None]
     return np.ascontiguousarray(out.astype(F32))

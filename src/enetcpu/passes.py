@@ -11,8 +11,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import FoldError, ValidationError
+from .errors import FoldError, ShapeError, ValidationError
 from .graph import Graph, NodeKind, NodeSpec, expected_weight_shapes
+from .kernels import BnParams
 
 _FOLDABLE_SOURCES = (NodeKind.CONV, NodeKind.CONV_TRANSPOSE, NodeKind.ASYM_CONV5)
 
@@ -55,8 +56,8 @@ def fold_batchnorm(g: Graph, weights: dict[str, np.ndarray], *,
 
     BatchNorms that do not sit on a conv (the entry block's, which follows a
     concat) are left in place; with strict=True they raise FoldError instead.
-    A BatchNorm with a non-finite statistic or var + eps <= 0 raises
-    FoldError, so bad weights never fold into NaN conv weights.
+    A BatchNorm whose statistics BnParams rejects raises FoldError, so the
+    fused path refuses exactly what the unfused one does.
     """
     consumers = g.consumers()
     new_store = dict(weights)
@@ -86,15 +87,13 @@ def fold_batchnorm(g: Graph, weights: dict[str, np.ndarray], *,
             notes.append(f"kept {n.name}: conv {src.name} already folded into")
             continue
 
-        stats = {role: weights[n.ref(role)].astype(np.float64)
-                 for role in ("gamma", "beta", "mean", "var")}
-        for role, arr in stats.items():
-            if not np.all(np.isfinite(arr)):
-                raise FoldError(f"cannot fold {n.name}: {role} is not finite")
-        gamma, beta, mean, var = stats.values()
-        if not np.all(var + n.bn_eps > 0):
-            raise FoldError(f"cannot fold {n.name}: var + eps must be positive")
-        scale = gamma / np.sqrt(var + n.bn_eps)
+        try:
+            bn = BnParams(gamma=weights[n.ref("gamma")], beta=weights[n.ref("beta")],
+                          mean=weights[n.ref("mean")], var=weights[n.ref("var")],
+                          eps=n.bn_eps)
+        except ShapeError as e:
+            raise FoldError(f"cannot fold {n.name}: {e}") from e
+        scale = bn.scale()
 
         if src.kind is NodeKind.ASYM_CONV5:
             wkey = src.ref("weight_1x5")
@@ -119,7 +118,7 @@ def fold_batchnorm(g: Graph, weights: dict[str, np.ndarray], *,
             b_old = np.zeros(len(scale), dtype=np.float64)
             new_src = replace(src, conv=replace(src.conv, has_bias=True),
                               weight_refs=src.weight_refs + (("bias", bias_key),))
-        new_store[bias_key] = ((b_old - mean) * scale + beta).astype(np.float32)
+        new_store[bias_key] = ((b_old - bn.mean) * scale + bn.beta).astype(np.float32)
 
         for role in ("gamma", "beta", "mean", "var"):
             del new_store[n.ref(role)]
@@ -190,27 +189,14 @@ def validate(g: Graph, weights: dict[str, np.ndarray]) -> list[str]:
             bwd.add(nid)
             node = g.node(nid)
             stack.extend(node.inputs)
-            if node.index_link is not None:
+            # a dangling link is left for infer_shapes to report
+            if node.index_link in consumers:
                 stack.append(node.index_link)
         for n in g.nodes:
             if n.id not in fwd:
                 diags.append(f"node {n.id} ({n.name}) is unreachable from the input")
             elif n.id not in bwd:
                 diags.append(f"node {n.id} ({n.name}) does not contribute to the output")
-
-    for n in g.nodes:
-        if n.kind is NodeKind.MAX_UNPOOL:
-            if n.index_link is None:
-                diags.append(f"unpool {n.name} has no index source")
-            else:
-                try:
-                    link = g.node(n.index_link)
-                    if link.kind is not NodeKind.MAXPOOL:
-                        diags.append(f"unpool {n.name} index source {link.name} "
-                                     f"is not a maxpool")
-                except KeyError:
-                    diags.append(f"unpool {n.name} index source id "
-                                 f"{n.index_link} does not exist")
 
     try:
         want = expected_weight_shapes(g)
@@ -227,6 +213,8 @@ def validate(g: Graph, weights: dict[str, np.ndarray]) -> list[str]:
         elif weights[key].dtype != np.float32:
             diags.append(f"weight {key!r} has dtype {weights[key].dtype}, "
                          f"expected float32")
+        elif not np.isfinite(weights[key]).all():
+            diags.append(f"weight {key!r} is not finite")
     for key in weights:
         if key not in want:
             diags.append(f"weight {key!r} is not referenced by any node")

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CorruptIndicesError, ExecutionError, ShapeError
+from .errors import CorruptIndicesError, EnetError, ExecutionError, ShapeError
 from .graph import Graph, NodeKind, infer_shapes
 from .kernels import (
     BnParams,
@@ -113,14 +113,10 @@ def _node_value(n, weights, vals, pool_idx, shapes):
     """Run one node's kernel and return its output array; a maxpool also
     parks its indices in pool_idx."""
     a = vals[n.inputs[0]] if n.inputs else None
-    if n.kind is NodeKind.CONV:
+    if n.kind in (NodeKind.CONV, NodeKind.CONV_TRANSPOSE):
+        conv = conv2d if n.kind is NodeKind.CONV else conv_transpose2d
         bias = weights[n.ref("bias")] if n.conv.has_bias else None
-        return conv2d(a, weights[n.ref("weight")], bias, n.conv)
-    if n.kind is NodeKind.CONV_TRANSPOSE:
-        bias = weights[n.ref("bias")] if n.conv.has_bias else None
-        return conv_transpose2d(a, weights[n.ref("weight")], bias,
-                                stride=n.conv.stride, pad=n.conv.pad_h,
-                                out_pad=n.conv.out_pad)
+        return conv(a, weights[n.ref("weight")], bias, n.conv)
     if n.kind is NodeKind.ASYM_CONV5:
         bias = weights[n.ref("bias")] if n.conv.has_bias else None
         return conv_asymmetric5(a, weights[n.ref("weight_5x1")],
@@ -132,12 +128,10 @@ def _node_value(n, weights, vals, pool_idx, shapes):
     if n.kind is NodeKind.MAX_UNPOOL:
         if n.index_link not in pool_idx:
             raise ExecutionError(
-                f"unpool {n.name}: pooling indices of node {n.index_link} "
-                f"are not available")
+                f"pooling indices of node {n.index_link} are not available")
         idx = pool_idx[n.index_link]
         if np.any(idx < 0):
-            raise CorruptIndicesError(
-                f"unpool {n.name}: consumed or poisoned pooling indices")
+            raise CorruptIndicesError("consumed or poisoned pooling indices")
         out_shape = shapes[n.id]
         return max_unpool2x2(a, idx, out_shape.height, out_shape.width)
     if n.kind is NodeKind.BATCHNORM:
@@ -155,7 +149,7 @@ def _node_value(n, weights, vals, pool_idx, shapes):
         return pad_channels(a, n.target_channels)
     if n.kind is NodeKind.DROPOUT:
         return spatial_dropout_infer(a)
-    raise ExecutionError(f"node {n.name}: no kernel for {n.kind}")  # pragma: no cover
+    raise ExecutionError(f"no kernel for {n.kind}")  # pragma: no cover
 
 
 def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
@@ -182,6 +176,11 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
 
     arena = None
     if plan is not None:
+        if plan.order != tuple(n.id for n in g.nodes) or any(
+                plan.slot_sizes[s] < shapes[i].count * _BYTES_F32
+                for i, s in plan.slot_of.items()):
+            raise ExecutionError("plan was made for another graph: its node "
+                                 "order or slot sizes do not fit this one")
         arena = [np.empty(size // _BYTES_F32, dtype=np.float32)
                  for size in plan.slot_sizes]
         if poison:
@@ -198,7 +197,10 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
         elif n.kind is NodeKind.OUTPUT:
             result = vals[n.inputs[0]].copy()
         else:
-            out = _node_value(n, weights, vals, pool_idx, shapes)
+            try:
+                out = _node_value(n, weights, vals, pool_idx, shapes)
+            except EnetError as e:
+                raise type(e)(f"node {n.name}: {e}") from e
             vals[n.id] = _store(out, n, plan, arena, shapes)
 
         # free values/indices whose last consumer just ran

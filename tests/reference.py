@@ -43,15 +43,18 @@ def ref_conv2d(x, w, bias=None, stride=1, pad_h=0, pad_w=0, dilation=1):
     return out
 
 
-def ref_conv_transpose2d(x, w, bias=None, stride=1, pad=0, out_pad=0):
-    """Transposed convolution by explicit scatter-add, float64."""
+def ref_conv_transpose2d(x, w, bias=None, stride=1, pad=0, out_pad=0, pad_w=None):
+    """Transposed convolution by explicit scatter-add, float64.  pad pads
+    both axes unless pad_w gives the width's own."""
+    pad_h = pad
+    pad_w = pad if pad_w is None else pad_w
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     ic, h, wd = x.shape
     ic2, oc, kh, kw = w.shape
     assert ic == ic2, "channel mismatch in reference conv_transpose"
-    oh = (h - 1) * stride - 2 * pad + kh + out_pad
-    ow = (wd - 1) * stride - 2 * pad + kw + out_pad
+    oh = (h - 1) * stride - 2 * pad_h + kh + out_pad
+    ow = (wd - 1) * stride - 2 * pad_w + kw + out_pad
     out = np.zeros((oc, oh, ow), dtype=np.float64)
     for c in range(ic):
         for iy in range(h):
@@ -60,8 +63,8 @@ def ref_conv_transpose2d(x, w, bias=None, stride=1, pad=0, out_pad=0):
                 for o in range(oc):
                     for ky in range(kh):
                         for kx in range(kw):
-                            oy = iy * stride - pad + ky
-                            ox = ix * stride - pad + kx
+                            oy = iy * stride - pad_h + ky
+                            ox = ix * stride - pad_w + kx
                             if 0 <= oy < oh and 0 <= ox < ow:
                                 out[o, oy, ox] += v * float(w[c, o, ky, kx])
     if bias is not None:

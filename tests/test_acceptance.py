@@ -139,7 +139,9 @@ def test_criterion_4_kernel_oracle_parity():
             wt = rand_tconv_weight(rng, ic, oc, k, k)
             if s * (h - 1) + k - 2 * pad + op < 1:
                 continue
-            got = conv_transpose2d(x, wt, None, s, pad, op)
+            got = conv_transpose2d(x, wt, None, ConvParams(
+                out_channels=oc, kernel_h=k, kernel_w=k, stride=s, pad_h=pad,
+                pad_w=pad, out_pad=op))
             want = ref_conv_transpose2d(x, wt, stride=s, pad=pad, out_pad=op)
             worst_t = max(worst_t, float(np.max(np.abs(got - want))))
             count += 1
@@ -162,7 +164,9 @@ def test_criterion_4_kernel_oracle_parity():
             out_pad = (h + 2 * pad - k) % s
             lhs = float(np.vdot(conv2d(x, wt, None, fwd).astype(np.float64),
                                 y.astype(np.float64)))
-            back = conv_transpose2d(y, wt, None, s, pad, out_pad)
+            back = conv_transpose2d(y, wt, None, ConvParams(
+                out_channels=ic, kernel_h=k, kernel_w=k, stride=s, pad_h=pad,
+                pad_w=pad, out_pad=out_pad))
             rhs = float(np.vdot(x.astype(np.float64), back.astype(np.float64)))
             assert abs(lhs - rhs) <= 1e-5 * max(1.0, abs(lhs), abs(rhs))
 

@@ -163,18 +163,24 @@ def test_data_errors_exit_2(tmp_path, capsys):
 
 
 def test_non_finite_bn_weight_exits_2_fused_and_unfused(tmp_path, capsys):
-    model, image = tmp_path / "m.enwt", tmp_path / "in.ppm"
+    # a BN statistic, a conv weight and a PReLU slope: each NaN must stop
+    # inference on both paths instead of reaching the label map
+    good, image = tmp_path / "m.enwt", tmp_path / "in.ppm"
     _write_image(image)
-    run(capsys, "build", "--classes", 5, "--out", model)
-    store = load_weights(model)
-    store["bottleneck1.1.ext.conv_bn.gamma"][3] = np.nan
-    save_weights(store, model)
-    for flags in ([], ["--no-fuse"]):
-        labels = tmp_path / f"out{len(flags)}.pgm"
-        code, _, err = run(capsys, "infer", "--model", model, "--image", image,
-                           "--out", labels, *flags)
-        assert code == 2 and "gamma" in err
-        assert not labels.exists()
+    run(capsys, "build", "--classes", 5, "--out", good)
+    for key in ("bottleneck1.1.ext.conv_bn.gamma", "fullconv.weight",
+                "bottleneck1.1.ext.conv_prelu.slopes"):
+        store = load_weights(good)
+        store[key].flat[3] = np.nan
+        model = tmp_path / f"{key}.enwt"
+        save_weights(store, model)
+        for flags in ([], ["--no-fuse"]):
+            labels = tmp_path / f"{key}-out{len(flags)}.pgm"
+            code, _, err = run(capsys, "infer", "--model", model, "--image", image,
+                               "--out", labels, *flags)
+            layer, role = key.rsplit(".", 1)
+            assert code == 2 and layer in err and role in err, (key, flags, err)
+            assert not labels.exists()
 
 
 def test_model_without_classifier_bias_exits_2(tmp_path, capsys):

@@ -241,10 +241,18 @@ def test_conv2d_bitwise_equals_windowed_contraction():
 # ---------------------------------------------------------------------------
 # conv_transpose2d
 
+def _tparams(wt, bias, stride, pad, out_pad=0, pad_w=None):
+    """ConvParams of a transposed conv with weight wt (in, out, kh, kw)."""
+    return ConvParams(out_channels=wt.shape[1], kernel_h=wt.shape[2],
+                      kernel_w=wt.shape[3], stride=stride, pad_h=pad,
+                      pad_w=pad if pad_w is None else pad_w, out_pad=out_pad,
+                      has_bias=bias is not None)
+
+
 def test_conv_transpose2d_single_pixel_scatter():
     x = np.ones((1, 1, 1), dtype=F32)
     w = np.array([[[[1.0, 2.0], [3.0, 4.0]]]], dtype=F32)  # (in=1, out=1, 2, 2)
-    out = conv_transpose2d(x, w, None, stride=2, pad=0)
+    out = conv_transpose2d(x, w, None, _tparams(w, None, stride=2, pad=0))
     np.testing.assert_array_equal(out, [[[1.0, 2.0], [3.0, 4.0]]])
 
 
@@ -253,7 +261,7 @@ def test_conv_transpose2d_2x2_stride2_doubles_dims():
     x = rand_input(rng, 16, 8, 6)
     w = rand_tconv_weight(rng, 16, 5, 2, 2)
     b = rand_bias(rng, 5)
-    out = conv_transpose2d(x, w, b, stride=2, pad=0)
+    out = conv_transpose2d(x, w, b, _tparams(w, b, stride=2, pad=0))
     assert out.shape == (5, 16, 12)
 
 
@@ -261,30 +269,40 @@ def test_conv_transpose2d_3x3_stride2_outpad1_doubles_dims():
     rng = np.random.default_rng(9)
     x = rand_input(rng, 4, 5, 7)
     w = rand_tconv_weight(rng, 4, 3, 3, 3)
-    out = conv_transpose2d(x, w, None, stride=2, pad=1, out_pad=1)
+    out = conv_transpose2d(x, w, None, _tparams(w, None, stride=2, pad=1, out_pad=1))
     assert out.shape == (3, 10, 14)
 
 
 def test_conv_transpose2d_rejects_bad_geometry():
     x = np.ones((2, 4, 4), dtype=F32)
     w = np.ones((2, 2, 2, 2), dtype=F32)
-    with pytest.raises(ShapeError):
-        conv_transpose2d(x, w, None, stride=2, pad=0, out_pad=2)  # out_pad >= stride
-    with pytest.raises(ShapeError):
-        conv_transpose2d(x, w, None, stride=1, pad=4)  # empty output
+    with pytest.raises(ShapeError):  # out_pad >= stride
+        conv_transpose2d(x, w, None, _tparams(w, None, stride=2, pad=0, out_pad=2))
+    with pytest.raises(ShapeError):  # empty output
+        conv_transpose2d(x, w, None, _tparams(w, None, stride=1, pad=4))
     w_bad = np.ones((3, 2, 2, 2), dtype=F32)
     with pytest.raises(ShapeError):
-        conv_transpose2d(x, w_bad, None, stride=1, pad=0)
+        conv_transpose2d(x, w_bad, None, _tparams(w_bad, None, stride=1, pad=0))
+    p = _tparams(w, None, stride=2, pad=0)
+    with pytest.raises(ShapeError, match="disagrees with params"):
+        conv_transpose2d(x, np.ones((2, 2, 3, 3), dtype=F32), None, p)
+    with pytest.raises(ShapeError, match="has_bias"):
+        conv_transpose2d(x, w, np.zeros(2, dtype=F32), p)
+    with pytest.raises(ShapeError, match="dilation"):
+        conv_transpose2d(x, w, None, ConvParams(out_channels=2, kernel_h=2,
+                                                kernel_w=2, dilation=2))
 
 
 def test_conv_transpose2d_matches_reference_on_randomized_instances():
     rng = np.random.default_rng(4321)
     count = 0
     worst = 0.0
-    for _ in range(100):
+    for i in range(150):
         k = int(rng.choice([2, 3, 4]))
         s = int(rng.choice([1, 2, 3]))
         pad = int(rng.integers(0, min(k, 2)))
+        # the first 100 cases pad both axes alike, the rest independently
+        pad_w = pad if i < 100 else int(rng.integers(0, min(k, 2)))
         op = int(rng.integers(0, s))
         ic = int(rng.integers(1, 6))
         oc = int(rng.integers(1, 6))
@@ -293,12 +311,13 @@ def test_conv_transpose2d_matches_reference_on_randomized_instances():
         x = rand_input(rng, ic, h, w)
         wt = rand_tconv_weight(rng, ic, oc, k, k)
         bias = rand_bias(rng, oc) if rng.integers(0, 2) else None
-        got = conv_transpose2d(x, wt, bias, stride=s, pad=pad, out_pad=op)
-        want = ref_conv_transpose2d(x, wt, bias, stride=s, pad=pad, out_pad=op)
+        got = conv_transpose2d(x, wt, bias, _tparams(wt, bias, s, pad, op, pad_w))
+        want = ref_conv_transpose2d(x, wt, bias, stride=s, pad=pad, out_pad=op,
+                                    pad_w=pad_w)
         assert got.shape == want.shape
         worst = max(worst, float(np.max(np.abs(got.astype(np.float64) - want))))
         count += 1
-    assert count == 100
+    assert count == 150
     assert worst <= 1e-6, f"worst conv_transpose2d deviation {worst}"
 
 
@@ -307,7 +326,8 @@ def test_conv_transpose2d_stride_beyond_kernel_leaves_bias_in_gaps():
     # output position is the bias alone
     x = np.ones((1, 2, 2), dtype=F32)
     w = np.full((1, 1, 1, 1), 2.0, dtype=F32)
-    out = conv_transpose2d(x, w, np.array([0.5], dtype=F32), stride=3, pad=0)
+    b = np.array([0.5], dtype=F32)
+    out = conv_transpose2d(x, w, b, _tparams(w, b, stride=3, pad=0))
     want = np.full((1, 4, 4), 0.5, dtype=F32)
     want[0, ::3, ::3] = 2.5
     np.testing.assert_array_equal(out, want)
@@ -331,7 +351,7 @@ def test_conv_transpose2d_bitwise_equals_zero_stuffed_contraction():
         x = rand_input(rng, ic, h, w)
         wt = rand_tconv_weight(rng, ic, oc, k, k)
         bias = rand_bias(rng, oc) if rng.integers(0, 2) else None
-        got = conv_transpose2d(x, wt, bias, stride=s, pad=pad, out_pad=op)
+        got = conv_transpose2d(x, wt, bias, _tparams(wt, bias, s, pad, op))
         want = stuffed_conv_transpose2d(x, wt, bias, stride=s, pad=pad, out_pad=op)
         assert _bitwise_equal(got, want), (k, s, pad, op, ic, oc, h, w)
         covered |= {("stride", s), ("kernel", k)}
@@ -354,7 +374,7 @@ def test_conv_transpose2d_bitwise_on_network_shapes(ic, oc, h, w, k, s, pad, op)
     x = rand_input(rng, ic, h, w)
     wt = rand_tconv_weight(rng, ic, oc, k, k)
     bias = rand_bias(rng, oc)
-    assert _bitwise_equal(conv_transpose2d(x, wt, bias, s, pad, op),
+    assert _bitwise_equal(conv_transpose2d(x, wt, bias, _tparams(wt, bias, s, pad, op)),
                           stuffed_conv_transpose2d(x, wt, bias, s, pad, op))
 
 
@@ -364,21 +384,23 @@ def test_conv_and_transpose_are_adjoint():
     for trial in range(30):
         k = int(rng.choice([2, 3]))
         s = int(rng.choice([1, 2]))
-        pad = int(rng.integers(0, k))
+        pad_h, pad_w = (int(v) for v in rng.integers(0, k, size=2))
         ic = int(rng.integers(1, 5))
         oc = int(rng.integers(1, 5))
         h = int(rng.integers(k + 2, 12))
-        w = h + s * int(rng.integers(0, 3))  # keep w = h (mod s): one out_pad
+        # keep w + 2*pad_w = h + 2*pad_h (mod s): one out_pad serves both axes
+        w = h + 2 * (pad_h - pad_w) + s * int(rng.integers(0, 3))
         x = rand_input(rng, ic, h, w)
         wt = rand_conv_weight(rng, oc, ic, k, k)
         p = ConvParams(out_channels=oc, kernel_h=k, kernel_w=k, stride=s,
-                       pad_h=pad, pad_w=pad)
+                       pad_h=pad_h, pad_w=pad_w)
         cx = conv2d(x, wt, None, p)
         y = rand_input(rng, *cx.shape)
         # the same weight array reads as (in=oc, out=ic, kh, kw) for the
         # transposed op; that reinterpretation is exactly the adjoint map
-        cty = conv_transpose2d(y, wt, None, stride=s, pad=pad,
-                               out_pad=h - ((cx.shape[1] - 1) * s - 2 * pad + k))
+        cty = conv_transpose2d(y, wt, None, _tparams(
+            wt, None, s, pad_h, out_pad=(h + 2 * pad_h - k) % s, pad_w=pad_w))
+        assert cty.shape == x.shape
         lhs = float(np.vdot(cx.astype(np.float64), y.astype(np.float64)))
         rhs = float(np.vdot(x.astype(np.float64), cty.astype(np.float64)))
         denom = max(abs(lhs), abs(rhs), 1e-12)

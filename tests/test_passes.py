@@ -147,16 +147,18 @@ def test_fold_rejects_bad_bn_statistics_naming_the_node(role, value):
 
 
 @pytest.mark.parametrize("role,value", [("var", -0.5), ("gamma", np.nan),
-                                        ("mean", np.inf), ("beta", np.nan)])
+                                        ("mean", np.inf), ("beta", np.nan),
+                                        ("var", -1e-6)])  # var + eps > 0
 def test_negative_bn_variance_fails_loudly_fused_and_unfused(role, value):
-    # neither path may turn a bad statistic into NaN weights and a NaN map
+    # neither path may turn a bad statistic into NaN weights and a NaN map,
+    # and both name the layer
     g = build_enet(19, 32, 32)
     w = init_weights(g, seed=0)
     w["bottleneck2.3.ext.conv_bn." + role] = np.full(32, value, dtype=F32)
     x = np.random.default_rng(0).random((3, 32, 32), dtype=F32)
-    with pytest.raises(EnetError):
+    with pytest.raises(EnetError, match="bottleneck2.3.ext.conv_bn"):
         execute(g, w, x)
-    with pytest.raises(EnetError):
+    with pytest.raises(EnetError, match="bottleneck2.3.ext.conv_bn"):
         fg, fw, _ = optimize(g, w)
         execute(fg, fw, x)
 
@@ -272,14 +274,16 @@ def test_validate_reports_bad_unpool_link():
     pool = b.maxpool("pool", b.input_id)
     up = b.max_unpool("up", pool, pool)
     g = b.build(up)
-    # corrupt the link to point at a non-pool node
-    bad_nodes = tuple(
-        replace(n, index_link=0) if n.name == "up" else n for n in g.nodes
-    )
-    bad = Graph(nodes=bad_nodes, input_shape=g.input_shape,
-                num_classes=g.num_classes)
-    diags = validate(bad, {})
-    assert any("up" in d and "not a maxpool" in d for d in diags)
+    # corrupt the link: a non-pool node, a missing node, no node at all
+    for link, why in ((0, "not a maxpool"), (99, "no resolvable index source"),
+                      (None, "no resolvable index source")):
+        bad_nodes = tuple(
+            replace(n, index_link=link) if n.name == "up" else n for n in g.nodes
+        )
+        bad = Graph(nodes=bad_nodes, input_shape=g.input_shape,
+                    num_classes=g.num_classes)
+        diags = validate(bad, {})
+        assert len(diags) == 1 and "up" in diags[0] and why in diags[0], diags
 
 
 def test_validate_reports_shape_inference_failure():

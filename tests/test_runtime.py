@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from enetcpu.errors import ExecutionError, ShapeError
-from enetcpu.graph import GraphBuilder, build_enet, init_weights
+from enetcpu.graph import GraphBuilder, build_enet, infer_shapes, init_weights
 from enetcpu.kernels import ConvParams
 from enetcpu.runtime import (
     BenchResult,
@@ -15,6 +15,7 @@ from enetcpu.runtime import (
     plan_buffers,
 )
 from enetcpu.tensor import Shape
+from reference import ref_conv_transpose2d
 
 F32 = np.float32
 
@@ -139,6 +140,22 @@ def test_execute_through_pool_unpool_with_retained_indices():
         np.testing.assert_array_equal(plain, planned)
 
 
+def test_transposed_conv_with_unequal_pads_has_the_inferred_shape():
+    b = GraphBuilder(Shape(2, 4, 4))
+    up = b.conv_transpose("up", b.input_id,
+                          ConvParams(out_channels=2, kernel_h=3, kernel_w=3, stride=2,
+                                     pad_h=1, pad_w=0, out_pad=1))
+    g = b.build(up)
+    assert tuple(infer_shapes(g)[up]) == (2, 8, 10)
+    w = init_weights(g, seed=0)
+    x = np.random.default_rng(1).random((2, 4, 4), dtype=F32)
+    plain = execute(g, w, x)
+    np.testing.assert_array_equal(plain, execute(g, w, x, plan_buffers(g)))
+    want = ref_conv_transpose2d(x, w["up.weight"], stride=2, pad=1, out_pad=1, pad_w=0)
+    assert plain.shape == want.shape
+    assert np.max(np.abs(plain - want)) <= 1e-6
+
+
 def test_execute_full_enet_planned_poisoned_and_plain_agree():
     g = build_enet(5, 64, 64)
     w = init_weights(g, seed=1)
@@ -171,6 +188,16 @@ def test_execute_rejects_wrong_input_shape_and_bad_store():
     del bad["fullconv.bias"]
     with pytest.raises(ExecutionError, match="validation"):
         execute(g, bad, np.zeros((3, 64, 64), dtype=F32))
+
+
+def test_execute_rejects_a_plan_made_for_another_graph():
+    g = build_enet(4, 64, 64)
+    w = init_weights(g, seed=0)
+    x = np.zeros((3, 64, 64), dtype=F32)
+    with pytest.raises(ExecutionError, match="another graph"):
+        execute(g, w, x, plan_buffers(build_enet(4, 32, 32)))
+    with pytest.raises(ExecutionError, match="another graph"):
+        execute(g, w, x, plan_buffers(_chain_graph()))
 
 
 # ---------------------------------------------------------------------------
