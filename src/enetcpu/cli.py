@@ -180,6 +180,7 @@ def _cmd_bench(args) -> int:
                     warmup=args.warmup, iters=args.iters)
     print(f"benchmark {res.shape}, warmup {res.warmup}, iters {res.iters}")
     print(f"mean {res.mean_ms:.2f} ms  std {res.std_ms:.2f} ms  "
+          f"median {res.median_ms:.2f} ms  min {res.min_ms:.2f} ms  "
           f"{res.fps:.1f} fps")
     return 0
 

@@ -5,6 +5,21 @@ float64 and round back to float32 once, so results are deterministic
 run-to-run and land within one float32 rounding of an exact-accumulation
 reference regardless of BLAS summation order.
 
+Every kernel takes an optional `out`: a C-contiguous float32 array of the
+result's shape that must not overlap any input.  Given one, the kernel writes
+its result there and returns it; without one it returns a fresh array (or,
+for the identity cases of pad_channels and spatial_dropout_infer, its
+input).  Float64 accumulators are rounded in by assignment, which rounds
+exactly as astype(float32) does, so both forms give the same bits.
+
+prelu and maxpool2x2 choose between float32 values with _select, an integer
+select on their bits, b ^ ((a ^ b) & -mask), instead of np.where, whose
+data-dependent branch made it 3-4x slower.  It picks the chosen operand's
+bits exactly, so signed zeros, denormals, infinities and NaN come through as
+np.where would give them.  prelu is one such pass for every slope: x times
+the slope into out, then x wherever x >= 0, run over strips of channels so its
+temporaries stay in cache.
+
 Convolutions are lowered to float64 GEMM (Chellapilla et al., 2006) and take
 their geometry from ConvParams, as shape inference does.  conv2d copies the
 padded input's windows once into a contiguous (C*kh*kw, oh*ow) im2col matrix
@@ -30,6 +45,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import CorruptIndicesError, ShapeError
 
 F32 = np.float32
+_STRIP = 1 << 16  # elements per prelu strip: its temporaries then fit in L2
 
 
 @dataclass(frozen=True)
@@ -135,6 +151,35 @@ def _chw(x: np.ndarray, what: str = "input") -> np.ndarray:
     return np.ascontiguousarray(x, dtype=F32)
 
 
+def _out(out: Optional[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+    """`out` checked against the result shape, or a fresh float32 array."""
+    if out is None:
+        return np.empty(shape, dtype=F32)
+    if out.shape != tuple(shape) or out.dtype != F32 or not out.flags.c_contiguous:
+        raise ShapeError(f"out must be a C-contiguous float32 array of shape "
+                         f"{tuple(shape)}, got {out.dtype} {out.shape}")
+    return out
+
+
+def _into(out: Optional[np.ndarray], result: np.ndarray) -> np.ndarray:
+    """`result` as float32: rounded into `out` when one is given, else
+    converted (not copied when it already is float32)."""
+    if out is None:
+        return result.astype(F32, copy=False)
+    _out(out, result.shape)[...] = result
+    return out
+
+
+def _select(take: np.ndarray, a: np.ndarray, b: np.ndarray,
+            out: np.ndarray) -> np.ndarray:
+    """out = a where take else b, bit for bit, with no data-dependent branch.
+    a, b and out are float32 (any strides), take is bool; out may be b."""
+    bits = np.bitwise_xor(a.view(np.int32), b.view(np.int32))
+    bits &= -take.view(np.int8)
+    np.bitwise_xor(bits, b.view(np.int32), out=out.view(np.int32))
+    return out
+
+
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, dilation: int,
             oh: int, ow: int) -> np.ndarray:
     """Window matrix of an already-padded input: one contiguous float64
@@ -172,7 +217,8 @@ def _conv_operands(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray],
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray],
-           params: ConvParams) -> np.ndarray:
+           params: ConvParams,
+           out: Optional[np.ndarray] = None) -> np.ndarray:
     """2D convolution with zero padding, optional dilation and bias."""
     x = _conv_operands(x, w, bias, params, transposed=False)
     oc, _, kh, kw = w.shape
@@ -180,10 +226,10 @@ def conv2d(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray],
     xp = x if params.pad_h == params.pad_w == 0 else np.pad(
         x, ((0, 0), (params.pad_h, params.pad_h), (params.pad_w, params.pad_w)))
     wmat = np.asarray(w, dtype=F32).reshape(oc, -1).astype(np.float64)
-    out = wmat @ _im2col(xp, kh, kw, params.stride, params.dilation, oh, ow)
+    acc = wmat @ _im2col(xp, kh, kw, params.stride, params.dilation, oh, ow)
     if bias is not None:
-        out += bias.astype(np.float64)[:, None]
-    return out.astype(F32).reshape(oc, oh, ow)
+        acc += bias.astype(np.float64)[:, None]
+    return _into(out, acc.reshape(oc, oh, ow))
 
 
 def _phases(n_out: int, k: int, stride: int, pad: int):
@@ -209,7 +255,8 @@ def _phase_padding(phases, n_in: int) -> tuple[int, int]:
 
 
 def conv_transpose2d(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray],
-                     params: ConvParams) -> np.ndarray:
+                     params: ConvParams,
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
     """Transposed convolution (the adjoint of conv2d with the same weights).
 
     Weight layout is (in_channels, out_channels, kh, kw).  Geometry comes
@@ -226,12 +273,13 @@ def conv_transpose2d(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray],
     cols = list(_phases(ow, kw, stride, params.pad_w))
     top, bottom = _phase_padding(rows, h)
     left, right = _phase_padding(cols, wd)
-    xp = np.pad(x, ((0, 0), (top, bottom), (left, right)))
+    xp = x if top == bottom == left == right == 0 else np.pad(
+        x, ((0, 0), (top, bottom), (left, right)))
     # taps in ascending flipped order are the zero-stuffed contraction's
     # (channel, ky, kx) order with ky and kx descending, so each float64 sum
     # adds the same nonzero terms in the same order
     w_flip = np.asarray(w, dtype=F32)[:, :, ::-1, ::-1]
-    out = np.empty((oc, oh, ow), dtype=F32)
+    out = _out(out, (oc, oh, ow))
     for ry, fy, ty, by, ny in rows:
         for rx, fx, tx, bx, nx in cols:
             phase = out[:, ry::stride, rx::stride]
@@ -246,11 +294,13 @@ def conv_transpose2d(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray],
             if bias is not None:
                 acc += bias.astype(np.float64)[:, None]
             phase[...] = acc.reshape(oc, ny, nx)
+            del acc  # free before the next phase's im2col is built
     return out
 
 
 def conv_asymmetric5(x: np.ndarray, w5x1: np.ndarray, w1x5: np.ndarray,
-                     bias: Optional[np.ndarray]) -> np.ndarray:
+                     bias: Optional[np.ndarray],
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
     """Separable 5x5 convolution: a 5x1 pass then a 1x5 pass, one bias.
 
     Padding is fixed at (2,0) and (0,2) so spatial dims are preserved; the
@@ -269,31 +319,48 @@ def conv_asymmetric5(x: np.ndarray, w5x1: np.ndarray, w1x5: np.ndarray,
     p1 = ConvParams(out_channels=mid, kernel_h=5, kernel_w=1, pad_h=2, pad_w=0)
     p2 = ConvParams(out_channels=w1x5.shape[0], kernel_h=1, kernel_w=5,
                     pad_h=0, pad_w=2, has_bias=bias is not None)
-    return conv2d(conv2d(x, w5x1, None, p1), w1x5, bias, p2)
+    return conv2d(conv2d(x, w5x1, None, p1), w1x5, bias, p2, out)
 
 
-def maxpool2x2(x: np.ndarray) -> PoolResult:
+def _earlier_max(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Pick between two cells of each window, `a` the one earlier in the
+    source plane: a where a >= b or a is NaN, else b.  This is argmax's
+    first-occurrence rule (NaN counts as the maximum).  Returns the mask of
+    where a was taken and the picked values, which are exactly the chosen
+    cell's bits, whatever the sign of a zero."""
+    take = a >= b
+    take |= a != a
+    return take, _select(take, a, b, _out(out, a.shape))
+
+
+def maxpool2x2(x: np.ndarray, out: Optional[np.ndarray] = None) -> PoolResult:
     """2x2 stride-2 max pooling; records each max's flat index in the source
-    plane (row-major), ties broken toward the smallest index."""
+    plane (row-major), ties broken toward the smallest index.
+
+    Works over the window's four strided phase views: first within each row,
+    then between the rows' winners.  Every cell of the top row has a smaller
+    flat index than every cell of the bottom row, so this order keeps the
+    smallest-index tie-break exact."""
     x = _chw(x)
     c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2x2 needs even dims, got {h}x{w}")
-    windows = (x.reshape(c, h // 2, 2, w // 2, 2)
-                .transpose(0, 1, 3, 2, 4)
-                .reshape(c, h // 2, w // 2, 4))
-    # window cells in (wy, wx) order are strictly increasing in flat source
-    # index, so argmax's first-occurrence rule is the tie-break we want
-    k = windows.argmax(axis=3)
-    values = np.take_along_axis(windows, k[..., None], axis=3)[..., 0]
-    yy = np.arange(h // 2)[None, :, None]
-    xx = np.arange(w // 2)[None, None, :]
-    indices = ((2 * yy + (k >> 1)) * w + (2 * xx + (k & 1))).astype(np.int64)
-    return PoolResult(np.ascontiguousarray(values), np.ascontiguousarray(indices))
+    top_left, top = _earlier_max(x[:, 0::2, 0::2], x[:, 0::2, 1::2])
+    bottom_left, bottom = _earlier_max(x[:, 1::2, 0::2], x[:, 1::2, 1::2])
+    upper, values = _earlier_max(top, bottom, out)
+    left = bottom_left ^ ((bottom_left ^ top_left) & upper)
+    # window cell k = 2 * row + col sits at flat offset (0, 1, w, w + 1)[k]
+    k = (~upper).view(np.uint8) * np.uint8(2)
+    k += (~left).view(np.uint8)
+    indices = np.take(np.array([0, 1, w, w + 1], dtype=np.int64), k)
+    indices += (2 * w * np.arange(h // 2))[:, None] + 2 * np.arange(w // 2)
+    return PoolResult(values, indices)
 
 
 def max_unpool2x2(values: np.ndarray, indices: np.ndarray,
-                  out_h: int, out_w: int) -> np.ndarray:
+                  out_h: int, out_w: int,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
     """Scatter pooled values back to their recorded positions, zero-fill."""
     values = _chw(values, "unpool values")
     if indices.shape != values.shape:
@@ -310,23 +377,27 @@ def max_unpool2x2(values: np.ndarray, indices: np.ndarray,
         raise CorruptIndicesError(
             f"pool indices outside [0, {out_h * out_w}) for {out_h}x{out_w} plane"
         )
-    out = np.zeros((c, out_h * out_w), dtype=F32)
-    np.put_along_axis(out, idx.reshape(c, -1), values.reshape(c, -1), axis=1)
-    return out.reshape(c, out_h, out_w)
+    out = _out(out, (c, out_h, out_w))
+    out.fill(0.0)
+    np.put_along_axis(out.reshape(c, -1), idx.reshape(c, -1),
+                      values.reshape(c, -1), axis=1)
+    return out
 
 
-def batchnorm_infer(x: np.ndarray, p: BnParams) -> np.ndarray:
+def batchnorm_infer(x: np.ndarray, p: BnParams,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
     """Frozen-statistics batch normalization: gamma*(x-mean)/sqrt(var+eps)+beta."""
     x = _chw(x)
     if x.shape[0] != len(p.gamma):
         raise ShapeError(f"batchnorm has {len(p.gamma)} channels, input {x.shape[0]}")
     scale = p.scale()
     shift = np.asarray(p.beta, dtype=np.float64) - np.asarray(p.mean, dtype=np.float64) * scale
-    out = x.astype(np.float64) * scale[:, None, None] + shift[:, None, None]
-    return np.ascontiguousarray(out.astype(F32))
+    return _into(out, x.astype(np.float64) * scale[:, None, None]
+                 + shift[:, None, None])
 
 
-def prelu(x: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+def prelu(x: np.ndarray, slopes: np.ndarray,
+          out: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-channel parametric ReLU: x if x >= 0 else slope[c] * x."""
     x = _chw(x)
     if slopes.ndim != 1 or slopes.shape[0] != x.shape[0]:
@@ -334,40 +405,52 @@ def prelu(x: np.ndarray, slopes: np.ndarray) -> np.ndarray:
             f"prelu needs one slope per channel ({x.shape[0]}), got {slopes.shape}"
         )
     s = np.ascontiguousarray(slopes, dtype=F32)[:, None, None]
-    return np.where(x >= 0, x, x * s)
+    out = _out(out, x.shape)
+    step = max(1, _STRIP // (x.shape[1] * x.shape[2]))
+    for c in range(0, x.shape[0], step):
+        xs, ys = x[c:c + step], out[c:c + step]
+        np.multiply(xs, s[c:c + step], out=ys)
+        _select(xs >= 0, xs, ys, ys)
+    return out
 
 
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def add(a: np.ndarray, b: np.ndarray,
+        out: Optional[np.ndarray] = None) -> np.ndarray:
     """Elementwise residual merge."""
     a, b = _chw(a), _chw(b, "second addend")
     if a.shape != b.shape:
         raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    return a + b
+    return np.add(a, b, out=_out(out, a.shape))
 
 
-def concat_channels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def concat_channels(a: np.ndarray, b: np.ndarray,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
     """Stack b's channels after a's; spatial dims must agree."""
     a, b = _chw(a), _chw(b, "second input")
     if a.shape[1:] != b.shape[1:]:
         raise ShapeError(f"concat spatial mismatch: {a.shape} vs {b.shape}")
-    return np.concatenate([a, b], axis=0)
+    return np.concatenate(
+        [a, b], axis=0, out=_out(out, (a.shape[0] + b.shape[0], *a.shape[1:])))
 
 
-def pad_channels(x: np.ndarray, target_channels: int) -> np.ndarray:
+def pad_channels(x: np.ndarray, target_channels: int,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
     """Append zero-filled channel planes up to target_channels."""
     x = _chw(x)
     c = x.shape[0]
     if target_channels < c:
         raise ShapeError(f"cannot pad {c} channels down to {target_channels}")
     if target_channels == c:
-        return x
-    out = np.zeros((target_channels, x.shape[1], x.shape[2]), dtype=F32)
+        return _into(out, x)
+    out = _out(out, (target_channels, x.shape[1], x.shape[2]))
     out[:c] = x
+    out[c:] = 0.0
     return out
 
 
-def spatial_dropout_infer(x: np.ndarray) -> np.ndarray:
+def spatial_dropout_infer(x: np.ndarray,
+                          out: Optional[np.ndarray] = None) -> np.ndarray:
     """Inference-mode spatial dropout.  Inverted dropout rescales at train
     time, so at inference this is the identity; it exists as a kernel so an
     un-optimized graph still executes."""
-    return _chw(x)
+    return _into(out, _chw(x))

@@ -2,10 +2,13 @@
 and latency measurement.
 
 Planning assigns every intermediate value to a reusable arena slot via
-liveness analysis.  Execution with and without a plan is bitwise identical:
-kernels always compute into fresh arrays and planned mode copies results into
-slot views, so a planning bug shows up as corrupted values (or poisoned NaNs
-in debug mode) instead of silent reuse.
+liveness analysis.  With a plan, each compute node's kernel writes its result
+straight into its slot view through the kernel's `out` argument; nothing is
+copied after a kernel returns.  The planner never gives a node a slot that one
+of its live inputs occupies, so no kernel writes over what it reads.  Without
+a plan every kernel returns a fresh array; that is the reference, and the two
+are bitwise identical, so a planning bug shows up as corrupted values (or
+poisoned NaNs in debug mode) instead of silent reuse.
 """
 
 from __future__ import annotations
@@ -109,20 +112,20 @@ def plan_buffers(g: Graph) -> ExecutionPlan:
                          retained=frozenset(idx_last_use))
 
 
-def _node_value(n, weights, vals, pool_idx, shapes):
-    """Run one node's kernel and return its output array; a maxpool also
-    parks its indices in pool_idx."""
+def _node_value(n, weights, vals, pool_idx, shapes, out):
+    """Run one node's kernel into `out` (a fresh array when None) and return
+    its output array; a maxpool also parks its indices in pool_idx."""
     a = vals[n.inputs[0]] if n.inputs else None
     if n.kind in (NodeKind.CONV, NodeKind.CONV_TRANSPOSE):
         conv = conv2d if n.kind is NodeKind.CONV else conv_transpose2d
         bias = weights[n.ref("bias")] if n.conv.has_bias else None
-        return conv(a, weights[n.ref("weight")], bias, n.conv)
+        return conv(a, weights[n.ref("weight")], bias, n.conv, out=out)
     if n.kind is NodeKind.ASYM_CONV5:
         bias = weights[n.ref("bias")] if n.conv.has_bias else None
         return conv_asymmetric5(a, weights[n.ref("weight_5x1")],
-                                weights[n.ref("weight_1x5")], bias)
+                                weights[n.ref("weight_1x5")], bias, out=out)
     if n.kind is NodeKind.MAXPOOL:
-        res = maxpool2x2(a)
+        res = maxpool2x2(a, out=out)
         pool_idx[n.id] = res.indices
         return res.values
     if n.kind is NodeKind.MAX_UNPOOL:
@@ -133,22 +136,22 @@ def _node_value(n, weights, vals, pool_idx, shapes):
         if np.any(idx < 0):
             raise CorruptIndicesError("consumed or poisoned pooling indices")
         out_shape = shapes[n.id]
-        return max_unpool2x2(a, idx, out_shape.height, out_shape.width)
+        return max_unpool2x2(a, idx, out_shape.height, out_shape.width, out=out)
     if n.kind is NodeKind.BATCHNORM:
         p = BnParams(gamma=weights[n.ref("gamma")], beta=weights[n.ref("beta")],
                      mean=weights[n.ref("mean")], var=weights[n.ref("var")],
                      eps=n.bn_eps)
-        return batchnorm_infer(a, p)
+        return batchnorm_infer(a, p, out=out)
     if n.kind is NodeKind.PRELU:
-        return prelu(a, weights[n.ref("slopes")])
+        return prelu(a, weights[n.ref("slopes")], out=out)
     if n.kind is NodeKind.ADD:
-        return add(a, vals[n.inputs[1]])
+        return add(a, vals[n.inputs[1]], out=out)
     if n.kind is NodeKind.CONCAT:
-        return concat_channels(a, vals[n.inputs[1]])
+        return concat_channels(a, vals[n.inputs[1]], out=out)
     if n.kind is NodeKind.PAD_CHANNELS:
-        return pad_channels(a, n.target_channels)
+        return pad_channels(a, n.target_channels, out=out)
     if n.kind is NodeKind.DROPOUT:
-        return spatial_dropout_infer(a)
+        return spatial_dropout_infer(a, out=out)
     raise ExecutionError(f"no kernel for {n.kind}")  # pragma: no cover
 
 
@@ -157,9 +160,10 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
             poison: bool = False) -> np.ndarray:
     """Run the graph over one input tensor and return the output tensor.
 
-    With a plan, intermediates live in the plan's arena slots; poison=True
-    additionally overwrites freed slots with NaN (and dead pooling indices
-    with -1) so any liveness bug turns into a loud failure.
+    With a plan, kernels write intermediates straight into the plan's arena
+    slots; poison=True additionally overwrites freed slots with NaN (and dead
+    pooling indices with -1) so any liveness bug turns into a loud failure.
+    An input holding a NaN or an infinity is refused with ExecutionError.
     """
     if check:
         diags = validate(g, weights)
@@ -170,6 +174,10 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
         raise ExecutionError(
             f"input shape {'x'.join(map(str, x.shape))} does not match the "
             f"graph input {g.input_shape}")
+    if not np.isfinite(x).all():
+        bad = x.size - np.count_nonzero(np.isfinite(x))
+        raise ExecutionError(f"input holds {bad} non-finite value(s) "
+                             f"(NaN or infinity)")
 
     shapes = infer_shapes(g)
     last_use, idx_last_use = _last_uses(g)
@@ -197,11 +205,14 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
         elif n.kind is NodeKind.OUTPUT:
             result = vals[n.inputs[0]].copy()
         else:
+            out = None  # planned: the node's slot view, which its kernel fills
+            if arena is not None:
+                slot = arena[plan.slot_of[n.id]]
+                out = slot[: shapes[n.id].count].reshape(tuple(shapes[n.id]))
             try:
-                out = _node_value(n, weights, vals, pool_idx, shapes)
+                vals[n.id] = _node_value(n, weights, vals, pool_idx, shapes, out)
             except EnetError as e:
                 raise type(e)(f"node {n.name}: {e}") from e
-            vals[n.id] = _store(out, n, plan, arena, shapes)
 
         # free values/indices whose last consumer just ran
         for src in set(n.inputs):
@@ -217,16 +228,6 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
     if result is None:  # pragma: no cover - graphs always carry an output node
         raise ExecutionError("graph has no output node")
     return result
-
-
-def _store(out: np.ndarray, n, plan, arena, shapes):
-    """Park a node's result in its arena slot (planned) or keep it (unplanned)."""
-    if plan is None:
-        return out
-    slot = plan.slot_of[n.id]
-    view = arena[slot][: shapes[n.id].count].reshape(tuple(shapes[n.id]))
-    view[...] = out
-    return view
 
 
 def argmax_labels(logits: np.ndarray) -> np.ndarray:
@@ -247,6 +248,8 @@ class BenchResult:
     iters: int
     mean_ms: float
     std_ms: float
+    median_ms: float
+    min_ms: float
 
     @property
     def fps(self) -> float:
@@ -276,7 +279,7 @@ def benchmark(g: Graph, weights: dict[str, np.ndarray], input_shape: Shape,
         t0 = time.perf_counter()
         execute(g, weights, x, plan, check=False)
         times.append((time.perf_counter() - t0) * 1000.0)
-    mean = float(np.mean(times))
-    std = float(np.std(times))
     return BenchResult(shape=input_shape, warmup=warmup, iters=iters,
-                       mean_ms=mean, std_ms=std)
+                       mean_ms=float(np.mean(times)), std_ms=float(np.std(times)),
+                       median_ms=float(np.median(times)),
+                       min_ms=float(np.min(times)))

@@ -3,9 +3,9 @@
 Everything here is plain nested loops over float64 scalars, deliberately
 ignoring performance, so the vectorized engine kernels have an independent
 implementation to agree with.  Keep these dumb: no shared code with the
-engine, no clever indexing.  The one exception is stuffed_conv_transpose2d,
-the engine's earlier zero-stuffing kernel, kept verbatim so the current one
-can be checked against it bit for bit.
+engine, no clever indexing.  The exceptions are stuffed_conv_transpose2d
+and argmax_maxpool2x2, the engine's earlier zero-stuffing and argmax kernels,
+kept verbatim so the current ones can be checked against them bit for bit.
 """
 
 from __future__ import annotations
@@ -141,6 +141,26 @@ def ref_maxpool2x2(x):
                 values[ch, oy, ox] = best
                 indices[ch, oy, ox] = best_flat
     return values, indices
+
+
+def argmax_maxpool2x2(x):
+    """The engine's former max pooling, kept as a bitwise oracle: argmax over
+    each window's four cells in flat-index order, then the value at that
+    index.  The phase-view kernel must reproduce its values and indices bit
+    for bit, signed zeros and NaN included."""
+    x = np.ascontiguousarray(x, dtype=np.float32)
+    c, h, w = x.shape
+    windows = (x.reshape(c, h // 2, 2, w // 2, 2)
+                .transpose(0, 1, 3, 2, 4)
+                .reshape(c, h // 2, w // 2, 4))
+    # window cells in (wy, wx) order are strictly increasing in flat source
+    # index, so argmax's first-occurrence rule is the tie-break we want
+    k = windows.argmax(axis=3)
+    values = np.take_along_axis(windows, k[..., None], axis=3)[..., 0]
+    yy = np.arange(h // 2)[None, :, None]
+    xx = np.arange(w // 2)[None, None, :]
+    indices = ((2 * yy + (k >> 1)) * w + (2 * xx + (k & 1))).astype(np.int64)
+    return np.ascontiguousarray(values), np.ascontiguousarray(indices)
 
 
 def ref_max_unpool2x2(values, indices, out_h, out_w):

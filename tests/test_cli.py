@@ -49,6 +49,7 @@ def test_full_pipeline(tmp_path, capsys):
                          "--warmup", 0, "--iters", 1)
     assert code == 0
     assert "iters 1" in out and "fps" in out
+    assert "median" in out and "min" in out
 
 
 def test_analyze_report_numbers(capsys):

@@ -22,6 +22,7 @@ from enetcpu.kernels import (
     spatial_dropout_infer,
 )
 from reference import (
+    argmax_maxpool2x2,
     rand_bias,
     rand_conv_weight,
     rand_input,
@@ -524,6 +525,27 @@ def test_maxpool_indices_point_inside_their_window():
                 assert x[c, iy, ix] == res.values[c, y, xx]
 
 
+def test_maxpool_bitwise_equals_argmax_kernel():
+    # ties between +0 and -0 (and between equal values) must pick the cell
+    # the argmax kernel picked, so values are compared as bits; NaN windows
+    # must pick the first NaN
+    rng = np.random.default_rng(57)
+    tie_values = np.array([0.0, -0.0, 1.0, -1.0, 2.0], dtype=F32)
+    cases = [rand_input(rng, 16, 90, 160),
+             rng.choice(tie_values, size=(8, 64, 64)).astype(F32),
+             rng.choice(tie_values[:2], size=(4, 32, 48)).astype(F32)]
+    with_nan = rng.choice(tie_values, size=(4, 32, 32)).astype(F32)
+    with_nan[rng.random(with_nan.shape) < 0.3] = np.nan
+    cases.append(with_nan)
+    for x in cases:
+        got = maxpool2x2(x)
+        want_v, want_i = argmax_maxpool2x2(x)
+        np.testing.assert_array_equal(got.values.view(np.int32),
+                                      want_v.view(np.int32))
+        np.testing.assert_array_equal(got.indices, want_i)
+        assert got.indices.dtype == np.int64
+
+
 def test_unpool_scatters_single_value():
     vals = np.array([[[4.0]]], dtype=F32)
     idx = np.array([[[3]]], dtype=np.int64)
@@ -658,6 +680,32 @@ def test_prelu_matches_reference_on_randomized_instances():
     assert worst <= 1e-6
 
 
+def test_prelu_bitwise_equals_where_for_every_slope_sign():
+    # the branch-free select must equal np.where(x >= 0, x, x * s) bit for
+    # bit, including signed zeros, denormals and infinities
+    slopes = np.array([-1.5, -1.0, -0.0, 0.0, 0.25, 1.0, 1.5], dtype=F32)
+    inputs = np.array([0.0, -0.0, 1e-45, -1e-45, np.inf, -np.inf,
+                       3.5, -3.5, 1e-3, -7e20], dtype=F32)
+    x = np.broadcast_to(inputs, (len(slopes), 2, len(inputs))).copy()
+    s = slopes[:, None, None]
+    with np.errstate(invalid="ignore"):  # inf * 0 is NaN, not selected
+        want = np.where(x >= 0, x, x * s)
+        got = prelu(x, slopes)
+    np.testing.assert_array_equal(got.view(np.int32), want.view(np.int32))
+
+
+@pytest.mark.parametrize("shape", [(40, 45, 80), (3, 260, 260), (7, 1, 3)])
+def test_prelu_bitwise_equals_where_across_channel_strips(shape):
+    # shapes that prelu splits into several channel strips, with one and
+    # with many channels per strip
+    rng = np.random.default_rng(68)
+    x = rand_input(rng, *shape)
+    slopes = (rng.random(shape[0], dtype=F32) * 3 - 1.5).astype(F32)
+    want = np.where(x >= 0, x, x * slopes[:, None, None])
+    np.testing.assert_array_equal(prelu(x, slopes).view(np.int32),
+                                  want.view(np.int32))
+
+
 def test_prelu_rejects_slope_length_mismatch():
     with pytest.raises(ShapeError):
         prelu(np.ones((3, 2, 2), dtype=F32), np.ones(2, dtype=F32))
@@ -702,3 +750,68 @@ def test_spatial_dropout_infer_is_identity_and_idempotent():
     once = spatial_dropout_infer(x)
     np.testing.assert_array_equal(once, x)
     np.testing.assert_array_equal(spatial_dropout_infer(once), x)
+
+
+# ---------------------------------------------------------------------------
+# out=: every kernel writes into a given array, bitwise as without one
+
+def _out_cases():
+    """(name, call taking out=) for every kernel, on small random operands."""
+    rng = np.random.default_rng(80)
+    x = rand_input(rng, 4, 6, 8)
+    p3 = ConvParams(out_channels=5, kernel_h=3, kernel_w=3, pad_h=1, pad_w=1,
+                    has_bias=True)
+    w3, b5 = rand_conv_weight(rng, 5, 4, 3, 3), rand_bias(rng, 5)
+    pt = ConvParams(out_channels=3, kernel_h=3, kernel_w=3, stride=2,
+                    pad_h=1, pad_w=1, out_pad=1, has_bias=True)
+    wt, b3 = rand_tconv_weight(rng, 4, 3, 3, 3), rand_bias(rng, 3)
+    pool = maxpool2x2(x)
+    bn = BnParams(gamma=rng.random(4, dtype=F32) + 0.5,
+                  beta=rand_bias(rng, 4), mean=rand_bias(rng, 4),
+                  var=rng.random(4, dtype=F32) + 0.5, eps=1e-3)
+    slopes = (rng.random(4, dtype=F32) * 2 - 1).astype(F32)
+    w5x1, w1x5 = rand_conv_weight(rng, 3, 4, 5, 1), rand_conv_weight(rng, 2, 3, 1, 5)
+    return [
+        ("conv2d", lambda out=None: conv2d(x, w3, b5, p3, out=out)),
+        ("conv_transpose2d",
+         lambda out=None: conv_transpose2d(x, wt, b3, pt, out=out)),
+        ("conv_asymmetric5",
+         lambda out=None: conv_asymmetric5(x, w5x1, w1x5, b5[:2], out=out)),
+        ("maxpool2x2", lambda out=None: maxpool2x2(x, out=out).values),
+        ("max_unpool2x2", lambda out=None: max_unpool2x2(
+            pool.values, pool.indices, 6, 8, out=out)),
+        ("batchnorm_infer", lambda out=None: batchnorm_infer(x, bn, out=out)),
+        ("prelu", lambda out=None: prelu(x, slopes, out=out)),
+        ("add", lambda out=None: add(x, x[::-1].copy(), out=out)),
+        ("concat_channels",
+         lambda out=None: concat_channels(x, x[:2].copy(), out=out)),
+        ("pad_channels", lambda out=None: pad_channels(x, 7, out=out)),
+        ("pad_channels_identity", lambda out=None: pad_channels(x, 4, out=out)),
+        ("spatial_dropout_infer",
+         lambda out=None: spatial_dropout_infer(x, out=out)),
+    ]
+
+
+OUT_CASES = _out_cases()
+
+
+@pytest.mark.parametrize("name, call", OUT_CASES, ids=[n for n, _ in OUT_CASES])
+def test_kernel_writes_into_out_bitwise_as_fresh(name, call):
+    fresh = call()
+    buf = np.full(fresh.size + 7, np.nan, dtype=F32)  # a slot larger than the value
+    out = buf[: fresh.size].reshape(fresh.shape)
+    got = call(out=out)
+    assert got is out, name
+    np.testing.assert_array_equal(out.view(np.int32), fresh.view(np.int32))
+    assert np.all(np.isnan(buf[fresh.size:])), f"{name} wrote past its out"
+
+
+def test_kernel_rejects_out_of_wrong_shape_dtype_or_layout():
+    x = np.ones((2, 4, 4), dtype=F32)
+    s = np.ones(2, dtype=F32)
+    for bad in (np.empty((2, 4, 5), dtype=F32), np.empty((2, 4, 4)),
+                np.empty((2, 4, 8), dtype=F32)[:, :, ::2]):
+        with pytest.raises(ShapeError, match="out must be"):
+            prelu(x, s, out=bad)
+        with pytest.raises(ShapeError, match="out must be"):
+            add(x, x, out=bad)

@@ -4,9 +4,17 @@ bitwise), pooled-index retention, labels, and benchmarking."""
 import numpy as np
 import pytest
 
+from enetcpu import kernels, runtime
 from enetcpu.errors import ExecutionError, ShapeError
-from enetcpu.graph import GraphBuilder, build_enet, infer_shapes, init_weights
+from enetcpu.graph import (
+    GraphBuilder,
+    NodeKind,
+    build_enet,
+    infer_shapes,
+    init_weights,
+)
 from enetcpu.kernels import ConvParams
+from enetcpu.passes import optimize
 from enetcpu.runtime import (
     BenchResult,
     argmax_labels,
@@ -200,6 +208,53 @@ def test_execute_rejects_a_plan_made_for_another_graph():
         execute(g, w, x, plan_buffers(_chain_graph()))
 
 
+@pytest.mark.parametrize("planned", [False, True], ids=["unplanned", "planned"])
+def test_execute_rejects_non_finite_input_and_counts_it(planned):
+    g = build_enet(5, 32, 32)
+    w = init_weights(g, seed=0)
+    plan = plan_buffers(g) if planned else None
+    x = np.random.default_rng(5).random((3, 32, 32), dtype=F32)
+    x[0, 3, 4] = np.nan
+    with pytest.raises(ExecutionError, match="1 non-finite"):
+        execute(g, w, x, plan)
+    x[2, 0, 0], x[1, 31, 31] = np.inf, -np.inf
+    with pytest.raises(ExecutionError, match="3 non-finite"):
+        execute(g, w, x, plan)
+
+
+def test_planned_kernels_write_into_slots_that_no_input_shares(monkeypatch):
+    # wrap runtime's kernel globals, as a tracer would, and check every call
+    # of a planned 19-class graph, fused and unfused
+    calls = []
+
+    def watch(fn):
+        def wrapped(*args, **kwargs):
+            out = kwargs.get("out")
+            arrays = [a for a in args if isinstance(a, np.ndarray)]
+            calls.append((fn.__name__, out is not None and not any(
+                np.shares_memory(out, a) for a in arrays)))
+            res = fn(*args, **kwargs)
+            value = res.values if isinstance(res, kernels.PoolResult) else res
+            assert value is out, fn.__name__
+            return res
+        return wrapped
+
+    for name, obj in list(vars(runtime).items()):
+        if getattr(obj, "__module__", "") == kernels.__name__ and \
+                not isinstance(obj, type):
+            monkeypatch.setattr(runtime, name, watch(obj))
+    g = build_enet(19, 64, 64)
+    w = init_weights(g, seed=6)
+    x = np.random.default_rng(7).random((3, 64, 64), dtype=F32)
+    for graph, weights in ((g, w), optimize(g, w)[:2]):
+        calls.clear()
+        execute(graph, weights, x, plan_buffers(graph))
+        compute = [n for n in graph.nodes
+                   if n.kind not in (NodeKind.INPUT, NodeKind.OUTPUT)]
+        assert len(calls) == len(compute)
+        assert all(ok for _, ok in calls), [c for c in calls if not c[1]][:5]
+
+
 # ---------------------------------------------------------------------------
 # labels
 
@@ -237,6 +292,15 @@ def test_benchmark_single_iteration_has_zero_std():
     assert res.std_ms == 0.0
     assert res.mean_ms > 0.0
     assert res.fps == pytest.approx(1000.0 / res.mean_ms)
+    assert res.median_ms == res.min_ms == res.mean_ms
+
+
+def test_benchmark_reports_median_and_min():
+    g = build_enet(4, 64, 64)
+    w = init_weights(g, seed=0)
+    res = benchmark(g, w, Shape(3, 64, 64), warmup=0, iters=4)
+    assert 0.0 < res.min_ms <= res.median_ms
+    assert res.min_ms <= res.mean_ms
 
 
 def test_benchmark_validates_arguments():
