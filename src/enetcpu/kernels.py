@@ -17,21 +17,30 @@ select on their bits, b ^ ((a ^ b) & -mask), instead of np.where, whose
 data-dependent branch made it 3-4x slower.  It picks the chosen operand's
 bits exactly, so signed zeros, denormals, infinities and NaN come through as
 np.where would give them.  prelu is one such pass for every slope: x times
-the slope into out, then x wherever x >= 0, run over strips of channels so its
-temporaries stay in cache.
+the slope into out, then x wherever x >= 0.
+
+prelu and batchnorm_infer run over strips of about _STRIP elements of whole
+channels, so their temporaries stay in cache.
 
 Convolutions are lowered to float64 GEMM (Chellapilla et al., 2006) and take
 their geometry from ConvParams, as shape inference does.  conv2d copies the
-padded input's windows once into a contiguous (C*kh*kw, oh*ow) im2col matrix
-and multiplies the (oc, C*kh*kw) weight matrix into it.  conv_transpose2d is
-lowered by sub-pixel phase (Dumoulin & Visin, arXiv 1603.07285, section 4): the
-outputs with (Y mod stride, X mod stride) = (ry, rx) are reached only by the
-kernel taps with ky = Y + pad_h and kx = X + pad_w (mod stride), so each phase
-is one stride-1 im2col GEMM of the un-stuffed input with that sub-kernel,
-rounded into the phase's strided view of the output.  No product with an
-inserted zero is formed.  The taps keep the order in which the zero-stuffed
-formulation summed them (input channel, then ky and kx descending) and only its
-exact-zero terms are dropped, so its float32 output is reproduced bit for bit.
+padded input's windows into a contiguous (C*kh*kw, rows*ow) im2col matrix and
+multiplies the (oc, C*kh*kw) weight matrix into it, over bands of output rows
+of equal height: each band's im2col plus its accumulator holds at most _BAND
+float64 elements (or one row), and is freed before the next band is built.
+A convolution whose scratch fits runs as one band.  Each output element stays
+one dot product over the same K terms in the same order whatever the band, so
+its bits do not depend on the band height (the band tests and golden hashes
+check this against the BLAS in use).  conv_transpose2d is lowered by
+sub-pixel phase (Dumoulin & Visin, arXiv 1603.07285, section 4): the outputs
+with (Y mod stride, X mod stride) = (ry, rx) are reached only by the kernel
+taps with ky = Y + pad_h and kx = X + pad_w (mod stride), so each phase is one
+stride-1 im2col GEMM of the un-stuffed input with that sub-kernel, banded as
+conv2d's and rounded into the phase's strided view of the output.  No product
+with an inserted zero is formed.  The taps keep the order in which the
+zero-stuffed formulation summed them (input channel, then ky and kx
+descending) and only its exact-zero terms are dropped, so its float32 output
+is reproduced bit for bit.
 """
 
 from __future__ import annotations
@@ -45,7 +54,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import CorruptIndicesError, ShapeError
 
 F32 = np.float32
-_STRIP = 1 << 16  # elements per prelu strip: its temporaries then fit in L2
+_STRIP = 1 << 16  # elements per prelu/batchnorm strip: its temporaries then fit in L2
+_BAND = 1 << 19  # float64 elements of im2col plus accumulator per conv band
 
 
 @dataclass(frozen=True)
@@ -216,6 +226,27 @@ def _conv_operands(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray],
     return x
 
 
+def _conv_gemm(xp: np.ndarray, wmat: np.ndarray, bias: Optional[np.ndarray],
+               kh: int, kw: int, stride: int, dilation: int,
+               dst: np.ndarray) -> None:
+    """dst = wmat @ im2col(xp) (+ bias), rounded into dst, a float32
+    (oc, oh, ow) view, over bands of equal height of dst's rows, each band's
+    im2col plus accumulator at most _BAND float64 elements (or one row)."""
+    oc, oh, ow = dst.shape
+    eff_kh = dilation * (kh - 1) + 1
+    rows = max(1, _BAND // ((wmat.shape[1] + oc) * ow))
+    height = -(-oh // -(-oh // rows))  # ceil(oh / number of bands)
+    b64 = None if bias is None else bias.astype(np.float64)[:, None]
+    for y0 in range(0, oh, height):
+        y1 = min(y0 + height, oh)
+        band = xp[:, y0 * stride: (y1 - 1) * stride + eff_kh]
+        acc = wmat @ _im2col(band, kh, kw, stride, dilation, y1 - y0, ow)
+        if b64 is not None:
+            acc += b64
+        dst[:, y0:y1] = acc.reshape(oc, y1 - y0, ow)
+        del acc  # free before the next band's im2col is built
+
+
 def conv2d(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray],
            params: ConvParams,
            out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -226,10 +257,9 @@ def conv2d(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray],
     xp = x if params.pad_h == params.pad_w == 0 else np.pad(
         x, ((0, 0), (params.pad_h, params.pad_h), (params.pad_w, params.pad_w)))
     wmat = np.asarray(w, dtype=F32).reshape(oc, -1).astype(np.float64)
-    acc = wmat @ _im2col(xp, kh, kw, params.stride, params.dilation, oh, ow)
-    if bias is not None:
-        acc += bias.astype(np.float64)[:, None]
-    return _into(out, acc.reshape(oc, oh, ow))
+    out = _out(out, (oc, oh, ow))
+    _conv_gemm(xp, wmat, bias, kh, kw, params.stride, params.dilation, out)
+    return out
 
 
 def _phases(n_out: int, k: int, stride: int, pad: int):
@@ -290,11 +320,7 @@ def conv_transpose2d(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray],
             wmat = sub.transpose(1, 0, 2, 3).reshape(oc, -1).astype(np.float64)
             window = xp[:, top + by: top + by + ny + ty - 1,
                         left + bx: left + bx + nx + tx - 1]
-            acc = wmat @ _im2col(window, ty, tx, 1, 1, ny, nx)
-            if bias is not None:
-                acc += bias.astype(np.float64)[:, None]
-            phase[...] = acc.reshape(oc, ny, nx)
-            del acc  # free before the next phase's im2col is built
+            _conv_gemm(window, wmat, bias, ty, tx, 1, 1, phase)
     return out
 
 
@@ -392,8 +418,18 @@ def batchnorm_infer(x: np.ndarray, p: BnParams,
         raise ShapeError(f"batchnorm has {len(p.gamma)} channels, input {x.shape[0]}")
     scale = p.scale()
     shift = np.asarray(p.beta, dtype=np.float64) - np.asarray(p.mean, dtype=np.float64) * scale
-    return _into(out, x.astype(np.float64) * scale[:, None, None]
-                 + shift[:, None, None])
+    scale, shift = scale[:, None, None], shift[:, None, None]
+    out = _out(out, x.shape)
+    step = max(1, _STRIP // (x.shape[1] * x.shape[2]))
+    acc = np.empty((min(step, x.shape[0]), *x.shape[1:]), dtype=np.float64)
+    for c in range(0, x.shape[0], step):
+        xs = x[c:c + step]
+        a = acc[:len(xs)]
+        a[...] = xs
+        a *= scale[c:c + step]
+        a += shift[c:c + step]
+        out[c:c + step] = a
+    return out
 
 
 def prelu(x: np.ndarray, slopes: np.ndarray,

@@ -1,19 +1,25 @@
 """Graph execution: buffer planning, the interpreter loop, label extraction,
 and latency measurement.
 
-Planning assigns every intermediate value to a reusable arena slot via
-liveness analysis.  With a plan, each compute node's kernel writes its result
-straight into its slot view through the kernel's `out` argument; nothing is
-copied after a kernel returns.  The planner never gives a node a slot that one
-of its live inputs occupies, so no kernel writes over what it reads.  Without
-a plan every kernel returns a fresh array; that is the reference, and the two
-are bitwise identical, so a planning bug shows up as corrupted values (or
+Planning packs every intermediate value into one float32 buffer by byte
+offset.  A value is live from its producer's position to its last reader's;
+values are placed largest first, each into the smallest gap left by the
+already-placed values whose lifetimes overlap its own (greedy by size,
+Pisarchyk & Lee, arXiv 2001.03288).  A node's lifetime overlaps its inputs',
+so no kernel writes over what it reads.  The output node's producer gets no
+buffer bytes: `execute` allocates the array it returns and that kernel writes
+straight into it, planned or not.  With a plan, every other compute node's
+kernel writes into its view of the buffer through the kernel's `out`
+argument; nothing is copied after a kernel returns.  Without a plan every
+other kernel returns a fresh array; that is the reference, and the two are
+bitwise identical, so a planning bug shows up as corrupted values (or
 poisoned NaNs in debug mode) instead of silent reuse.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import insort
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,22 +45,25 @@ from .passes import validate
 from .tensor import Shape
 
 _BYTES_F32 = 4
+_ALIGN = 64  # planned offsets are multiples of one cache line, in bytes
 
 
 @dataclass(frozen=True)
 class ExecutionPlan:
-    """Slot assignment for every intermediate value.
+    """Byte offset of every intermediate value in one float32 buffer.
 
-    peak_bytes is the arena high-water mark (sum of slot sizes);
-    no_reuse_bytes is what holding every intermediate alive would cost.
-    Pool nodes in `retained` keep their index arrays alive past normal
-    liveness because a later unpool consumes them.
+    peak_bytes is the buffer size; live_bytes is the largest total size of
+    the values live at any one node, a lower bound for any packing;
+    no_reuse_bytes is what holding every planned value alive would cost.
+    The output node's producer has no offset: it writes into the array
+    `execute` returns.  Pool nodes in `retained` keep their index arrays
+    alive past normal liveness because a later unpool consumes them.
     """
 
     order: tuple[int, ...]
-    slot_of: dict[int, int]
-    slot_sizes: tuple[int, ...]
+    offset_of: dict[int, int]
     peak_bytes: int
+    live_bytes: int
     no_reuse_bytes: int
     retained: frozenset[int]
 
@@ -74,41 +83,40 @@ def _last_uses(g: Graph) -> tuple[dict[int, int], dict[int, int]]:
 
 
 def plan_buffers(g: Graph) -> ExecutionPlan:
-    """Greedy liveness-driven slot assignment over topological order."""
+    """Greedy-by-size offset assignment over liveness intervals."""
     shapes = infer_shapes(g)
     last_use, idx_last_use = _last_uses(g)
+    result_id = g.output_node.inputs[0]
 
-    slot_of: dict[int, int] = {}
-    slot_sizes: list[int] = []
-    free: list[int] = []  # currently unassigned slot ids
-    no_reuse = 0
-
+    values = []  # (bytes, first, last, id); first and last positions inclusive
+    live = [0] * len(g.nodes)
     for i, n in enumerate(g.nodes):
-        if n.kind in (NodeKind.INPUT, NodeKind.OUTPUT):
+        if n.kind in (NodeKind.INPUT, NodeKind.OUTPUT) or n.id == result_id:
             continue
-        need = shapes[n.id].count * _BYTES_F32
-        no_reuse += need
-        # best-fit among free slots; inputs still live, so their slots are
-        # not in `free` and the no-aliasing rule holds by construction
-        best = -1
-        for s in free:
-            if slot_sizes[s] >= need and (best < 0 or slot_sizes[s] < slot_sizes[best]):
-                best = s
-        if best >= 0:
-            free.remove(best)
-            slot_of[n.id] = best
-        else:
-            slot_of[n.id] = len(slot_sizes)
-            slot_sizes.append(need)
-        # release inputs that die at this node (their last consumer is us)
-        for src in set(n.inputs):
-            if last_use[src] == i and src in slot_of:
-                free.append(slot_of[src])
-        free.sort()
+        size = shapes[n.id].count * _BYTES_F32
+        last = last_use.get(n.id, i)
+        values.append((size, i, last, n.id))
+        for p in range(i, last + 1):
+            live[p] += size
 
-    return ExecutionPlan(order=tuple(n.id for n in g.nodes), slot_of=slot_of,
-                         slot_sizes=tuple(slot_sizes),
-                         peak_bytes=sum(slot_sizes), no_reuse_bytes=no_reuse,
+    offset_of: dict[int, int] = {}
+    placed: list[tuple[int, int, int, int]] = []  # (offset, end, first, last)
+    for size, first, last, nid in sorted(values, key=lambda v: (-v[0], v[1])):
+        need = -(-size // _ALIGN) * _ALIGN
+        best, best_gap, top = -1, 0, 0
+        for off, end, other_first, other_last in placed:  # ascending offset
+            if other_first > last or other_last < first:
+                continue  # lifetimes do not overlap: bytes may be shared
+            if off - top >= need and (best < 0 or off - top < best_gap):
+                best, best_gap = top, off - top
+            top = max(top, end)
+        offset_of[nid] = top if best < 0 else best
+        insort(placed, (offset_of[nid], offset_of[nid] + need, first, last))
+
+    return ExecutionPlan(order=tuple(n.id for n in g.nodes), offset_of=offset_of,
+                         peak_bytes=max((end for _, end, _, _ in placed), default=0),
+                         live_bytes=max(live, default=0),
+                         no_reuse_bytes=sum(v[0] for v in values),
                          retained=frozenset(idx_last_use))
 
 
@@ -160,10 +168,12 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
             poison: bool = False) -> np.ndarray:
     """Run the graph over one input tensor and return the output tensor.
 
-    With a plan, kernels write intermediates straight into the plan's arena
-    slots; poison=True additionally overwrites freed slots with NaN (and dead
-    pooling indices with -1) so any liveness bug turns into a loud failure.
-    An input holding a NaN or an infinity is refused with ExecutionError.
+    The output node's producer writes into the returned array.  With a plan,
+    every other kernel writes into its view of one buffer allocated for this
+    call; poison=True additionally fills the buffer with NaN, overwrites each
+    value with NaN once its last reader has run (and dead pooling indices
+    with -1), so any liveness bug turns into a loud failure.  An input
+    holding a NaN or an infinity is refused with ExecutionError.
     """
     if check:
         diags = validate(g, weights)
@@ -181,19 +191,21 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
 
     shapes = infer_shapes(g)
     last_use, idx_last_use = _last_uses(g)
+    result_id = g.output_node.inputs[0]
 
     arena = None
     if plan is not None:
-        if plan.order != tuple(n.id for n in g.nodes) or any(
-                plan.slot_sizes[s] < shapes[i].count * _BYTES_F32
-                for i, s in plan.slot_of.items()):
+        planned = {n.id for n in g.nodes if n.id != result_id
+                   and n.kind not in (NodeKind.INPUT, NodeKind.OUTPUT)}
+        if plan.order != tuple(n.id for n in g.nodes) or \
+                plan.offset_of.keys() != planned or any(
+                    off < 0 or off + shapes[i].count * _BYTES_F32 > plan.peak_bytes
+                    for i, off in plan.offset_of.items()):
             raise ExecutionError("plan was made for another graph: its node "
-                                 "order or slot sizes do not fit this one")
-        arena = [np.empty(size // _BYTES_F32, dtype=np.float32)
-                 for size in plan.slot_sizes]
+                                 "order or offsets do not fit this one")
+        arena = np.empty(plan.peak_bytes // _BYTES_F32, dtype=np.float32)
         if poison:
-            for buf in arena:
-                buf.fill(np.nan)
+            arena.fill(np.nan)
 
     vals: dict[int, np.ndarray] = {}
     pool_idx: dict[int, np.ndarray] = {}
@@ -203,21 +215,30 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
         if n.kind is NodeKind.INPUT:
             vals[n.id] = x
         elif n.kind is NodeKind.OUTPUT:
-            result = vals[n.inputs[0]].copy()
+            if result is None:  # the output reads the graph input
+                result = vals[result_id].copy()
         else:
-            out = None  # planned: the node's slot view, which its kernel fills
-            if arena is not None:
-                slot = arena[plan.slot_of[n.id]]
-                out = slot[: shapes[n.id].count].reshape(tuple(shapes[n.id]))
+            out = None  # planned: the node's view of the buffer, which its kernel fills
+            if n.id == result_id:  # allocated only now, so it is no earlier peak
+                out = result = np.empty(tuple(shapes[n.id]), dtype=np.float32)
+                if poison:
+                    result.fill(np.nan)
+            elif arena is not None:
+                start = plan.offset_of[n.id] // _BYTES_F32
+                out = arena[start: start + shapes[n.id].count].reshape(
+                    tuple(shapes[n.id]))
             try:
                 vals[n.id] = _node_value(n, weights, vals, pool_idx, shapes, out)
             except EnetError as e:
                 raise type(e)(f"node {n.name}: {e}") from e
 
-        # free values/indices whose last consumer just ran
+        # free values/indices whose last consumer just ran, and at once the
+        # indices of a pool that no unpool reads
+        if n.kind is NodeKind.MAXPOOL and n.id not in idx_last_use:
+            del pool_idx[n.id]
         for src in set(n.inputs):
             if last_use[src] == i and src in vals:
-                if poison and plan is not None and src in plan.slot_of:
+                if poison and plan is not None and src in plan.offset_of:
                     vals[src][...] = np.nan
                 del vals[src]
         if idx_last_use.get(n.index_link) == i:
@@ -225,8 +246,6 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
                 pool_idx[n.index_link].fill(-1)
             del pool_idx[n.index_link]
 
-    if result is None:  # pragma: no cover - graphs always carry an output node
-        raise ExecutionError("graph has no output node")
     return result
 
 

@@ -50,6 +50,7 @@ def test_full_pipeline(tmp_path, capsys):
     assert code == 0
     assert "iters 1" in out and "fps" in out
     assert "median" in out and "min" in out
+    assert "arena" in out and "live-set bound" in out
 
 
 def test_analyze_report_numbers(capsys):

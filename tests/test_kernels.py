@@ -1,10 +1,13 @@
 """Kernel correctness: frozen worked examples, oracle parity on randomized
 instances, and algebraic invariants (adjointness, linearity, tie-breaking)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from enetcpu import kernels
 from enetcpu.errors import CorruptIndicesError, ShapeError
 from enetcpu.kernels import (
     BnParams,
@@ -379,6 +382,72 @@ def test_conv_transpose2d_bitwise_on_network_shapes(ic, oc, h, w, k, s, pad, op)
                           stuffed_conv_transpose2d(x, wt, bias, s, pad, op))
 
 
+# ---------------------------------------------------------------------------
+# convolution bands: the im2col GEMM over bands of output rows
+
+BAND_CASES = [  # (transposed, kh, kw, stride, pad_h, pad_w, dilation, out_pad, ic, oc, h, w)
+    (False, 3, 3, 2, 1, 1, 1, 0, 5, 6, 17, 23),   # stride 2, odd output 9x12
+    (False, 3, 3, 1, 2, 2, 2, 0, 4, 5, 15, 19),   # dilation 2
+    (False, 3, 3, 1, 1, 0, 1, 0, 3, 4, 11, 13),   # pad_h != pad_w
+    (False, 5, 1, 1, 2, 0, 1, 0, 6, 3, 13, 7),    # the asymmetric 5x1 pass
+    (False, 2, 2, 2, 0, 0, 1, 0, 7, 9, 14, 10),   # 2x2/2 projection
+    (True, 3, 3, 2, 1, 1, 1, 1, 5, 4, 9, 11),     # out_pad 1
+    (True, 3, 3, 2, 1, 0, 1, 1, 3, 5, 7, 6),      # pad_h != pad_w
+    (True, 3, 3, 2, 1, 1, 1, 0, 4, 3, 8, 5),      # odd output 15x9
+    (True, 2, 2, 2, 0, 0, 1, 0, 6, 7, 9, 13),     # fullconv-like
+]
+
+
+@pytest.mark.parametrize("budget", [1, 700], ids=["one_row", "few_rows"])
+@pytest.mark.parametrize("case", BAND_CASES, ids=[str(i) for i in range(len(BAND_CASES))])
+def test_conv_bands_give_the_bits_of_one_band(monkeypatch, case, budget):
+    # a budget of 1 element gives one output row per band; every case here
+    # fits one band at the default budget
+    tr, kh, kw, s, ph, pw, d, op, ic, oc, h, w = case
+    rng = np.random.default_rng(sum(case[1:]))
+    x = rand_input(rng, ic, h, w)
+    bias = rand_bias(rng, oc)
+    p = ConvParams(out_channels=oc, kernel_h=kh, kernel_w=kw, stride=s, pad_h=ph,
+                   pad_w=pw, dilation=d, out_pad=op, has_bias=True)
+    if tr:
+        wt = rand_tconv_weight(rng, ic, oc, kh, kw)
+        run = lambda: conv_transpose2d(x, wt, bias, p)  # noqa: E731
+    else:
+        wt = rand_conv_weight(rng, oc, ic, kh, kw)
+        run = lambda: conv2d(x, wt, bias, p)  # noqa: E731
+    whole = run()
+    monkeypatch.setattr(kernels, "_BAND", budget)
+    assert _bitwise_equal(run(), whole)
+
+
+@pytest.mark.parametrize("transposed", [False, True], ids=["conv2d", "conv_transpose2d"])
+def test_conv_scratch_stays_within_the_band_budget(transposed):
+    # a 3x3 16->16 conv at 90x160 and the 2x2/2 16->19 fullconv at 180x320,
+    # the two largest scratch users of the 360x640 network, each writing
+    # into a given out
+    rng = np.random.default_rng(90)
+    if transposed:
+        x = rand_input(rng, 16, 180, 320)
+        wt, bias = rand_tconv_weight(rng, 16, 19, 2, 2), rand_bias(rng, 19)
+        p = ConvParams(out_channels=19, kernel_h=2, kernel_w=2, stride=2,
+                       has_bias=True)
+        out = np.empty((19, 360, 640), dtype=F32)
+        run = lambda: conv_transpose2d(x, wt, bias, p, out=out)  # noqa: E731
+    else:
+        x = rand_input(rng, 16, 90, 160)
+        wt, bias = rand_conv_weight(rng, 16, 16, 3, 3), None
+        p = ConvParams(out_channels=16, kernel_h=3, kernel_w=3, pad_h=1, pad_w=1)
+        out = np.empty((16, 90, 160), dtype=F32)
+        run = lambda: conv2d(x, wt, bias, p, out=out)  # noqa: E731
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (1 << 19) * 8 + 2**20, peak / 1e6  # 2^19 float64 + 1 MiB
+
+
 def test_conv_and_transpose_are_adjoint():
     # <conv(x; W), y> == <x, conv_T(y; W)> with W reinterpreted for each op
     rng = np.random.default_rng(31)
@@ -653,6 +722,23 @@ def test_batchnorm_matches_reference_on_randomized_instances():
         want = ref_batchnorm(x, p.gamma, p.beta, p.mean, p.var, p.eps)
         worst = max(worst, float(np.max(np.abs(got.astype(np.float64) - want))))
     assert worst <= 1e-6, f"worst batchnorm deviation {worst}"
+
+
+@pytest.mark.parametrize("shape", [(40, 45, 80), (3, 260, 260), (128, 16, 32), (7, 1, 3)])
+def test_batchnorm_bitwise_equals_whole_tensor_formula_across_strips(shape):
+    # shapes that batchnorm_infer splits into several channel strips, with
+    # one and with many channels per strip
+    rng = np.random.default_rng(69)
+    x = rand_input(rng, *shape)
+    c = shape[0]
+    p = BnParams(gamma=(rng.random(c, dtype=F32) + 0.5).astype(F32),
+                 beta=rand_bias(rng, c), mean=rand_bias(rng, c),
+                 var=(rng.random(c, dtype=F32) + 0.1).astype(F32), eps=1e-3)
+    scale = p.scale()
+    shift = p.beta.astype(np.float64) - p.mean.astype(np.float64) * scale
+    want = (x.astype(np.float64) * scale[:, None, None]
+            + shift[:, None, None]).astype(F32)
+    assert _bitwise_equal(batchnorm_infer(x, p), want)
 
 
 def test_prelu_negative_scaling():

@@ -1,6 +1,9 @@
 """Runtime: buffer planning, interpreter correctness (planned == unplanned,
 bitwise), pooled-index retention, labels, and benchmarking."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -41,13 +44,53 @@ def _chain_graph():
 # ---------------------------------------------------------------------------
 # planning
 
+def _assert_planned_bytes_disjoint(g, plan):
+    """Byte-interval checks of a plan against liveness worked out here: every
+    value fits the buffer, no two values live at the same time share a byte,
+    and no node's bytes overlap any of its inputs' bytes."""
+    shapes = infer_shapes(g)
+    pos = {nid: i for i, nid in enumerate(plan.order)}
+    last_use = {}
+    for n in g.nodes:
+        for src in n.inputs:
+            last_use[src] = max(last_use.get(src, -1), pos[n.id])
+    span = {nid: (off, off + shapes[nid].count * 4)
+            for nid, off in plan.offset_of.items()}
+    assert all(0 <= lo and hi <= plan.peak_bytes for lo, hi in span.values())
+
+    def apart(a, b):
+        return span[a][1] <= span[b][0] or span[b][1] <= span[a][0]
+
+    ids = sorted(span)
+    for k, a in enumerate(ids):
+        for b in ids[k + 1:]:
+            if pos[a] <= last_use.get(b, pos[b]) and pos[b] <= last_use.get(a, pos[a]):
+                assert apart(a, b), \
+                    f"{g.node(a).name} and {g.node(b).name} are live together"
+    for n in g.nodes:
+        for src in n.inputs:
+            if n.id in span and src in span:
+                assert apart(n.id, src), f"{n.name} overlaps its input"
+
+
 def test_plan_chain_reuses_one_slot():
-    g = _chain_graph()
+    b = GraphBuilder(Shape(4, 8, 8))
+    x = b.input_id
+    for i in range(2):
+        x = b.conv(f"c{i}", x, ConvParams(out_channels=4, kernel_h=3, kernel_w=3,
+                                          pad_h=1, pad_w=1))
+        x = b.prelu(f"p{i}", x)
+    g = b.build(b.conv("last", x, ConvParams(out_channels=4, kernel_h=1, kernel_w=1)))
     plan = plan_buffers(g)
-    # three equal-sized intermediates over a linear chain need two slots
-    assert len(plan.slot_sizes) == 2
-    assert plan.peak_bytes == 2 * 4 * 8 * 8 * 4
-    assert plan.no_reuse_bytes == 3 * 4 * 8 * 8 * 4
+    _assert_planned_bytes_disjoint(g, plan)
+    value = 4 * 8 * 8 * 4
+    # the output's producer writes into the returned array, not the buffer
+    assert g.find("last").id not in plan.offset_of
+    # four equal-sized values over a linear chain fit in two values' bytes,
+    # so the second conv reuses the first conv's bytes
+    assert plan.peak_bytes == plan.live_bytes == 2 * value
+    assert plan.no_reuse_bytes == 4 * value
+    assert plan.offset_of[g.find("c0").id] == plan.offset_of[g.find("c1").id]
     assert plan.peak_bytes < plan.no_reuse_bytes
 
 
@@ -56,35 +99,25 @@ def test_plan_add_inputs_get_distinct_slots():
     left = b.conv("l", b.input_id, ConvParams(out_channels=2, kernel_h=1, kernel_w=1))
     right = b.conv("r", b.input_id, ConvParams(out_channels=2, kernel_h=1, kernel_w=1))
     s = b.add("s", left, right)
-    g = b.build(s)
+    g = b.build(b.prelu("act", s))
     plan = plan_buffers(g)
-    assert plan.slot_of[g.find("l").id] != plan.slot_of[g.find("r").id]
-    # the sum may not alias either addend
-    assert plan.slot_of[g.find("s").id] not in (
-        plan.slot_of[g.find("l").id], plan.slot_of[g.find("r").id])
+    _assert_planned_bytes_disjoint(g, plan)
+    # the sum may not alias either addend, nor the addends each other
+    spans = {name: (plan.offset_of[g.find(name).id],
+                    plan.offset_of[g.find(name).id] + 2 * 4 * 4 * 4)
+             for name in ("l", "r", "s")}
+    for a, b_ in (("l", "r"), ("s", "l"), ("s", "r")):
+        assert spans[a][1] <= spans[b_][0] or spans[b_][1] <= spans[a][0], (a, b_)
+    assert plan.peak_bytes == plan.live_bytes == 3 * 2 * 4 * 4 * 4
 
 
 def test_plan_never_aliases_output_with_live_inputs():
     g = build_enet(19, 64, 64)
-    plan = plan_buffers(g)
-    pos = {nid: i for i, nid in enumerate(plan.order)}
-    last_use = {}
-    for n in g.nodes:
-        for src in n.inputs:
-            last_use[src] = max(last_use.get(src, -1), pos[n.id])
-    for n in g.nodes:
-        if n.id not in plan.slot_of:
-            continue
-        for src in n.inputs:
-            if src in plan.slot_of:
-                assert plan.slot_of[src] != plan.slot_of[n.id], n.name
-        # no other node whose value is still live shares our slot
-        for other in g.nodes:
-            if other.id == n.id or other.id not in plan.slot_of:
-                continue
-            if pos[other.id] < pos[n.id] and last_use.get(other.id, -1) > pos[n.id]:
-                assert plan.slot_of[other.id] != plan.slot_of[n.id], \
-                    f"{n.name} would clobber live {other.name}"
+    fused = optimize(g, init_weights(g, seed=0))[0]
+    for graph in (g, fused):
+        plan = plan_buffers(graph)
+        _assert_planned_bytes_disjoint(graph, plan)
+        assert graph.output_node.inputs[0] not in plan.offset_of
 
 
 def test_plan_enet_reuse_beats_no_reuse():
@@ -93,6 +126,8 @@ def test_plan_enet_reuse_beats_no_reuse():
     assert plan.peak_bytes < plan.no_reuse_bytes
     # reuse should be dramatic on a 315-node graph, not marginal
     assert plan.peak_bytes < plan.no_reuse_bytes // 5
+    # greedy-by-size packing reaches the live-set lower bound on ENet
+    assert plan.peak_bytes == plan.live_bytes
     assert len(plan.retained) == 2  # two encoder pools feed decoder unpools
 
 
@@ -125,8 +160,67 @@ def test_execute_planned_equals_unplanned_bitwise_on_random_graphs():
         x = rng.random((4, 8, 8), dtype=F32)
         plain = execute(g, w, x)
         planned = execute(g, w, x, plan_buffers(g))
+        poisoned = execute(g, w, x, plan_buffers(g), poison=True)
         np.testing.assert_array_equal(plain, planned)
+        np.testing.assert_array_equal(plain, poisoned)
         assert np.all(np.isfinite(plain))
+
+
+def test_poison_catches_a_value_moved_onto_a_live_inputs_bytes():
+    # a planner mutant: one value placed on the bytes of an input that a
+    # later node still reads; poison mode must turn that into a wrong or
+    # non-finite output
+    g = build_enet(5, 64, 64)
+    w = init_weights(g, seed=1)
+    x = np.random.default_rng(2).random((3, 64, 64), dtype=F32)
+    plain = execute(g, w, x)
+    plan = plan_buffers(g)
+    shapes = infer_shapes(g)
+    pos = {nid: i for i, nid in enumerate(plan.order)}
+    last_use = {}
+    for n in g.nodes:
+        for src in n.inputs:
+            last_use[src] = pos[n.id]
+    node, src = next(
+        (n, src) for n in g.nodes if n.id in plan.offset_of for src in n.inputs
+        if src in plan.offset_of and last_use[src] > pos[n.id]
+        and shapes[n.id].count <= shapes[src].count)
+    mutant = dataclasses.replace(
+        plan, offset_of={**plan.offset_of, node.id: plan.offset_of[src]})
+    got = execute(g, w, x, mutant, poison=True)
+    assert not np.array_equal(got, plain) or not np.all(np.isfinite(got)), \
+        f"{node.name} written over live {g.node(src).name} went unnoticed"
+
+
+def test_execute_returns_a_fresh_array_when_the_output_reads_the_input():
+    b = GraphBuilder(Shape(2, 4, 4))
+    g = b.build(b.input_id)
+    w = init_weights(g, seed=0)
+    x = np.random.default_rng(3).random((2, 4, 4), dtype=F32)
+    plan = plan_buffers(g)
+    assert plan.offset_of == {} and plan.peak_bytes == 0
+    for p in (None, plan):
+        got = execute(g, w, x, p)
+        assert not np.shares_memory(got, x)
+        np.testing.assert_array_equal(got, x)
+
+
+def test_planned_execute_peak_is_the_arena_the_output_and_scratch():
+    # tracemalloc peak of one planned fused 3x360x640 execute: the buffer,
+    # the returned logits, and at most 8 MB of kernel scratch and pooling
+    # indices on top
+    g = build_enet(19, 360, 640)
+    g, w, _ = optimize(g, init_weights(g, seed=0))
+    plan = plan_buffers(g)
+    x = np.random.default_rng(4).random((3, 360, 640), dtype=F32)
+    tracemalloc.start()
+    try:
+        logits = execute(g, w, x, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.peak_bytes == plan.live_bytes
+    assert peak <= plan.peak_bytes + logits.nbytes + 8 * 10**6, peak / 1e6
 
 
 def test_execute_through_pool_unpool_with_retained_indices():
