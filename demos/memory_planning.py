@@ -27,8 +27,8 @@ def main():
           f"{plan.no_reuse_bytes / plan.peak_bytes:8.1f}x")
     print(f"arena over the bound   : "
           f"{plan.peak_bytes / plan.live_bytes - 1:8.1%}")
-    print(f"retained index tensors : {len(plan.retained)} "
-          f"(pooling argmaxes the decoder unpools with)")
+    print(f"retained window codes  : {len(plan.retained)} uint8 arrays "
+          f"(each pooling argmax as 0..3 = 2*row + col, for the decoder's unpools)")
 
     rng = np.random.default_rng(0)
     x = rng.uniform(-1.0, 1.0, (3, 256, 256)).astype(np.float32)

@@ -187,7 +187,7 @@ def load_histogram(path) -> ClassHistogram:
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = f.readlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise FormatError(f"cannot read histogram {path}: {e}") from e
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -211,6 +211,8 @@ def load_histogram(path) -> ClassHistogram:
         counts.append(count)
     if not labels:
         raise FormatError(f"{path}: no histogram entries")
+    if sum(counts) >= 2**63:
+        raise FormatError(f"{path}: total count {sum(counts)} does not fit int64")
     return ClassHistogram(labels=tuple(labels), counts=np.array(counts, dtype=np.int64))
 
 

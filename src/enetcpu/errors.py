@@ -26,7 +26,7 @@ class FoldError(EnetError):
 
 
 class CorruptIndicesError(EnetError):
-    """Pooling indices are out of range for the target unpool plane."""
+    """A pooling window code is outside 0..3 (2*row + col)."""
 
 
 class ExecutionError(EnetError):

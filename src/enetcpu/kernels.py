@@ -12,12 +12,12 @@ for the identity cases of pad_channels and spatial_dropout_infer, its
 input).  Float64 accumulators are rounded in by assignment, which rounds
 exactly as astype(float32) does, so both forms give the same bits.
 
-prelu and maxpool2x2 choose between float32 values with _select, an integer
-select on their bits, b ^ ((a ^ b) & -mask), instead of np.where, whose
-data-dependent branch made it 3-4x slower.  It picks the chosen operand's
-bits exactly, so signed zeros, denormals, infinities and NaN come through as
-np.where would give them.  prelu is one such pass for every slope: x times
-the slope into out, then x wherever x >= 0.
+prelu, maxpool2x2 and max_unpool2x2 choose between float32 values with
+_select, an integer select on their bits, b ^ ((a ^ b) & -mask), instead of
+np.where, whose data-dependent branch made it 3-4x slower.  It picks the
+chosen operand's bits exactly, so signed zeros, denormals, infinities and NaN
+come through as np.where would give them.  prelu is one such pass for every
+slope: x times the slope into out, then x wherever x >= 0.
 
 prelu and batchnorm_infer run over strips of about _STRIP elements of whole
 channels, so their temporaries stay in cache.
@@ -118,10 +118,11 @@ class ConvParams:
 
 
 class PoolResult(NamedTuple):
-    """Pooled activations plus the flat source index of each maximum."""
+    """Pooled activations plus, for each, the uint8 window code 0..3
+    (2*row + col) of the cell its maximum came from."""
 
     values: np.ndarray
-    indices: np.ndarray
+    codes: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -183,7 +184,8 @@ def _into(out: Optional[np.ndarray], result: np.ndarray) -> np.ndarray:
 def _select(take: np.ndarray, a: np.ndarray, b: np.ndarray,
             out: np.ndarray) -> np.ndarray:
     """out = a where take else b, bit for bit, with no data-dependent branch.
-    a, b and out are float32 (any strides), take is bool; out may be b."""
+    a, b and out are float32 (any strides; b may broadcast), take is bool;
+    out may be b."""
     bits = np.bitwise_xor(a.view(np.int32), b.view(np.int32))
     bits &= -take.view(np.int8)
     np.bitwise_xor(bits, b.view(np.int32), out=out.view(np.int32))
@@ -361,13 +363,12 @@ def _earlier_max(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None
 
 
 def maxpool2x2(x: np.ndarray, out: Optional[np.ndarray] = None) -> PoolResult:
-    """2x2 stride-2 max pooling; records each max's flat index in the source
-    plane (row-major), ties broken toward the smallest index.
+    """2x2 stride-2 max pooling; records each max's window code 0..3
+    (2*row + col), ties broken toward the smallest code.
 
     Works over the window's four strided phase views: first within each row,
-    then between the rows' winners.  Every cell of the top row has a smaller
-    flat index than every cell of the bottom row, so this order keeps the
-    smallest-index tie-break exact."""
+    then between the rows' winners.  Both top-row codes are smaller than both
+    bottom-row codes, so this order keeps the smallest-code tie-break exact."""
     x = _chw(x)
     c, h, w = x.shape
     if h % 2 or w % 2:
@@ -376,37 +377,31 @@ def maxpool2x2(x: np.ndarray, out: Optional[np.ndarray] = None) -> PoolResult:
     bottom_left, bottom = _earlier_max(x[:, 1::2, 0::2], x[:, 1::2, 1::2])
     upper, values = _earlier_max(top, bottom, out)
     left = bottom_left ^ ((bottom_left ^ top_left) & upper)
-    # window cell k = 2 * row + col sits at flat offset (0, 1, w, w + 1)[k]
-    k = (~upper).view(np.uint8) * np.uint8(2)
-    k += (~left).view(np.uint8)
-    indices = np.take(np.array([0, 1, w, w + 1], dtype=np.int64), k)
-    indices += (2 * w * np.arange(h // 2))[:, None] + 2 * np.arange(w // 2)
-    return PoolResult(values, indices)
+    codes = (~upper).view(np.uint8) * np.uint8(2)
+    codes += (~left).view(np.uint8)
+    return PoolResult(values, codes)
 
 
-def max_unpool2x2(values: np.ndarray, indices: np.ndarray,
+def max_unpool2x2(values: np.ndarray, codes: np.ndarray,
                   out_h: int, out_w: int,
                   out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Scatter pooled values back to their recorded positions, zero-fill."""
+    """Put each pooled value back at the cell of its 2x2 window that its
+    window code 0..3 (2*row + col) names; every other cell is +0.0."""
     values = _chw(values, "unpool values")
-    if indices.shape != values.shape:
-        raise ShapeError(
-            f"indices shape {indices.shape} != values shape {values.shape}"
-        )
+    if codes.dtype != np.uint8 or codes.shape != values.shape:
+        raise ShapeError(f"window codes must be uint8 of shape {values.shape}, "
+                         f"got {codes.dtype} {codes.shape}")
     c, h, w = values.shape
     if out_h != 2 * h or out_w != 2 * w:
         raise ShapeError(
             f"unpool target {out_h}x{out_w} must be exactly double {h}x{w}"
         )
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= out_h * out_w):
-        raise CorruptIndicesError(
-            f"pool indices outside [0, {out_h * out_w}) for {out_h}x{out_w} plane"
-        )
+    if codes.size and codes.max() > 3:
+        raise CorruptIndicesError(f"window code {codes.max()} is not in 0..3")
     out = _out(out, (c, out_h, out_w))
-    out.fill(0.0)
-    np.put_along_axis(out.reshape(c, -1), idx.reshape(c, -1),
-                      values.reshape(c, -1), axis=1)
+    zero = np.zeros((), dtype=F32)
+    for k in range(4):  # each cell view is written once
+        _select(codes == k, values, zero, out[:, k >> 1::2, k & 1::2])
     return out
 
 

@@ -117,7 +117,7 @@ def load_palette(path) -> dict[int, tuple[int, int, int]]:
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = f.readlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise PaletteError(f"cannot read palette {path}: {e}") from e
     palette: dict[int, tuple[int, int, int]] = {}
     for lineno, raw in enumerate(lines, start=1):

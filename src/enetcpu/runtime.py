@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CorruptIndicesError, EnetError, ExecutionError, ShapeError
+from .errors import EnetError, ExecutionError, ShapeError
 from .graph import Graph, NodeKind, infer_shapes
 from .kernels import (
     BnParams,
@@ -56,7 +56,7 @@ class ExecutionPlan:
     the values live at any one node, a lower bound for any packing;
     no_reuse_bytes is what holding every planned value alive would cost.
     The output node's producer has no offset: it writes into the array
-    `execute` returns.  Pool nodes in `retained` keep their index arrays
+    `execute` returns.  Pool nodes in `retained` keep their window codes
     alive past normal liveness because a later unpool consumes them.
     """
 
@@ -71,7 +71,7 @@ class ExecutionPlan:
 def _last_uses(g: Graph) -> tuple[dict[int, int], dict[int, int]]:
     """Liveness over storage order: for each value id, the position of its
     last reader; for each maxpool id, the position of the last unpool that
-    reads its indices."""
+    reads its window codes."""
     last_use: dict[int, int] = {}
     idx_last_use: dict[int, int] = {}
     for i, n in enumerate(g.nodes):
@@ -120,9 +120,9 @@ def plan_buffers(g: Graph) -> ExecutionPlan:
                          retained=frozenset(idx_last_use))
 
 
-def _node_value(n, weights, vals, pool_idx, shapes, out):
+def _node_value(n, weights, vals, pool_codes, shapes, out):
     """Run one node's kernel into `out` (a fresh array when None) and return
-    its output array; a maxpool also parks its indices in pool_idx."""
+    its output array; a maxpool also parks its window codes in pool_codes."""
     a = vals[n.inputs[0]] if n.inputs else None
     if n.kind in (NodeKind.CONV, NodeKind.CONV_TRANSPOSE):
         conv = conv2d if n.kind is NodeKind.CONV else conv_transpose2d
@@ -134,17 +134,15 @@ def _node_value(n, weights, vals, pool_idx, shapes, out):
                                 weights[n.ref("weight_1x5")], bias, out=out)
     if n.kind is NodeKind.MAXPOOL:
         res = maxpool2x2(a, out=out)
-        pool_idx[n.id] = res.indices
+        pool_codes[n.id] = res.codes
         return res.values
     if n.kind is NodeKind.MAX_UNPOOL:
-        if n.index_link not in pool_idx:
+        if n.index_link not in pool_codes:
             raise ExecutionError(
                 f"pooling indices of node {n.index_link} are not available")
-        idx = pool_idx[n.index_link]
-        if np.any(idx < 0):
-            raise CorruptIndicesError("consumed or poisoned pooling indices")
         out_shape = shapes[n.id]
-        return max_unpool2x2(a, idx, out_shape.height, out_shape.width, out=out)
+        return max_unpool2x2(a, pool_codes[n.index_link], out_shape.height,
+                             out_shape.width, out=out)
     if n.kind is NodeKind.BATCHNORM:
         p = BnParams(gamma=weights[n.ref("gamma")], beta=weights[n.ref("beta")],
                      mean=weights[n.ref("mean")], var=weights[n.ref("var")],
@@ -170,9 +168,11 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
 
     The output node's producer writes into the returned array.  With a plan,
     every other kernel writes into its view of one buffer allocated for this
-    call; poison=True additionally fills the buffer with NaN, overwrites each
-    value with NaN once its last reader has run (and dead pooling indices
-    with -1), so any liveness bug turns into a loud failure.  An input
+    call; poison=True additionally fills the buffer with NaN and overwrites
+    each value with NaN once its last reader has run, so any liveness bug
+    turns into a loud failure.  Poison covers values only: pooling window
+    codes live outside the buffer and are dropped after their last unpool,
+    so a later reader finds them missing and raises ExecutionError.  An input
     holding a NaN or an infinity is refused with ExecutionError.
     """
     if check:
@@ -208,7 +208,7 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
             arena.fill(np.nan)
 
     vals: dict[int, np.ndarray] = {}
-    pool_idx: dict[int, np.ndarray] = {}
+    pool_codes: dict[int, np.ndarray] = {}
     result: Optional[np.ndarray] = None
 
     for i, n in enumerate(g.nodes):
@@ -228,23 +228,21 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
                 out = arena[start: start + shapes[n.id].count].reshape(
                     tuple(shapes[n.id]))
             try:
-                vals[n.id] = _node_value(n, weights, vals, pool_idx, shapes, out)
+                vals[n.id] = _node_value(n, weights, vals, pool_codes, shapes, out)
             except EnetError as e:
                 raise type(e)(f"node {n.name}: {e}") from e
 
-        # free values/indices whose last consumer just ran, and at once the
-        # indices of a pool that no unpool reads
+        # free values/codes whose last consumer just ran, and at once the
+        # codes of a pool that no unpool reads
         if n.kind is NodeKind.MAXPOOL and n.id not in idx_last_use:
-            del pool_idx[n.id]
+            del pool_codes[n.id]
         for src in set(n.inputs):
             if last_use[src] == i and src in vals:
                 if poison and plan is not None and src in plan.offset_of:
                     vals[src][...] = np.nan
                 del vals[src]
         if idx_last_use.get(n.index_link) == i:
-            if poison:
-                pool_idx[n.index_link].fill(-1)
-            del pool_idx[n.index_link]
+            del pool_codes[n.index_link]
 
     return result
 

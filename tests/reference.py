@@ -163,6 +163,15 @@ def argmax_maxpool2x2(x):
     return np.ascontiguousarray(values), np.ascontiguousarray(indices)
 
 
+def codes_to_flat(codes, w):
+    """Flat positions, in a source plane of width w, of the cells that 2x2
+    window codes 0..3 (2*row + col) name: the oracles' index format."""
+    codes = np.asarray(codes, dtype=np.int64)
+    yy = np.arange(codes.shape[1])[None, :, None]
+    xx = np.arange(codes.shape[2])[None, None, :]
+    return (2 * yy + (codes >> 1)) * w + 2 * xx + (codes & 1)
+
+
 def ref_max_unpool2x2(values, indices, out_h, out_w):
     """Scatter pooled values back to their recorded flat positions."""
     values = np.asarray(values)

@@ -205,10 +205,13 @@ def test_histogram_file_errors(tmp_path):
         "dup.txt": ("sky 1\nsky 2\n", "duplicate"),
         "empty.txt": ("# nothing\n", "no histogram entries"),
         "zero.txt": ("sky 0\nroad 0\n", "empty"),
+        "wide.txt": (f"sky {2**64}\n", "does not fit int64"),
+        "wraps.txt": (f"sky {2**63 - 1}\nroad 1\n", "does not fit int64"),
+        "not_utf8.txt": ("sky 1\n\udcff 2\n", "cannot read"),
     }
     for fname, (content, needle) in cases.items():
         p = tmp_path / fname
-        p.write_text(content)
+        p.write_text(content, errors="surrogateescape")  # \udcff: byte 0xff
         with pytest.raises(FormatError, match=needle):
             load_histogram(p)
     with pytest.raises(FormatError, match="cannot read"):

@@ -163,6 +163,19 @@ def test_data_errors_exit_2(tmp_path, capsys):
                        "--histogram", tmp_path / "missing.txt")
     assert code == 2 and "cannot read" in err
 
+    # a byte that is not UTF-8 is a data error naming the file, not a crash
+    hist, palette = tmp_path / "hist.txt", tmp_path / "p.txt"
+    hist.write_bytes(b"sky 10\n\xff 3\n")
+    code, _, err = run(capsys, "class-weights", "--histogram", hist)
+    assert code == 2 and str(hist) in err and "Traceback" not in err
+    palette.write_bytes(b"0 1 2 3\n\xff\n")
+    small = tmp_path / "small.ppm"
+    _write_image(small, h=32, w=32)
+    code, _, err = run(capsys, "infer", "--model", model, "--image", small,
+                       "--out", tmp_path / "l.pgm", "--colormap",
+                       tmp_path / "c.ppm", "--palette", palette)
+    assert code == 2 and str(palette) in err and "Traceback" not in err
+
 
 def test_non_finite_bn_weight_exits_2_fused_and_unfused(tmp_path, capsys):
     # a BN statistic, a conv weight and a PReLU slope: each NaN must stop

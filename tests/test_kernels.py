@@ -26,6 +26,7 @@ from enetcpu.kernels import (
 )
 from reference import (
     argmax_maxpool2x2,
+    codes_to_flat,
     rand_bias,
     rand_conv_weight,
     rand_input,
@@ -550,14 +551,14 @@ def test_maxpool_basic_value_and_flat_index():
     x = np.array([[[1.0, 2.0], [3.0, 4.0]]], dtype=F32)
     res = maxpool2x2(x)
     np.testing.assert_array_equal(res.values, [[[4.0]]])
-    np.testing.assert_array_equal(res.indices, [[[3]]])
+    np.testing.assert_array_equal(codes_to_flat(res.codes, 2), [[[3]]])
 
 
 def test_maxpool_tie_breaks_to_smallest_flat_index():
     x = np.full((1, 2, 2), 7.0, dtype=F32)
     res = maxpool2x2(x)
     np.testing.assert_array_equal(res.values, [[[7.0]]])
-    np.testing.assert_array_equal(res.indices, [[[0]]])
+    np.testing.assert_array_equal(codes_to_flat(res.codes, 2), [[[0]]])
 
 
 def test_maxpool_rejects_odd_dims():
@@ -577,7 +578,7 @@ def test_maxpool_matches_reference_on_randomized_instances():
         got = maxpool2x2(x)
         want_v, want_i = ref_maxpool2x2(x)
         np.testing.assert_array_equal(got.values, want_v)
-        np.testing.assert_array_equal(got.indices, want_i)
+        np.testing.assert_array_equal(codes_to_flat(got.codes, w), want_i)
 
 
 def test_maxpool_indices_point_inside_their_window():
@@ -585,10 +586,11 @@ def test_maxpool_indices_point_inside_their_window():
     x = rand_input(rng, 3, 12, 16)
     res = maxpool2x2(x)
     h, w = 12, 16
+    flats = codes_to_flat(res.codes, w)
     for c in range(3):
         for y in range(6):
             for xx in range(8):
-                flat = int(res.indices[c, y, xx])
+                flat = int(flats[c, y, xx])
                 iy, ix = flat // w, flat % w
                 assert iy in (2 * y, 2 * y + 1) and ix in (2 * xx, 2 * xx + 1)
                 assert x[c, iy, ix] == res.values[c, y, xx]
@@ -611,14 +613,29 @@ def test_maxpool_bitwise_equals_argmax_kernel():
         want_v, want_i = argmax_maxpool2x2(x)
         np.testing.assert_array_equal(got.values.view(np.int32),
                                       want_v.view(np.int32))
-        np.testing.assert_array_equal(got.indices, want_i)
-        assert got.indices.dtype == np.int64
+        np.testing.assert_array_equal(codes_to_flat(got.codes, x.shape[2]), want_i)
+        assert got.codes.dtype == np.uint8
+
+
+@pytest.mark.parametrize("shape", [(64, 90, 160), (64, 180, 320)])
+def test_maxpool_scratch_stays_near_the_input_size(shape):
+    # tracemalloc peak of pooling into a given out: the row winners, their
+    # masks and the uint8 codes, with no wider index array beside them
+    x = np.random.default_rng(59).random(shape, dtype=F32)
+    out = np.empty((shape[0], shape[1] // 2, shape[2] // 2), dtype=F32)
+    tracemalloc.start()
+    try:
+        maxpool2x2(x, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * x.nbytes, peak / x.nbytes
 
 
 def test_unpool_scatters_single_value():
     vals = np.array([[[4.0]]], dtype=F32)
-    idx = np.array([[[3]]], dtype=np.int64)
-    out = max_unpool2x2(vals, idx, 2, 2)
+    codes = np.array([[[3]]], dtype=np.uint8)  # bottom-right cell
+    out = max_unpool2x2(vals, codes, 2, 2)
     np.testing.assert_array_equal(out, [[[0.0, 0.0], [0.0, 4.0]]])
 
 
@@ -630,8 +647,8 @@ def test_unpool_of_pool_restores_maxima_positions_exactly():
         w = 2 * int(rng.integers(2, 8))
         x = rand_input(rng, c, h, w)
         res = maxpool2x2(x)
-        up = max_unpool2x2(res.values, res.indices, h, w)
-        want = ref_max_unpool2x2(res.values, res.indices, h, w)
+        up = max_unpool2x2(res.values, res.codes, h, w)
+        want = ref_max_unpool2x2(res.values, codes_to_flat(res.codes, w), h, w)
         np.testing.assert_array_equal(up, want)
         # each window's max sits at its original spot, zeros elsewhere
         nz = np.count_nonzero(up, axis=(1, 2))
@@ -641,38 +658,40 @@ def test_unpool_of_pool_restores_maxima_positions_exactly():
 
 
 def test_unpool_matches_reference_on_randomized_instances():
+    # compared as bits: signed zeros and NaN must land unchanged, and every
+    # cell no code names must be +0.0
     rng = np.random.default_rng(58)
-    for _ in range(100):
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf], dtype=F32)
+    for trial in range(100):
         c = int(rng.integers(1, 6))
         oh = 2 * int(rng.integers(1, 8))
         ow = 2 * int(rng.integers(1, 8))
         vals = rand_input(rng, c, oh // 2, ow // 2)
-        # distinct targets per channel, like any real pooling result
-        idx = np.stack([
-            rng.choice(oh * ow, size=(oh // 2) * (ow // 2), replace=False)
-            for _ in range(c)
-        ]).reshape(vals.shape).astype(np.int64)
-        got = max_unpool2x2(vals, idx, oh, ow)
-        want = ref_max_unpool2x2(vals, idx, oh, ow)
-        np.testing.assert_array_equal(got, want)
+        if trial % 2:
+            hit = rng.random(vals.shape) < 0.3
+            vals[hit] = rng.choice(special, size=int(hit.sum()))
+        codes = rng.integers(0, 4, size=vals.shape, dtype=np.uint8)
+        got = max_unpool2x2(vals, codes, oh, ow)
+        want = ref_max_unpool2x2(vals, codes_to_flat(codes, ow), oh, ow)
+        np.testing.assert_array_equal(got.view(np.int32), want.view(np.int32))
 
 
 def test_unpool_rejects_out_of_range_indices():
     vals = np.ones((1, 1, 1), dtype=F32)
-    bad = np.array([[[4]]], dtype=np.int64)  # plane has 4 cells: 0..3
-    with pytest.raises(CorruptIndicesError):
-        max_unpool2x2(vals, bad, 2, 2)
-    with pytest.raises(CorruptIndicesError):
-        max_unpool2x2(vals, np.array([[[-1]]], dtype=np.int64), 2, 2)
+    for code in (4, 255):  # a window has 4 cells: codes 0..3
+        with pytest.raises(CorruptIndicesError):
+            max_unpool2x2(vals, np.array([[[code]]], dtype=np.uint8), 2, 2)
+    with pytest.raises(ShapeError):  # flat int64 indices are not codes
+        max_unpool2x2(vals, np.array([[[3]]], dtype=np.int64), 2, 2)
 
 
 def test_unpool_rejects_mismatched_geometry():
     vals = np.ones((1, 2, 2), dtype=F32)
-    idx = np.zeros((1, 2, 2), dtype=np.int64)
+    codes = np.zeros((1, 2, 2), dtype=np.uint8)
     with pytest.raises(ShapeError):
-        max_unpool2x2(vals, idx, 5, 4)  # out dims must be exactly doubled
+        max_unpool2x2(vals, codes, 5, 4)  # out dims must be exactly doubled
     with pytest.raises(ShapeError):
-        max_unpool2x2(vals, np.zeros((1, 2, 3), dtype=np.int64), 4, 4)
+        max_unpool2x2(vals, np.zeros((1, 2, 3), dtype=np.uint8), 4, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -865,7 +884,7 @@ def _out_cases():
          lambda out=None: conv_asymmetric5(x, w5x1, w1x5, b5[:2], out=out)),
         ("maxpool2x2", lambda out=None: maxpool2x2(x, out=out).values),
         ("max_unpool2x2", lambda out=None: max_unpool2x2(
-            pool.values, pool.indices, 6, 8, out=out)),
+            pool.values, pool.codes, 6, 8, out=out)),
         ("batchnorm_infer", lambda out=None: batchnorm_infer(x, bn, out=out)),
         ("prelu", lambda out=None: prelu(x, slopes, out=out)),
         ("add", lambda out=None: add(x, x[::-1].copy(), out=out)),

@@ -242,6 +242,26 @@ def test_execute_through_pool_unpool_with_retained_indices():
         np.testing.assert_array_equal(plain, planned)
 
 
+def test_window_codes_live_until_the_last_unpool_that_reads_them():
+    # two unpools read one pool's codes; freeing them after the first would
+    # make the second fail, so every mode must run and agree bit for bit
+    b = GraphBuilder(Shape(4, 8, 8))
+    pre = b.conv("pre", b.input_id,
+                 ConvParams(out_channels=4, kernel_h=1, kernel_w=1))
+    pool = b.maxpool("pool", pre)
+    mid = b.conv("mid", pool, ConvParams(out_channels=4, kernel_h=1, kernel_w=1))
+    up1 = b.max_unpool("up1", pool, pool)
+    up2 = b.max_unpool("up2", mid, pool)
+    g = b.build(b.prelu("out", b.add("merge", up1, up2)))
+    w = init_weights(g, seed=0)
+    x = np.random.default_rng(7).random((4, 8, 8), dtype=F32)
+    plan = plan_buffers(g)
+    assert plan.retained == {pool}
+    plain = execute(g, w, x)
+    for got in (execute(g, w, x, plan), execute(g, w, x, plan, poison=True)):
+        np.testing.assert_array_equal(got.view(np.int32), plain.view(np.int32))
+
+
 def test_transposed_conv_with_unequal_pads_has_the_inferred_shape():
     b = GraphBuilder(Shape(2, 4, 4))
     up = b.conv_transpose("up", b.input_id,
