@@ -1,10 +1,12 @@
 """Buffer planning walkthrough: how packing values by liveness into one
 buffer bounds the activation memory of a deep encoder-decoder, how close the
-buffer comes to the live-set lower bound, verified against unplanned
-execution.
+buffer comes to the live-set lower bound, and the measured peak of planned
+against unplanned execution, verified bitwise.
 
 Run from the repository root:  python3 demos/memory_planning.py
 """
+
+import tracemalloc
 
 import numpy as np
 
@@ -33,8 +35,20 @@ def main():
     rng = np.random.default_rng(0)
     x = rng.uniform(-1.0, 1.0, (3, 256, 256)).astype(np.float32)
 
-    plain = execute(g, store, x)
-    planned = execute(g, store, x, plan)
+    def traced(p):
+        """The output of one execute and the peak bytes it allocated."""
+        tracemalloc.start()
+        try:
+            return execute(g, store, x, p), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    plain, plain_peak = traced(None)
+    planned, planned_peak = traced(plan)
+    print(f"planned peak           : {planned_peak / 1e6:8.2f} MB "
+          f"(tracemalloc over one execute; the buffer is dropped before "
+          f"the output is allocated)")
+    print(f"unplanned peak         : {plain_peak / 1e6:8.2f} MB")
     poisoned = execute(g, store, x, plan, poison=True)
     same = (np.array_equal(plain, planned)
             and np.array_equal(plain, poisoned))

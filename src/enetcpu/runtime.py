@@ -6,14 +6,16 @@ offset.  A value is live from its producer's position to its last reader's;
 values are placed largest first, each into the smallest gap left by the
 already-placed values whose lifetimes overlap its own (greedy by size,
 Pisarchyk & Lee, arXiv 2001.03288).  A node's lifetime overlaps its inputs',
-so no kernel writes over what it reads.  The output node's producer gets no
-buffer bytes: `execute` allocates the array it returns and that kernel writes
-straight into it, planned or not.  With a plan, every other compute node's
-kernel writes into its view of the buffer through the kernel's `out`
-argument; nothing is copied after a kernel returns.  Without a plan every
-other kernel returns a fresh array; that is the reference, and the two are
-bitwise identical, so a planning bug shows up as corrupted values (or
-poisoned NaNs in debug mode) instead of silent reuse.
+so no kernel writes over what it reads.  With a plan, every compute node's
+kernel but the last writes into its view of the buffer through the kernel's
+`out` argument.  The last, the output node's producer, gets no buffer bytes:
+`execute` copies its inputs that live in the buffer out to fresh arrays,
+drops the buffer, and only then allocates the array it returns, which that
+kernel writes straight into, so the buffer and the output are never held at
+once.  Apart from that copy, nothing is copied after a kernel returns.
+Without a plan every kernel returns a fresh array; that is the reference,
+and the two are bitwise identical, so a planning bug shows up as corrupted
+values (or poisoned NaNs in debug mode) instead of silent reuse.
 """
 
 from __future__ import annotations
@@ -168,12 +170,16 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
 
     The output node's producer writes into the returned array.  With a plan,
     every other kernel writes into its view of one buffer allocated for this
-    call; poison=True additionally fills the buffer with NaN and overwrites
-    each value with NaN once its last reader has run, so any liveness bug
-    turns into a loud failure.  Poison covers values only: pooling window
-    codes live outside the buffer and are dropped after their last unpool,
-    so a later reader finds them missing and raises ExecutionError.  An input
-    holding a NaN or an infinity is refused with ExecutionError.
+    call; before the producer runs, its inputs in the buffer are copied out
+    and the buffer is dropped.  A compute node stored after the producer (an
+    invalid graph, run with check=False) raises ExecutionError, planned or
+    not.  poison=True additionally fills the buffer with NaN, overwrites each
+    value with NaN once its last reader has run and the whole buffer when it
+    is dropped, so any liveness bug turns into a loud failure.  Poison covers
+    values only: pooling window codes live outside the buffer and are dropped
+    after their last unpool, so a later reader finds them missing and raises
+    ExecutionError.  An input holding a NaN or an infinity is refused with
+    ExecutionError.
     """
     if check:
         diags = validate(g, weights)
@@ -218,8 +224,21 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
             if result is None:  # the output reads the graph input
                 result = vals[result_id].copy()
         else:
+            if result is not None:
+                raise ExecutionError(
+                    f"node {n.name} is stored after the output's producer "
+                    f"{g.node(result_id).name}")
             out = None  # planned: the node's view of the buffer, which its kernel fills
-            if n.id == result_id:  # allocated only now, so it is no earlier peak
+            if n.id == result_id:
+                if arena is not None:
+                    # only the producer's inputs are still needed: copy those
+                    # that live in the buffer out of it and drop the buffer,
+                    # so the returned array is never allocated on top of it
+                    vals = {src: vals[src].copy() if src in plan.offset_of
+                            else vals[src] for src in set(n.inputs)}
+                    if poison:  # a view left behind would now read NaN
+                        arena.fill(np.nan)
+                    arena = None
                 out = result = np.empty(tuple(shapes[n.id]), dtype=np.float32)
                 if poison:
                     result.fill(np.nan)
@@ -238,7 +257,7 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
             del pool_codes[n.id]
         for src in set(n.inputs):
             if last_use[src] == i and src in vals:
-                if poison and plan is not None and src in plan.offset_of:
+                if poison and arena is not None and src in plan.offset_of:
                     vals[src][...] = np.nan
                 del vals[src]
         if idx_last_use.get(n.index_link) == i:

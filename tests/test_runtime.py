@@ -223,6 +223,30 @@ def test_planned_execute_peak_is_the_arena_the_output_and_scratch():
     assert peak <= plan.peak_bytes + logits.nbytes + 8 * 10**6, peak / 1e6
 
 
+def test_planned_execute_peak_is_at_most_the_unplanned_peak():
+    # the buffer is dropped before the logits are allocated, so while
+    # fullconv runs only its input (copied out of the buffer), the logits
+    # and one band of convolution scratch are held, as without a plan
+    g = build_enet(19, 360, 640)
+    g, w, _ = optimize(g, init_weights(g, seed=0))
+    plan = plan_buffers(g)
+    x = np.random.default_rng(4).random((3, 360, 640), dtype=F32)
+    peaks = {}
+    for name, p in (("planned", plan), ("unplanned", None)):
+        tracemalloc.start()
+        try:
+            logits = execute(g, w, x, p)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    producer = g.node(g.output_node.inputs[0])
+    assert producer.name == "fullconv"
+    fullconv_input = infer_shapes(g)[producer.inputs[0]].count * 4
+    assert peaks["planned"] <= 1.01 * peaks["unplanned"], peaks
+    assert peaks["planned"] <= (logits.nbytes + fullconv_input
+                                + kernels._BAND * 8 + 2**20), peaks
+
+
 def test_execute_through_pool_unpool_with_retained_indices():
     for seed in range(10):
         b = GraphBuilder(Shape(4, 8, 8))
@@ -260,6 +284,113 @@ def test_window_codes_live_until_the_last_unpool_that_reads_them():
     plain = execute(g, w, x)
     for got in (execute(g, w, x, plan), execute(g, w, x, plan, poison=True)):
         np.testing.assert_array_equal(got.view(np.int32), plain.view(np.int32))
+
+
+def _random_graph_ending_in_two_buffered_inputs(seed):
+    """A seeded random chain over convolutions, transposed convolutions,
+    maxpool/unpool pairs, concat, pad_channels, PReLU and add, each node
+    reading the one before it and sometimes an earlier value too.  The output
+    producer reads two values from the buffer: add(a, b), concat(a, b) or
+    add(v, v), by seed."""
+    rng = np.random.default_rng(seed)
+    b = GraphBuilder(Shape(3, 8, 8))
+    vals = [(b.conv("c0", b.input_id,
+                    ConvParams(out_channels=4, kernel_h=1, kernel_w=1)), Shape(4, 8, 8))]
+    pools = []  # (maxpool id, its output shape)
+    for i in range(int(rng.integers(4, 14))):
+        src, (c, h, w) = vals[-1]
+        op = int(rng.integers(0, 8))
+        open_pools = [p for p in pools if p[1][1:] == (h, w)]
+        if op == 0 or c > 12:
+            oc = int(rng.integers(2, 7))
+            nid = b.conv(f"conv{i}", src, ConvParams(out_channels=oc, kernel_h=3,
+                                                     kernel_w=3, pad_h=1, pad_w=1))
+            shape = Shape(oc, h, w)
+        elif op == 1 and h <= 8:
+            oc = int(rng.integers(2, 7))
+            nid = b.conv_transpose(f"up{i}", src, ConvParams(
+                out_channels=oc, kernel_h=3, kernel_w=3, stride=2, pad_h=1,
+                pad_w=1, out_pad=1))
+            shape = Shape(oc, 2 * h, 2 * w)
+        elif op == 2 and h >= 4:
+            nid = b.maxpool(f"pool{i}", src)
+            shape = Shape(c, h // 2, w // 2)
+            pools.append((nid, shape))
+        elif op in (3, 7) and open_pools:
+            pool, pooled = open_pools[int(rng.integers(0, len(open_pools)))]
+            if c != pooled.channels:
+                src = b.conv(f"fit{i}", src, ConvParams(out_channels=pooled.channels,
+                                                        kernel_h=1, kernel_w=1))
+            nid = b.max_unpool(f"unpool{i}", src, pool)
+            shape = Shape(pooled.channels, 2 * h, 2 * w)
+        elif op == 4:
+            same_hw = [v for v in vals if v[1][1:] == (h, w)]
+            other, other_shape = same_hw[int(rng.integers(0, len(same_hw)))]
+            nid = b.concat(f"cat{i}", src, other)
+            shape = Shape(c + other_shape.channels, h, w)
+        elif op == 5:
+            shape = Shape(c + int(rng.integers(1, 4)), h, w)
+            nid = b.pad_channels(f"pad{i}", src, shape.channels)
+        elif op == 6:
+            same = [v for v, shp in vals if shp == (c, h, w)]
+            nid = b.add(f"add{i}", src, same[int(rng.integers(0, len(same)))])
+            shape = Shape(c, h, w)
+        else:
+            nid, shape = b.prelu(f"act{i}", src), Shape(c, h, w)
+        vals.append((nid, shape))
+
+    last, shape = vals[-1]
+    if seed % 3 == 2:
+        return b.build(b.add("final", last, last))
+    others = [v for v, shp in vals[:-1] if shp == shape] or [b.prelu("tail", last)]
+    other = others[int(rng.integers(0, len(others)))]
+    return b.build((b.add if seed % 3 == 0 else b.concat)("final", last, other))
+
+
+def test_planned_equals_unplanned_when_the_output_producer_reads_the_buffer():
+    # every output producer here reads two buffered values (or one twice),
+    # which execute copies out before it drops the buffer; poison fills the
+    # dropped buffer with NaN, so an input left in it would show
+    kinds = set()
+    for seed in range(40):
+        g = _random_graph_ending_in_two_buffered_inputs(seed)
+        kinds |= {n.kind for n in g.nodes}
+        plan = plan_buffers(g)
+        producer = g.node(g.output_node.inputs[0])
+        assert all(src in plan.offset_of for src in producer.inputs)
+        assert len(set(producer.inputs)) == (1 if seed % 3 == 2 else 2)
+        w = init_weights(g, seed=seed)
+        x = np.random.default_rng(200 + seed).random((3, 8, 8), dtype=F32)
+        plain = execute(g, w, x)
+        assert np.all(np.isfinite(plain))
+        for got in (execute(g, w, x, plan), execute(g, w, x, plan, poison=True)):
+            np.testing.assert_array_equal(got.view(np.int32), plain.view(np.int32))
+    assert {NodeKind.MAXPOOL, NodeKind.MAX_UNPOOL, NodeKind.CONCAT,
+            NodeKind.PAD_CHANNELS, NodeKind.CONV_TRANSPOSE, NodeKind.ADD} <= kinds
+
+
+@pytest.mark.parametrize("mode", ["unplanned", "planned", "poisoned"])
+def test_a_node_stored_after_the_output_producer_is_refused(mode, monkeypatch):
+    # `late` reads a value the output producer also reads, so the buffer is
+    # dropped while it is still to run; without validation it must fail
+    # before its kernel is called, not write into the dropped buffer
+    b = GraphBuilder(Shape(4, 8, 8))
+    a = b.conv("a", b.input_id, ConvParams(out_channels=4, kernel_h=1, kernel_w=1))
+    act = b.prelu("act", a)
+    b.conv("late", a, ConvParams(out_channels=4, kernel_h=1, kernel_w=1))
+    g = b.build(act)
+    w = init_weights(g, seed=0)
+    x = np.random.default_rng(8).random((4, 8, 8), dtype=F32)
+    plan = None if mode == "unplanned" else plan_buffers(g)
+    with pytest.raises(ExecutionError, match="late.*does not contribute"):
+        execute(g, w, x, plan)
+    calls = []
+    monkeypatch.setattr(runtime, "conv2d",
+                        lambda *args, **kw: calls.append(1) or kernels.conv2d(*args, **kw))
+    with pytest.raises(ExecutionError,
+                       match="node late is stored after the output's producer act"):
+        execute(g, w, x, plan, check=False, poison=mode == "poisoned")
+    assert len(calls) == 1  # `a` only
 
 
 def test_transposed_conv_with_unequal_pads_has_the_inferred_shape():
