@@ -57,6 +57,13 @@ def _positive(value: str) -> int:
     return n
 
 
+def _non_negative(value: str) -> int:
+    n = int(value)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {n}")
+    return n
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="enetcpu",
                 description="CPU inference and static analysis for the ENet "
@@ -93,8 +100,11 @@ def _build_parser() -> _Parser:
     n.add_argument("--model", required=True, metavar="FILE.enwt")
     n.add_argument("--height", type=_positive, required=True)
     n.add_argument("--width", type=_positive, required=True)
-    n.add_argument("--warmup", type=int, default=2)
+    n.add_argument("--warmup", type=_non_negative, default=2)
     n.add_argument("--iters", type=_positive, default=5)
+    n.add_argument("--no-fuse", action="store_true",
+                   help="time the graph without batch-norm folding and "
+                        "dropout elision")
 
     c = sub.add_parser("class-weights",
                        help="inverse-log class weights from a histogram file")
@@ -147,6 +157,19 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _graph(classes: int, h: int, w: int, store, no_fuse: bool):
+    """The ENet graph for a 3 x h x w input and its weights, fused unless
+    no_fuse; prints the node count."""
+    g = build_enet(classes, h, w)
+    n_before = len(g.nodes)
+    if no_fuse:
+        print(f"graph: {n_before} nodes (fusion disabled)")
+    else:
+        g, store, _ = optimize(g, store)
+        print(f"graph: {len(g.nodes)} nodes after fusion (was {n_before})")
+    return g, store
+
+
 def _cmd_infer(args, parser: _Parser) -> int:
     if bool(args.colormap) != bool(args.palette):
         parser.error("--colormap and --palette must be given together")
@@ -154,13 +177,7 @@ def _cmd_infer(args, parser: _Parser) -> int:
     classes = _classes_from_store(store)
     img = load_ppm(args.image)
     _, h, w = img.shape
-    g = build_enet(classes, h, w)
-    n_before = len(g.nodes)
-    if args.no_fuse:
-        print(f"graph: {n_before} nodes (fusion disabled)")
-    else:
-        g, store, _ = optimize(g, store)
-        print(f"graph: {len(g.nodes)} nodes after fusion (was {n_before})")
+    g, store = _graph(classes, h, w, store, args.no_fuse)
     print(f"model: {classes} classes; image: 3x{h}x{w}")
     logits = execute(g, store, img, plan_buffers(g))
     labels = argmax_labels(logits)
@@ -175,7 +192,7 @@ def _cmd_infer(args, parser: _Parser) -> int:
 def _cmd_bench(args) -> int:
     store = load_weights(args.model)
     classes = _classes_from_store(store)
-    g = build_enet(classes, args.height, args.width)
+    g, store = _graph(classes, args.height, args.width, store, args.no_fuse)
     res = benchmark(g, store, Shape(3, args.height, args.width),
                     warmup=args.warmup, iters=args.iters)
     print(f"benchmark {res.shape}, warmup {res.warmup}, iters {res.iters}")

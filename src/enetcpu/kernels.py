@@ -23,15 +23,21 @@ prelu and batchnorm_infer run over strips of about _STRIP elements of whole
 channels, so their temporaries stay in cache.
 
 Convolutions are lowered to float64 GEMM (Chellapilla et al., 2006) and take
-their geometry from ConvParams, as shape inference does.  conv2d copies the
-padded input's windows into a contiguous (C*kh*kw, rows*ow) im2col matrix and
-multiplies the (oc, C*kh*kw) weight matrix into it, over bands of output rows
-of equal height: each band's im2col plus its accumulator holds at most _BAND
-float64 elements (or one row), and is freed before the next band is built.
-A convolution whose scratch fits runs as one band.  Each output element stays
-one dot product over the same K terms in the same order whatever the band, so
-its bits do not depend on the band height (the band tests and golden hashes
-check this against the BLAS in use).  conv_transpose2d is lowered by
+their geometry from ConvParams, as shape inference does.  conv2d fills a
+contiguous (C*kh*kw, rows*ow) im2col matrix with one strided copy per kernel
+tap, a (C, rows, ow) view of the padded input whose rows land contiguously,
+and multiplies the (oc, C*kh*kw) weight matrix into it, over bands of output
+rows of equal height: each band's im2col plus its accumulator holds at most
+_BAND float64 elements (or one row), and is freed before the next band is
+built.  A convolution whose scratch fits runs as one band.  A bias is the
+GEMM's last K term, a float64 column of the weight matrix times a last im2col
+row of 1.0, so no separate pass adds it to the accumulator.  BLAS sums each
+output's K terms in order, so each sum ends with s + bias*1.0 rounded once,
+the bits a separate float64 add gives; tests/test_conv_lowering.py checks this
+on every network convolution (K up to 289).  Each output element stays one dot
+product over the same K terms in the same order whatever the band, so its
+bits do not depend on the band height (the band tests and golden hashes check
+this against the BLAS in use).  conv_transpose2d is lowered by
 sub-pixel phase (Dumoulin & Visin, arXiv 1603.07285, section 4): the outputs
 with (Y mod stride, X mod stride) = (ry, rx) are reached only by the kernel
 taps with ky = Y + pad_h and kx = X + pad_w (mod stride), so each phase is one
@@ -49,7 +55,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CorruptIndicesError, ShapeError
 
@@ -193,16 +198,23 @@ def _select(take: np.ndarray, a: np.ndarray, b: np.ndarray,
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, dilation: int,
-            oh: int, ow: int) -> np.ndarray:
+            oh: int, ow: int, ones: bool) -> np.ndarray:
     """Window matrix of an already-padded input: one contiguous float64
-    (C*kh*kw, oh*ow) buffer, rows in (channel, ky, kx) order."""
-    eff_kh = dilation * (kh - 1) + 1
-    eff_kw = dilation * (kw - 1) + 1
-    win = sliding_window_view(xp, (eff_kh, eff_kw), axis=(1, 2))
-    win = win[:, ::stride, ::stride, ::dilation, ::dilation]
-    cols = np.empty((xp.shape[0], kh, kw, oh, ow), dtype=np.float64)
-    cols[...] = win.transpose(0, 3, 4, 1, 2)
-    return cols.reshape(-1, oh * ow)
+    (C*kh*kw, oh*ow) buffer, rows in (channel, ky, kx) order, filled by one
+    strided copy of a (C, oh, ow) view per tap; with `ones`, one more row of
+    1.0 that multiplies the bias column of the weight matrix."""
+    c = xp.shape[0]
+    k = c * kh * kw
+    cols = np.empty((k + 1 if ones else k, oh * ow), dtype=np.float64)
+    taps = cols[:k].reshape(c, kh, kw, oh, ow)
+    span_h, span_w = (oh - 1) * stride + 1, (ow - 1) * stride + 1
+    for ky in range(kh):
+        for kx in range(kw):
+            y, x = ky * dilation, kx * dilation
+            taps[:, ky, kx] = xp[:, y:y + span_h:stride, x:x + span_w:stride]
+    if ones:
+        cols[-1] = 1.0
+    return cols
 
 
 def _conv_operands(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray],
@@ -233,18 +245,22 @@ def _conv_gemm(xp: np.ndarray, wmat: np.ndarray, bias: Optional[np.ndarray],
                dst: np.ndarray) -> None:
     """dst = wmat @ im2col(xp) (+ bias), rounded into dst, a float32
     (oc, oh, ow) view, over bands of equal height of dst's rows, each band's
-    im2col plus accumulator at most _BAND float64 elements (or one row)."""
+    im2col (its ones row included) plus accumulator at most _BAND float64
+    elements (or one row).
+
+    A bias is the GEMM's last K term: wmat gains it as a float64 column and
+    im2col a row of 1.0, so each sum ends with + bias*1.0, rounded once."""
     oc, oh, ow = dst.shape
+    if bias is not None:
+        wmat = np.concatenate([wmat, bias.astype(np.float64)[:, None]], axis=1)
     eff_kh = dilation * (kh - 1) + 1
     rows = max(1, _BAND // ((wmat.shape[1] + oc) * ow))
     height = -(-oh // -(-oh // rows))  # ceil(oh / number of bands)
-    b64 = None if bias is None else bias.astype(np.float64)[:, None]
     for y0 in range(0, oh, height):
         y1 = min(y0 + height, oh)
         band = xp[:, y0 * stride: (y1 - 1) * stride + eff_kh]
-        acc = wmat @ _im2col(band, kh, kw, stride, dilation, y1 - y0, ow)
-        if b64 is not None:
-            acc += b64
+        acc = wmat @ _im2col(band, kh, kw, stride, dilation, y1 - y0, ow,
+                             bias is not None)
         dst[:, y0:y1] = acc.reshape(oc, y1 - y0, ow)
         del acc  # free before the next band's im2col is built
 

@@ -3,12 +3,15 @@
 Everything here is plain nested loops over float64 scalars, deliberately
 ignoring performance, so the vectorized engine kernels have an independent
 implementation to agree with.  Keep these dumb: no shared code with the
-engine, no clever indexing.  The exceptions are stuffed_conv_transpose2d
-and argmax_maxpool2x2, the engine's earlier zero-stuffing and argmax kernels,
-kept verbatim so the current ones can be checked against them bit for bit.
+engine, no clever indexing.  The exceptions are stuffed_conv_transpose2d,
+argmax_maxpool2x2 and sliding_conv_gemm, the engine's earlier zero-stuffing,
+argmax and im2col kernels, kept verbatim so the current ones can be checked
+against them bit for bit.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -116,6 +119,48 @@ def stuffed_conv_transpose2d(x, w, bias, stride, pad, out_pad=0):
     if bias is not None:
         out += bias.astype(np.float64)[:, None, None]
     return np.ascontiguousarray(out.astype(np.float32))
+
+
+SLIDING_BAND = 1 << 19  # the former kernels._BAND
+
+
+def sliding_im2col(xp: np.ndarray, kh: int, kw: int, stride: int, dilation: int,
+                   oh: int, ow: int) -> np.ndarray:
+    """Window matrix of an already-padded input: one contiguous float64
+    (C*kh*kw, oh*ow) buffer, rows in (channel, ky, kx) order."""
+    eff_kh = dilation * (kh - 1) + 1
+    eff_kw = dilation * (kw - 1) + 1
+    win = sliding_window_view(xp, (eff_kh, eff_kw), axis=(1, 2))
+    win = win[:, ::stride, ::stride, ::dilation, ::dilation]
+    cols = np.empty((xp.shape[0], kh, kw, oh, ow), dtype=np.float64)
+    cols[...] = win.transpose(0, 3, 4, 1, 2)
+    return cols.reshape(-1, oh * ow)
+
+
+def sliding_conv_gemm(xp: np.ndarray, wmat: np.ndarray, bias: Optional[np.ndarray],
+                      kh: int, kw: int, stride: int, dilation: int,
+                      dst: np.ndarray) -> None:
+    """The engine's former kernels._conv_gemm, kept as a bitwise oracle: im2col
+    as one 5-D transposed copy out of a sliding-window view, and the bias
+    added to the float64 accumulator after the GEMM.  It takes the same
+    arguments as the current _conv_gemm, so a test can swap it in.
+
+    dst = wmat @ im2col(xp) (+ bias), rounded into dst, a float32
+    (oc, oh, ow) view, over bands of equal height of dst's rows, each band's
+    im2col plus accumulator at most _BAND float64 elements (or one row)."""
+    oc, oh, ow = dst.shape
+    eff_kh = dilation * (kh - 1) + 1
+    rows = max(1, SLIDING_BAND // ((wmat.shape[1] + oc) * ow))
+    height = -(-oh // -(-oh // rows))  # ceil(oh / number of bands)
+    b64 = None if bias is None else bias.astype(np.float64)[:, None]
+    for y0 in range(0, oh, height):
+        y1 = min(y0 + height, oh)
+        band = xp[:, y0 * stride: (y1 - 1) * stride + eff_kh]
+        acc = wmat @ sliding_im2col(band, kh, kw, stride, dilation, y1 - y0, ow)
+        if b64 is not None:
+            acc += b64
+        dst[:, y0:y1] = acc.reshape(oc, y1 - y0, ow)
+        del acc  # free before the next band's im2col is built
 
 
 def ref_maxpool2x2(x):

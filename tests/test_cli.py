@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 
+from enetcpu import cli
 from enetcpu.cli import main
 from enetcpu.enwt import load_weights, save_weights
 from enetcpu.pnm import load_labelmap, load_ppm, save_ppm
@@ -139,6 +140,35 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     code, _, err = run(capsys, "infer", "--model", "m", "--image", "i",
                        "--out", "o", "--colormap", "c.ppm")
     assert code == 1 and "--palette" in err
+
+
+def test_bench_negative_warmup_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "bench", "--model", "m", "--height", 8,
+                         "--width", 8, "--warmup", -1)
+    assert code == 1 and out == ""
+    assert "--warmup" in err and "non-negative" in err and "Traceback" not in err
+
+
+def test_bench_times_the_fused_graph_unless_no_fuse(tmp_path, capsys, monkeypatch):
+    timed = []
+    real = cli.benchmark
+
+    def recording_benchmark(g, *args, **kwargs):
+        timed.append(len(g.nodes))
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "benchmark", recording_benchmark)
+    model = tmp_path / "m.enwt"
+    run(capsys, "build", "--classes", 5, "--out", model)
+    bench = ("bench", "--model", model, "--height", 32, "--width", 32,
+             "--warmup", 0, "--iters", 1)
+    code, out, err = run(capsys, *bench)
+    assert code == 0 and err == ""
+    assert "graph: 205 nodes after fusion (was 315)" in out
+    code, out, err = run(capsys, *bench, "--no-fuse")
+    assert code == 0 and err == ""
+    assert "graph: 315 nodes (fusion disabled)" in out
+    assert timed == [205, 315]
 
 
 def test_data_errors_exit_2(tmp_path, capsys):

@@ -1,0 +1,145 @@
+"""The convolution GEMM lowering against its former self, and its scratch.
+
+reference.sliding_conv_gemm is the engine's previous kernels._conv_gemm: one
+5-D transposed im2col copy out of a sliding-window view, and the bias added
+to the float64 accumulator after the GEMM.  Every conv, transposed-conv and
+asymmetric node of the fused and unfused build_enet(19, 64, 128) graphs, with
+seeded non-trivial weights, is run by the engine and again with that oracle
+swapped in for kernels._conv_gemm, on the node's real input; the float32
+outputs must agree bit for bit.  The check runs in a fresh interpreter per
+BLAS thread count, because OpenBLAS reads OPENBLAS_NUM_THREADS once at load
+time.
+
+Run this file directly to print, per graph, the nodes checked and the nodes
+that disagreed, as JSON.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from enetcpu import kernels, runtime
+from enetcpu.graph import NodeKind, build_enet
+from enetcpu.kernels import ConvParams, conv2d, conv_transpose2d
+from enetcpu.passes import optimize
+from enetcpu.runtime import execute, plan_buffers
+from reference import (
+    rand_bias,
+    rand_conv_weight,
+    rand_input,
+    rand_tconv_weight,
+    sliding_conv_gemm,
+)
+from test_golden import _perturbed_weights
+
+CONV_KINDS = (NodeKind.CONV, NodeKind.CONV_TRANSPOSE, NodeKind.ASYM_CONV5)
+
+
+def _graphs():
+    g = build_enet(num_classes=19, input_h=64, input_w=128)
+    weights = _perturbed_weights(g, seed=0)
+    fg, fw, _ = optimize(g, weights)
+    return {"fused": (fg, fw), "unfused": (g, weights)}
+
+
+def oracle_report():
+    """Per graph, the convolution nodes run and those whose output differs
+    from the former lowering's."""
+    x = np.random.default_rng(5).random((3, 64, 128), dtype=np.float32)
+    node_value = runtime._node_value
+    report = {}
+    for name, (g, weights) in _graphs().items():
+        checked, differ = [], []
+
+        def checked_node_value(n, weights, vals, pool_codes, shapes, out):
+            got = node_value(n, weights, vals, pool_codes, shapes, out)
+            if n.kind in CONV_KINDS:
+                kernels._conv_gemm, engine = sliding_conv_gemm, kernels._conv_gemm
+                try:
+                    want = node_value(n, weights, vals, pool_codes, shapes, None)
+                finally:
+                    kernels._conv_gemm = engine
+                checked.append(n.name)
+                if not np.array_equal(got.view(np.uint32), want.view(np.uint32)):
+                    differ.append(n.name)
+            return got
+
+        runtime._node_value = checked_node_value
+        try:
+            execute(g, weights, x, plan_buffers(g))
+        finally:
+            runtime._node_value = node_value
+        report[name] = {"checked": checked, "differ": differ}
+    return report
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_every_network_conv_matches_the_former_lowering(threads):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, __file__], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    for name, (g, _) in _graphs().items():
+        convs = [n.name for n in g.nodes if n.kind in CONV_KINDS]
+        assert {n.kind for n in g.nodes} >= set(CONV_KINDS)
+        assert sorted(report[name]["checked"]) == sorted(convs), name
+        assert report[name]["differ"] == [], name
+
+
+# (transposed, ic, oc, kh, kw, stride, pad, h, w, budget): the largest
+# biased network shapes at the default budget, and small ones whose rows
+# fit a small budget a few at a time
+SCRATCH_CASES = [
+    (False, 32, 32, 3, 3, 1, 1, 45, 80, None),   # stage 2/3 3x3, K = 288 + 1
+    (False, 32, 128, 1, 1, 1, 0, 45, 80, None),  # stage 2/3 1x1 expansion
+    (False, 3, 13, 3, 3, 2, 1, 360, 640, None),  # the initial conv
+    (True, 16, 19, 2, 2, 2, 0, 180, 320, None),  # fullconv
+    (False, 16, 16, 3, 3, 1, 1, 20, 30, 20000),
+    (True, 16, 19, 2, 2, 2, 0, 24, 40, 5000),
+    (True, 8, 6, 3, 3, 2, 1, 11, 13, 2000),
+]
+
+
+@pytest.mark.parametrize("case", SCRATCH_CASES,
+                         ids=[str(i) for i in range(len(SCRATCH_CASES))])
+def test_band_scratch_with_bias_row_stays_within_the_budget(monkeypatch, case):
+    tr, ic, oc, kh, kw, s, pad, h, w, budget = case
+    if budget is not None:
+        monkeypatch.setattr(kernels, "_BAND", budget)
+    budget = kernels._BAND
+    bands = []
+    im2col = kernels._im2col
+
+    def recording_im2col(band, kh, kw, stride, dilation, oh, ow, ones):
+        cols = im2col(band, kh, kw, stride, dilation, oh, ow, ones)
+        bands.append((band.shape[0] * kh * kw, cols.shape))
+        return cols
+
+    monkeypatch.setattr(kernels, "_im2col", recording_im2col)
+    rng = np.random.default_rng(sum(case[1:9]))
+    x = rand_input(rng, ic, h, w)
+    bias = rand_bias(rng, oc)
+    p = ConvParams(out_channels=oc, kernel_h=kh, kernel_w=kw, stride=s,
+                   pad_h=pad, pad_w=pad, out_pad=int(tr and pad > 0),
+                   has_bias=True)
+    if tr:
+        conv_transpose2d(x, rand_tconv_weight(rng, ic, oc, kh, kw), bias, p)
+    else:
+        conv2d(x, rand_conv_weight(rng, oc, ic, kh, kw), bias, p)
+    assert len(bands) > (s * s if tr else 1)  # some phase ran in several bands
+    for taps, (k, n) in bands:
+        assert k == taps + 1  # the ones row that takes the bias
+        assert (k + oc) * n <= budget, (k, oc, n, budget)
+
+
+if __name__ == "__main__":
+    print(json.dumps(oracle_report()))
