@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError
-from .graph import Graph, NodeKind, NodeSpec, expected_weight_shapes, infer_shapes
+from .graph import (
+    CONV_KINDS,
+    Graph,
+    NodeKind,
+    NodeSpec,
+    expected_weight_shapes,
+    infer_shapes,
+)
 from .tensor import Shape
 
 
@@ -35,8 +42,6 @@ _ELEMENTWISE = (NodeKind.BATCHNORM, NodeKind.PRELU, NodeKind.ADD,
 # data movement costs no arithmetic
 _FREE = (NodeKind.INPUT, NodeKind.OUTPUT, NodeKind.CONCAT,
          NodeKind.PAD_CHANNELS, NodeKind.DROPOUT)
-
-_CONVLIKE = (NodeKind.CONV, NodeKind.CONV_TRANSPOSE, NodeKind.ASYM_CONV5)
 
 
 @dataclass(frozen=True)
@@ -73,7 +78,7 @@ class CostReport:
 
     def conv_macs(self) -> int:
         """MACs spent in convolution-like nodes only."""
-        return sum(c.macs for c in self.per_node if c.kind in _CONVLIKE)
+        return sum(c.macs for c in self.per_node if c.kind in CONV_KINDS)
 
     def by_stage(self) -> dict[str, tuple[int, int]]:
         """Ordered stage name -> (params, macs) aggregation."""
@@ -84,17 +89,14 @@ class CostReport:
         return out
 
 
-def _node_macs(n: NodeSpec, in_shape: Shape, out_shape: Shape) -> int:
-    if n.kind is NodeKind.CONV:
-        p = n.conv
-        return out_shape.count * in_shape.channels * p.kernel_h * p.kernel_w
-    if n.kind is NodeKind.CONV_TRANSPOSE:
-        # each input element is read once per (out channel, kernel tap)
-        p = n.conv
-        return in_shape.count * p.out_channels * p.kernel_h * p.kernel_w
-    if n.kind is NodeKind.ASYM_CONV5:
-        c = n.conv.out_channels
-        return out_shape.count * in_shape.channels * 5 + out_shape.count * c * 5
+def _node_macs(n: NodeSpec, in_shape: Shape, out_shape: Shape,
+               want: dict[str, tuple[int, ...]]) -> int:
+    if n.kind in CONV_KINDS:
+        # every kernel element is applied once per position it slides over:
+        # the output's for a convolution, the input's for a transposed one
+        at = in_shape if n.kind is NodeKind.CONV_TRANSPOSE else out_shape
+        return at.height * at.width * sum(
+            math.prod(want[key]) for role, key in n.weight_refs if role != "bias")
     if n.kind in _ELEMENTWISE:
         return out_shape.count
     return 0
@@ -116,7 +118,7 @@ def count_flops(g: Graph,
         per_node.append(NodeCost(
             name=n.name, kind=n.kind, stage=n.stage, out_shape=shapes[n.id],
             params=sum(math.prod(want[key]) for _, key in n.weight_refs),
-            macs=_node_macs(n, in_shape, shapes[n.id])))
+            macs=_node_macs(n, in_shape, shapes[n.id], want)))
     return CostReport(input_shape=g.input_shape, convention=convention,
                       per_node=tuple(per_node))
 

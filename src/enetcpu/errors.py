@@ -22,7 +22,7 @@ class ValidationError(EnetError):
 
 
 class FoldError(EnetError):
-    """Batch-norm folding precondition violated in strict mode."""
+    """Batch-norm statistics cannot be folded into a convolution."""
 
 
 class CorruptIndicesError(EnetError):

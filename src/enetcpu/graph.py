@@ -4,7 +4,11 @@ architecture, shape inference, and weight initialization.
 Nodes are immutable and stored in topological order.  Node ids are stable
 labels (optimization passes keep the ids of surviving nodes), so storage
 position and id may diverge after a pass.  Weights live outside the graph in
-a plain dict keyed by "<node name>.<role>" strings.
+a plain dict keyed by "<node name>.<role>" strings.  A node is never given
+its keys: they are derived when it is made, from its kind, which names the
+roles it binds (a convolution binds "bias" only when its params say so), and
+its name.  This module is the one place that says which weights a node has
+and how they are laid out.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import BuildError, ShapeError, ValidationError
-from .kernels import ConvParams
+from .kernels import BnParams, ConvParams
 from .tensor import Shape, check_shape
 
 BN_EPS = 1e-5
@@ -48,7 +52,8 @@ class BottleneckKind(enum.Enum):
     ASYMMETRIC5 = "asymmetric5"
 
 
-# node kinds that own parameters, with the weight roles they bind
+# node kinds that own parameters, with the weight roles they bind; a
+# convolution's kernels come in the order they are applied, its bias last
 _WEIGHT_ROLES = {
     NodeKind.CONV: ("weight", "bias"),
     NodeKind.CONV_TRANSPOSE: ("weight", "bias"),
@@ -56,6 +61,15 @@ _WEIGHT_ROLES = {
     NodeKind.BATCHNORM: ("gamma", "beta", "mean", "var"),
     NodeKind.PRELU: ("slopes",),
 }
+
+# kinds that carry ConvParams; they bind "bias" only when conv.has_bias
+CONV_KINDS = (NodeKind.CONV, NodeKind.CONV_TRANSPOSE, NodeKind.ASYM_CONV5)
+
+
+def out_axis(kind: NodeKind) -> int:
+    """Axis of a conv kernel that indexes output channels: kernels are
+    (out, in, kh, kw), or (in, out, kh, kw) when transposed."""
+    return 1 if kind is NodeKind.CONV_TRANSPOSE else 0
 
 
 @dataclass(frozen=True)
@@ -71,11 +85,24 @@ class NodeSpec:
     dropout_rate: Optional[float] = None
     target_channels: Optional[int] = None
     index_link: Optional[int] = None  # MAX_UNPOOL -> id of the source MAXPOOL
-    weight_refs: tuple[tuple[str, str], ...] = ()
+
+    def __post_init__(self):
+        # derived once per node, not a field: every execute looks weights up
+        # by these keys, and a key string made anew is hashed anew
+        roles = _WEIGHT_ROLES.get(self.kind, ())
+        if self.kind in CONV_KINDS and not self.conv.has_bias:
+            roles = roles[:-1]
+        object.__setattr__(self, "_refs",
+                           tuple((role, f"{self.name}.{role}") for role in roles))
+
+    @property
+    def weight_refs(self) -> tuple[tuple[str, str], ...]:
+        """(role, weight-store key) pairs this node binds, in role order."""
+        return self._refs
 
     def ref(self, role: str) -> str:
         """Weight-store key bound to a role ("weight", "gamma", ...)."""
-        for r, key in self.weight_refs:
+        for r, key in self._refs:
             if r == role:
                 return key
         raise KeyError(f"node {self.name} has no weight role {role!r}")
@@ -151,32 +178,22 @@ class GraphBuilder:
         self.input_id = self._append(NodeKind.INPUT, "input", ())
 
     def _append(self, kind: NodeKind, name: str, inputs: tuple[int, ...],
-                with_bias: bool = False, **attrs) -> int:
+                **attrs) -> int:
         nid = len(self._nodes)
-        roles = _WEIGHT_ROLES.get(kind, ())
-        refs = tuple(
-            (role, f"{name}.{role}")
-            for role in roles
-            if role != "bias" or with_bias
-        )
         self._nodes.append(NodeSpec(id=nid, kind=kind, name=name, inputs=inputs,
-                                    weight_refs=refs, **attrs))
+                                    **attrs))
         return nid
 
     def conv(self, name: str, src: int, params: ConvParams) -> int:
-        return self._append(NodeKind.CONV, name, (src,), conv=params,
-                            with_bias=params.has_bias)
+        return self._append(NodeKind.CONV, name, (src,), conv=params)
 
     def conv_transpose(self, name: str, src: int, params: ConvParams) -> int:
-        return self._append(NodeKind.CONV_TRANSPOSE, name, (src,), conv=params,
-                            with_bias=params.has_bias)
+        return self._append(NodeKind.CONV_TRANSPOSE, name, (src,), conv=params)
 
-    def asym_conv5(self, name: str, src: int, channels: int,
-                   has_bias: bool = False) -> int:
+    def asym_conv5(self, name: str, src: int, channels: int) -> int:
         params = ConvParams(out_channels=channels, kernel_h=5, kernel_w=5,
-                            pad_h=2, pad_w=2, has_bias=has_bias)
-        return self._append(NodeKind.ASYM_CONV5, name, (src,), conv=params,
-                            with_bias=has_bias)
+                            pad_h=2, pad_w=2)
+        return self._append(NodeKind.ASYM_CONV5, name, (src,), conv=params)
 
     def maxpool(self, name: str, src: int) -> int:
         return self._append(NodeKind.MAXPOOL, name, (src,))
@@ -447,35 +464,34 @@ def infer_shapes(g: Graph) -> dict[int, Shape]:
 # weight initialization
 
 def expected_weight_shapes(g: Graph) -> dict[str, tuple[int, ...]]:
-    """Shape every weight-store entry must have, derived from the graph."""
+    """Shape every weight-store entry must have, derived from the graph.
+
+    Kernels are 4-D (see out_axis); every other role (bias, BN statistics,
+    PReLU slopes) holds one value per output channel."""
     shapes = infer_shapes(g)
     out: dict[str, tuple[int, ...]] = {}
     for n in g.nodes:
         if not n.weight_refs:
             continue
         in_c = shapes[n.inputs[0]].channels
+        c = n.conv.out_channels if n.kind in CONV_KINDS else in_c
         if n.kind is NodeKind.CONV:
-            p = n.conv
-            out[n.ref("weight")] = (p.out_channels, in_c, p.kernel_h, p.kernel_w)
-            if p.has_bias:
-                out[n.ref("bias")] = (p.out_channels,)
+            kernels = {"weight": (c, in_c, n.conv.kernel_h, n.conv.kernel_w)}
         elif n.kind is NodeKind.CONV_TRANSPOSE:
-            p = n.conv
-            out[n.ref("weight")] = (in_c, p.out_channels, p.kernel_h, p.kernel_w)
-            if p.has_bias:
-                out[n.ref("bias")] = (p.out_channels,)
+            kernels = {"weight": (in_c, c, n.conv.kernel_h, n.conv.kernel_w)}
         elif n.kind is NodeKind.ASYM_CONV5:
-            c = n.conv.out_channels
-            out[n.ref("weight_5x1")] = (c, in_c, 5, 1)
-            out[n.ref("weight_1x5")] = (c, c, 1, 5)
-            if n.conv.has_bias:
-                out[n.ref("bias")] = (c,)
-        elif n.kind is NodeKind.BATCHNORM:
-            for role in ("gamma", "beta", "mean", "var"):
-                out[n.ref(role)] = (in_c,)
-        elif n.kind is NodeKind.PRELU:
-            out[n.ref("slopes")] = (in_c,)
+            kernels = {"weight_5x1": (c, in_c, 5, 1), "weight_1x5": (c, c, 1, 5)}
+        else:
+            kernels = {}
+        for role, key in n.weight_refs:
+            out[key] = kernels.get(role, (c,))
     return out
+
+
+def bn_params(n: NodeSpec, weights: dict[str, np.ndarray]) -> BnParams:
+    """A BATCHNORM node's statistics, read from the weight store by role."""
+    return BnParams(**{role: weights[key] for role, key in n.weight_refs},
+                    eps=n.bn_eps)
 
 
 def init_weights(g: Graph, seed: int = 0) -> dict[str, np.ndarray]:
@@ -489,9 +505,7 @@ def init_weights(g: Graph, seed: int = 0) -> dict[str, np.ndarray]:
         for role, key in n.weight_refs:
             shp = want[key]
             if role.startswith("weight"):
-                # (out, in, kh, kw), or (in, out, kh, kw) when transposed
-                out_axis = 1 if n.kind is NodeKind.CONV_TRANSPOSE else 0
-                fan_in = math.prod(shp) // shp[out_axis]
+                fan_in = math.prod(shp) // shp[out_axis(n.kind)]
                 store[key] = (rng.standard_normal(shp) / np.sqrt(fan_in)).astype(np.float32)
             elif role in ("bias", "beta", "mean"):
                 store[key] = np.zeros(shp, dtype=np.float32)

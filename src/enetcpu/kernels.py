@@ -51,7 +51,7 @@ is reproduced bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -142,12 +142,12 @@ class BnParams:
 
     def __post_init__(self):
         n = len(self.gamma)
-        for name in ("beta", "mean", "var"):
+        for name in _BN_STATS[1:]:
             if len(getattr(self, name)) != n:
                 raise ShapeError(f"batchnorm {name} length != gamma length {n}")
         if self.eps < 0:
             raise ShapeError(f"batchnorm eps must be >= 0, got {self.eps}")
-        for name in ("gamma", "beta", "mean", "var"):
+        for name in _BN_STATS:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ShapeError(f"batchnorm {name} is not finite")
         if np.any(np.asarray(self.var) < 0):
@@ -159,6 +159,9 @@ class BnParams:
         """Per-channel float64 gamma / sqrt(var + eps)."""
         return np.asarray(self.gamma, dtype=np.float64) / np.sqrt(
             np.asarray(self.var, dtype=np.float64) + self.eps)
+
+
+_BN_STATS = tuple(f.name for f in fields(BnParams) if f.name != "eps")
 
 
 def _chw(x: np.ndarray, what: str = "input") -> np.ndarray:

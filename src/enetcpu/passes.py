@@ -12,10 +12,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FoldError, ShapeError, ValidationError
-from .graph import Graph, NodeKind, NodeSpec, expected_weight_shapes
-from .kernels import BnParams
-
-_FOLDABLE_SOURCES = (NodeKind.CONV, NodeKind.CONV_TRANSPOSE, NodeKind.ASYM_CONV5)
+from .graph import (
+    CONV_KINDS,
+    Graph,
+    NodeKind,
+    NodeSpec,
+    bn_params,
+    expected_weight_shapes,
+    out_axis,
+)
 
 
 @dataclass(frozen=True)
@@ -49,14 +54,14 @@ def _drop_nodes(g: Graph, dead: set[int], redirect: dict[int, int],
                  num_classes=g.num_classes)
 
 
-def fold_batchnorm(g: Graph, weights: dict[str, np.ndarray], *,
-                   strict: bool = False) -> tuple[Graph, dict[str, np.ndarray], PassReport]:
+def fold_batchnorm(g: Graph, weights: dict[str, np.ndarray]) -> tuple[
+        Graph, dict[str, np.ndarray], PassReport]:
     """Fold every BatchNorm that directly follows a single-consumer conv into
     that conv's weights; the conv gains a bias if it had none.
 
-    BatchNorms that do not sit on a conv (the entry block's, which follows a
-    concat) are left in place; with strict=True they raise FoldError instead.
-    A BatchNorm whose statistics BnParams rejects raises FoldError, so the
+    BatchNorms that do not sit on such a conv (the entry block's, which
+    follows a concat) are left in place, with a note in the report.  A
+    BatchNorm whose statistics BnParams rejects raises FoldError, so the
     fused path refuses exactly what the unfused one does.
     """
     consumers = g.consumers()
@@ -70,58 +75,40 @@ def fold_batchnorm(g: Graph, weights: dict[str, np.ndarray], *,
         if n.kind is not NodeKind.BATCHNORM:
             continue
         src = g.node(n.inputs[0])
-        if src.kind not in _FOLDABLE_SOURCES:
-            why = f"{n.name}: input {src.name} is a {src.kind.value}, not a conv"
-            if strict:
-                raise FoldError(f"cannot fold {why}")
-            notes.append(f"kept {why}")
+        if src.kind not in CONV_KINDS:
+            notes.append(f"kept {n.name}: input {src.name} is a "
+                         f"{src.kind.value}, not a conv")
             continue
         if len(consumers[src.id]) != 1:
-            why = (f"{n.name}: conv {src.name} feeds {len(consumers[src.id])} "
-                   f"consumers, folding would corrupt the others")
-            if strict:
-                raise FoldError(f"cannot fold {why}")
-            notes.append(f"kept {why}")
+            notes.append(f"kept {n.name}: conv {src.name} feeds "
+                         f"{len(consumers[src.id])} consumers, folding would "
+                         f"corrupt the others")
             continue
         if src.id in patched:  # two BNs stacked on one conv never both fold
             notes.append(f"kept {n.name}: conv {src.name} already folded into")
             continue
 
         try:
-            bn = BnParams(gamma=weights[n.ref("gamma")], beta=weights[n.ref("beta")],
-                          mean=weights[n.ref("mean")], var=weights[n.ref("var")],
-                          eps=n.bn_eps)
+            bn = bn_params(n, weights)
         except ShapeError as e:
             raise FoldError(f"cannot fold {n.name}: {e}") from e
         scale = bn.scale()
 
-        if src.kind is NodeKind.ASYM_CONV5:
-            wkey = src.ref("weight_1x5")
-            axis = 0  # (out, mid, 1, 5)
-        elif src.kind is NodeKind.CONV_TRANSPOSE:
-            wkey = src.ref("weight")
-            axis = 1  # (in, out, kh, kw)
-        else:
-            wkey = src.ref("weight")
-            axis = 0  # (out, in, kh, kw)
-        w_old = new_store[wkey].astype(np.float64)
+        # the scale goes on the kernel applied last
+        wkey = src.ref("weight_1x5" if src.kind is NodeKind.ASYM_CONV5 else "weight")
         shape_bcast = [1, 1, 1, 1]
-        shape_bcast[axis] = len(scale)
+        shape_bcast[out_axis(src.kind)] = len(scale)
+        w_old = new_store[wkey].astype(np.float64)
         new_store[wkey] = (w_old * scale.reshape(shape_bcast)).astype(np.float32)
 
-        if src.conv.has_bias:
-            bias_key = src.ref("bias")
-            b_old = new_store[bias_key].astype(np.float64)
-            new_src = src
-        else:
-            bias_key = f"{src.name}.bias"
-            b_old = np.zeros(len(scale), dtype=np.float64)
-            new_src = replace(src, conv=replace(src.conv, has_bias=True),
-                              weight_refs=src.weight_refs + (("bias", bias_key),))
+        new_src = replace(src, conv=replace(src.conv, has_bias=True))
+        bias_key = new_src.ref("bias")
+        b_old = (new_store[bias_key].astype(np.float64) if src.conv.has_bias
+                 else np.zeros(len(scale), dtype=np.float64))
         new_store[bias_key] = ((b_old - bn.mean) * scale + bn.beta).astype(np.float32)
 
-        for role in ("gamma", "beta", "mean", "var"):
-            del new_store[n.ref(role)]
+        for _, key in n.weight_refs:
+            del new_store[key]
         patched[src.id] = new_src
         dead.add(n.id)
         redirect[n.id] = src.id

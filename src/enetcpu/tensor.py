@@ -62,9 +62,3 @@ def check_shape(shape: Shape) -> Shape:
         )
     return shape
 
-
-def approx_eq(a: np.ndarray, b: np.ndarray, atol: float = 1e-5, rtol: float = 1e-5) -> bool:
-    """Elementwise |a-b| <= atol + rtol*|b| over identically-shaped tensors."""
-    if a.shape != b.shape:
-        raise ShapeError(f"approx_eq shape mismatch: {a.shape} vs {b.shape}")
-    return bool(np.all(np.abs(a - b) <= atol + rtol * np.abs(b)))

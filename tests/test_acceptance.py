@@ -26,7 +26,7 @@ from enetcpu.kernels import ConvParams, conv2d, conv_transpose2d
 from enetcpu.passes import optimize
 from enetcpu.pnm import load_labelmap, save_ppm
 from enetcpu.runtime import execute, plan_buffers
-from enetcpu.tensor import Shape, approx_eq
+from enetcpu.tensor import Shape
 from reference import (
     rand_bias,
     rand_conv_weight,
@@ -197,7 +197,8 @@ def test_criterion_5_fusion_soundness():
         assert len(g2.nodes) < len(g.nodes)
         assert sum(len(r.removed) for r in reports) == len(g.nodes) - len(g2.nodes)
         assert not any(n.name.endswith(".ext.dropout") for n in g2.nodes)
-        assert approx_eq(fused, base, atol=1e-4, rtol=1e-4)
+        np.testing.assert_allclose(fused, base, rtol=1e-4, atol=1e-4,
+                                   equal_nan=False)
 
 
 def test_criterion_6_determinism_and_planned_execution():

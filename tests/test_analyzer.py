@@ -83,6 +83,14 @@ def test_transposed_conv_macs_use_input_elements():
     assert rep.total_macs == 16 * 8 * 8 * 19 * 4
 
 
+def test_asymmetric_conv_macs_sum_both_kernels():
+    c, h, w = 4, 6, 10
+    b = GraphBuilder(Shape(c, h, w))
+    g = b.build(b.asym_conv5("a", b.input_id, c))
+    # the 5x1 kernel reads the c input channels, the 1x5 its c mid channels
+    assert count_flops(g).total_macs == c * c * 5 * h * w + c * c * 5 * h * w
+
+
 def test_enet_total_macs_at_640x360():
     g = build_enet(19, 640, 360)
     rep = count_flops(g)

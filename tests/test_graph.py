@@ -269,8 +269,7 @@ def test_graph_storage_is_topological():
 
 def test_graph_rejects_forward_references_and_duplicates():
     n0 = NodeSpec(id=0, kind=NodeKind.INPUT, name="input", inputs=())
-    bad = NodeSpec(id=1, kind=NodeKind.PRELU, name="p", inputs=(5,),
-                   weight_refs=(("slopes", "p.slopes"),))
+    bad = NodeSpec(id=1, kind=NodeKind.PRELU, name="p", inputs=(5,))
     with pytest.raises(ValidationError):
         Graph(nodes=(n0, bad), input_shape=Shape(1, 2, 2))
     dup = NodeSpec(id=0, kind=NodeKind.PRELU, name="q", inputs=(0,))

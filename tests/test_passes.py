@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from enetcpu.errors import EnetError, FoldError
+from enetcpu.analyzer import count_flops, count_params
+from enetcpu.errors import EnetError, ExecutionError, FoldError
 from enetcpu.graph import (
     Graph,
     GraphBuilder,
@@ -17,7 +18,7 @@ from enetcpu.graph import (
 from enetcpu.kernels import ConvParams
 from enetcpu.passes import elide_dropout, fold_batchnorm, optimize, validate
 from enetcpu.runtime import execute
-from enetcpu.tensor import Shape, approx_eq
+from enetcpu.tensor import Shape
 
 F32 = np.float32
 
@@ -88,7 +89,7 @@ def test_fold_preserves_outputs_on_mixed_conv_kinds():
     xin = rng.random((4, 8, 8), dtype=F32)
     base = execute(g, w, xin)
     fused = execute(g2, w2, xin)
-    assert approx_eq(fused, base, atol=1e-5, rtol=1e-5)
+    np.testing.assert_allclose(fused, base, rtol=1e-5, atol=1e-5, equal_nan=False)
 
 
 def test_fold_skips_bn_after_non_conv_by_default():
@@ -101,8 +102,6 @@ def test_fold_skips_bn_after_non_conv_by_default():
     assert report.removed == ()
     assert any("bn" in note for note in report.notes)
     assert [n.name for n in g2.nodes] == [n.name for n in g.nodes]
-    with pytest.raises(FoldError, match="bn"):
-        fold_batchnorm(g, w, strict=True)
 
 
 def test_fold_refuses_shared_conv_output():
@@ -117,8 +116,6 @@ def test_fold_refuses_shared_conv_output():
     g2, _, report = fold_batchnorm(g, w)
     assert report.removed == ()
     assert any("shortcut" in note or "2 consumers" in note for note in report.notes)
-    with pytest.raises(FoldError):
-        fold_batchnorm(g, w, strict=True)
 
 
 def test_fold_enet_removes_all_but_the_post_concat_bn():
@@ -226,7 +223,7 @@ def test_full_network_equivalence_after_optimize():
     base = execute(g, w, x)
     fused = execute(g2, w2, x)
     assert base.shape == fused.shape == (19, 64, 64)
-    assert approx_eq(fused, base, atol=1e-4, rtol=1e-4)
+    np.testing.assert_allclose(fused, base, rtol=1e-4, atol=1e-4, equal_nan=False)
     assert len(g2.nodes) < len(g.nodes)
 
 
@@ -257,6 +254,22 @@ def test_validate_reports_weight_problems():
     extra = dict(w)
     extra["leftover.weight"] = np.zeros(3, dtype=F32)
     assert any("not referenced" in d for d in validate(g, extra))
+
+
+def test_conv_whose_params_gain_a_bias_binds_one():
+    g = build_enet(5, 64, 64)
+    w = init_weights(g, seed=0)
+    biased = Graph(nodes=tuple(
+        replace(n, conv=replace(n.conv, has_bias=True))
+        if n.name == "initial.conv" else n for n in g.nodes),
+        input_shape=g.input_shape, num_classes=g.num_classes)
+    diags = validate(biased, w)
+    assert len(diags) == 1 and diags[0].startswith(
+        "missing weight 'initial.conv.bias'"), diags
+    with pytest.raises(ExecutionError, match="initial.conv.bias"):
+        execute(biased, w, np.zeros((3, 64, 64), dtype=F32))
+    assert count_params(biased) == count_params(g) + 13
+    assert count_flops(biased).total_macs == count_flops(g).total_macs
 
 
 def test_validate_reports_detached_nodes():

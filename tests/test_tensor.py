@@ -1,10 +1,10 @@
-"""Tensor conventions: CHW layout, shape validation, approximate equality."""
+"""Tensor conventions: CHW layout and shape validation."""
 
 import numpy as np
 import pytest
 
 from enetcpu.errors import ShapeError
-from enetcpu.tensor import MAX_ELEMENTS, DType, Shape, approx_eq, check_shape
+from enetcpu.tensor import MAX_ELEMENTS, DType, Shape, check_shape
 
 
 def test_create_fills_and_counts():
@@ -35,18 +35,6 @@ def test_check_shape_rejects_bad_dims():
         check_shape(Shape(1, -1, 4))
     with pytest.raises(ShapeError):
         check_shape(Shape(1, MAX_ELEMENTS, 2))
-
-
-def test_approx_eq_tolerances():
-    a = np.array([[[1.0]]], dtype=np.float32)
-    b = np.array([[[1.0]]], dtype=np.float32)
-    assert approx_eq(a, b, atol=0.0, rtol=0.0)
-    c = np.array([[[1.001]]], dtype=np.float32)
-    assert approx_eq(c, b, atol=1e-2, rtol=0.0)
-    assert not approx_eq(c, b, atol=1e-4, rtol=1e-4)
-    assert approx_eq(c, b, atol=0.0, rtol=1.1e-3)
-    with pytest.raises(ShapeError):
-        approx_eq(a, np.ones((1, 1, 2), dtype=np.float32))
 
 
 def test_dtype_sizes():
