@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .enwt import container_size
 from .errors import FormatError
 from .graph import (
     CONV_KINDS,
@@ -22,7 +23,7 @@ from .graph import (
     expected_weight_shapes,
     infer_shapes,
 )
-from .tensor import Shape
+from .tensor import DType, Shape
 
 
 class FlopConvention(enum.Enum):
@@ -39,9 +40,6 @@ class FlopConvention(enum.Enum):
 # weightless elementwise kinds charged one MAC per output element
 _ELEMENTWISE = (NodeKind.BATCHNORM, NodeKind.PRELU, NodeKind.ADD,
                 NodeKind.MAXPOOL, NodeKind.MAX_UNPOOL)
-# data movement costs no arithmetic
-_FREE = (NodeKind.INPUT, NodeKind.OUTPUT, NodeKind.CONCAT,
-         NodeKind.PAD_CHANNELS, NodeKind.DROPOUT)
 
 
 @dataclass(frozen=True)
@@ -142,15 +140,10 @@ class SizeReport:
 
 def model_size_fp16(g: Graph) -> SizeReport:
     """Size of the model serialized with half-precision tensor payloads."""
-    want = expected_weight_shapes(g)
     params = count_params(g)
-    payload = 2 * params
-    container = 12  # magic + version + record count
-    for name, shp in want.items():
-        container += 2 + len(name.encode("utf-8")) + 1 + 1 + 4 * len(shp)
-    container += payload
-    return SizeReport(params=params, payload_bytes=payload,
-                      container_bytes=container)
+    return SizeReport(params=params, payload_bytes=DType.F16.itemsize * params,
+                      container_bytes=container_size(expected_weight_shapes(g),
+                                                     DType.F16))
 
 
 # ---------------------------------------------------------------------------

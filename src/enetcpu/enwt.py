@@ -8,6 +8,7 @@ offset where reading failed.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -64,6 +65,15 @@ def save_weights(weights: dict[str, np.ndarray], path,
     with open(path, "wb") as f:
         f.write(blob)
     return len(blob)
+
+
+def container_size(shapes: dict[str, tuple[int, ...]], dtype: DType) -> int:
+    """Bytes save_weights writes for tensors of these names and shapes."""
+    size = len(MAGIC) + 8  # then version and record count
+    for name, shape in shapes.items():
+        size += 2 + len(name.encode("utf-8")) + 1 + 1 + 4 * len(shape)
+        size += dtype.itemsize * math.prod(shape)
+    return size
 
 
 class _Reader:

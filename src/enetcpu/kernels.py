@@ -353,17 +353,12 @@ def conv_asymmetric5(x: np.ndarray, w5x1: np.ndarray, w1x5: np.ndarray,
     Padding is fixed at (2,0) and (0,2) so spatial dims are preserved; the
     optional bias lands after the second pass.
     """
-    if w5x1.ndim != 4 or w5x1.shape[2:] != (5, 1):
-        raise ShapeError(f"first kernel must be (*,*,5,1), got {w5x1.shape}")
-    if w1x5.ndim != 4 or w1x5.shape[2:] != (1, 5):
-        raise ShapeError(f"second kernel must be (*,*,1,5), got {w1x5.shape}")
-    mid = w5x1.shape[0]
-    if w1x5.shape[1] != mid:
-        raise ShapeError(
-            f"kernel chain mismatch: first produces {mid} channels, "
-            f"second consumes {w1x5.shape[1]}"
-        )
-    p1 = ConvParams(out_channels=mid, kernel_h=5, kernel_w=1, pad_h=2, pad_w=0)
+    # the params are read off the kernels, whose every other dimension
+    # conv2d checks on each pass
+    if w5x1.ndim != 4 or w1x5.ndim != 4:
+        raise ShapeError(f"kernels must be 4D, got ndim={w5x1.ndim} and {w1x5.ndim}")
+    p1 = ConvParams(out_channels=w5x1.shape[0], kernel_h=5, kernel_w=1,
+                    pad_h=2, pad_w=0)
     p2 = ConvParams(out_channels=w1x5.shape[0], kernel_h=1, kernel_w=5,
                     pad_h=0, pad_w=2, has_bias=bias is not None)
     return conv2d(conv2d(x, w5x1, None, p1), w1x5, bias, p2, out)

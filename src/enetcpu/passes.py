@@ -3,6 +3,8 @@
 Both passes are semantics-preserving at inference time: batch-norm folding
 rewrites conv weights so the normalization vanishes, and dropout elision
 removes identity nodes.  Node ids of surviving nodes never change.
+`validate` is the one gate on a graph and its weight store: `optimize` runs
+it before any fold reads a weight, and `execute` before any kernel does.
 """
 
 from __future__ import annotations
@@ -138,7 +140,14 @@ def elide_dropout(g: Graph) -> tuple[Graph, PassReport]:
 
 def optimize(g: Graph, weights: dict[str, np.ndarray]) -> tuple[
         Graph, dict[str, np.ndarray], tuple[PassReport, ...]]:
-    """Standard inference pipeline: fold batch norms, then drop dropout."""
+    """Standard inference pipeline: fold batch norms, then drop dropout.
+
+    The graph and store are first validated as `execute` validates them, and
+    a failure raises ValidationError with the same diagnostics, so the fused
+    path refuses every store the unfused one refuses."""
+    diags = validate(g, weights)
+    if diags:
+        raise ValidationError("graph failed validation: " + "; ".join(diags[:5]))
     g1, w1, rep1 = fold_batchnorm(g, weights)
     g2, rep2 = elide_dropout(g1)
     return g2, w1, (rep1, rep2)
@@ -156,29 +165,21 @@ def validate(g: Graph, weights: dict[str, np.ndarray]) -> list[str]:
     if n_outputs != 1:
         diags.append(f"graph must have exactly 1 output node, found {n_outputs}")
 
-    # reachability: forward from input, backward from output
+    # reachability in one sweep each way: every input is stored before its
+    # reader, so storage order is a topological order
     if n_inputs == 1 and n_outputs == 1:
-        consumers = g.consumers()
-        fwd: set[int] = set()
-        stack = [g.input_node.id]
-        while stack:
-            nid = stack.pop()
-            if nid in fwd:
-                continue
-            fwd.add(nid)
-            stack.extend(consumers[nid])
-        bwd: set[int] = set()
-        stack = [g.output_node.id]
-        while stack:
-            nid = stack.pop()
-            if nid in bwd:
-                continue
-            bwd.add(nid)
-            node = g.node(nid)
-            stack.extend(node.inputs)
-            # a dangling link is left for infer_shapes to report
-            if node.index_link in consumers:
-                stack.append(node.index_link)
+        fwd = {g.input_node.id}
+        for n in g.nodes:
+            if any(src in fwd for src in n.inputs):
+                fwd.add(n.id)
+        bwd = {g.output_node.id}
+        for n in reversed(g.nodes):
+            if n.id in bwd:
+                bwd.update(n.inputs)
+                # a link that dangles or points forward is left for
+                # infer_shapes to report
+                if n.index_link is not None:
+                    bwd.add(n.index_link)
         for n in g.nodes:
             if n.id not in fwd:
                 diags.append(f"node {n.id} ({n.name}) is unreachable from the input")

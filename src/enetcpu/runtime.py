@@ -16,6 +16,10 @@ once.  Apart from that copy, nothing is copied after a kernel returns.
 Without a plan every kernel returns a fresh array; that is the reference,
 and the two are bitwise identical, so a planning bug shows up as corrupted
 values (or poisoned NaNs in debug mode) instead of silent reuse.
+
+`execute` validates the graph against its weight store on every call,
+before any kernel reads a weight; there is no unchecked mode, so
+`benchmark` times the same call that inference makes.
 """
 
 from __future__ import annotations
@@ -162,27 +166,29 @@ def _node_value(n, weights, vals, pool_codes, shapes, out):
 
 
 def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
-            plan: Optional[ExecutionPlan] = None, *, check: bool = True,
-            poison: bool = False) -> np.ndarray:
+            plan: Optional[ExecutionPlan] = None, *, poison: bool = False
+            ) -> np.ndarray:
     """Run the graph over one input tensor and return the output tensor.
+
+    Every call first validates the graph against the weight store (see
+    passes.validate) and raises ExecutionError with its diagnostics before
+    any kernel runs; a compute node stored after the output's producer does
+    not contribute to the output and is refused there.  An input holding a
+    NaN or an infinity is refused with ExecutionError too.
 
     The output node's producer writes into the returned array.  With a plan,
     every other kernel writes into its view of one buffer allocated for this
     call; before the producer runs, its inputs in the buffer are copied out
-    and the buffer is dropped.  A compute node stored after the producer (an
-    invalid graph, run with check=False) raises ExecutionError, planned or
-    not.  poison=True additionally fills the buffer with NaN, overwrites each
-    value with NaN once its last reader has run and the whole buffer when it
-    is dropped, so any liveness bug turns into a loud failure.  Poison covers
-    values only: pooling window codes live outside the buffer and are dropped
-    after their last unpool, so a later reader finds them missing and raises
-    ExecutionError.  An input holding a NaN or an infinity is refused with
-    ExecutionError.
+    and the buffer is dropped.  poison=True additionally fills the buffer
+    with NaN, overwrites each value with NaN once its last reader has run and
+    the whole buffer when it is dropped, so any liveness bug turns into a
+    loud failure.  Poison covers values only: pooling window codes live
+    outside the buffer and are dropped after their last unpool, so a later
+    reader finds them missing and raises ExecutionError.
     """
-    if check:
-        diags = validate(g, weights)
-        if diags:
-            raise ExecutionError("graph failed validation: " + "; ".join(diags[:5]))
+    diags = validate(g, weights)
+    if diags:
+        raise ExecutionError("graph failed validation: " + "; ".join(diags[:5]))
     x = np.ascontiguousarray(x, dtype=np.float32)
     if x.ndim != 3 or Shape(*x.shape) != g.input_shape:
         raise ExecutionError(
@@ -222,10 +228,6 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
             if result is None:  # the output reads the graph input
                 result = vals[result_id].copy()
         else:
-            if result is not None:
-                raise ExecutionError(
-                    f"node {n.name} is stored after the output's producer "
-                    f"{g.node(result_id).name}")
             out = None  # planned: the node's view of the buffer, which its kernel fills
             if n.id == result_id:
                 if arena is not None:
@@ -292,26 +294,22 @@ class BenchResult:
 
 def benchmark(g: Graph, weights: dict[str, np.ndarray], input_shape: Shape,
               warmup: int = 1, iters: int = 5) -> BenchResult:
-    """Time planned execution of the graph over a fixed random input."""
+    """Time planned execution of the graph over a fixed random input: each
+    warmup and timed pass is the same checked `execute` call inference makes."""
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
     if warmup < 0:
         raise ValueError(f"warmup must be >= 0, got {warmup}")
     input_shape = Shape(*input_shape)
-    if input_shape != g.input_shape:
-        raise ExecutionError(
-            f"benchmark shape {input_shape} does not match graph input "
-            f"{g.input_shape}")
     rng = np.random.default_rng(0)
     x = rng.random(tuple(input_shape), dtype=np.float32)
     plan = plan_buffers(g)
-    execute(g, weights, x, plan)  # one checked pass; timed passes skip checks
     for _ in range(warmup):
-        execute(g, weights, x, plan, check=False)
+        execute(g, weights, x, plan)
     times = []
     for _ in range(iters):
         t0 = time.perf_counter()
-        execute(g, weights, x, plan, check=False)
+        execute(g, weights, x, plan)
         times.append((time.perf_counter() - t0) * 1000.0)
     return BenchResult(shape=input_shape, warmup=warmup, iters=iters,
                        mean_ms=float(np.mean(times)), std_ms=float(np.std(times)),

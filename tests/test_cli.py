@@ -228,6 +228,23 @@ def test_non_finite_bn_weight_exits_2_fused_and_unfused(tmp_path, capsys):
             assert not labels.exists()
 
 
+def test_missing_bn_weight_exits_2_fused_and_unfused(tmp_path, capsys):
+    good, image = tmp_path / "m.enwt", tmp_path / "in.ppm"
+    _write_image(image, h=32, w=32)
+    run(capsys, "build", "--classes", 5, "--out", good)
+    store = load_weights(good)
+    del store["bottleneck1.0.ext.proj_bn.var"]
+    model = tmp_path / "missing.enwt"
+    save_weights(store, model)
+    for flags in ([], ["--no-fuse"]):
+        labels = tmp_path / f"out{len(flags)}.pgm"
+        code, _, err = run(capsys, "infer", "--model", model, "--image", image,
+                           "--out", labels, *flags)
+        assert code == 2, (flags, err)
+        assert "missing weight 'bottleneck1.0.ext.proj_bn.var'" in err
+        assert "Traceback" not in err and not labels.exists()
+
+
 def test_model_without_classifier_bias_exits_2(tmp_path, capsys):
     model = tmp_path / "notenet.enwt"
     save_weights({"x": np.float32([1.0, 2.0])}, model)

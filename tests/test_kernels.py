@@ -542,6 +542,10 @@ def test_conv_asymmetric5_rejects_wrong_kernel_shapes():
         conv_asymmetric5(x, np.ones((2, 2, 3, 1), dtype=F32), good1x5, None)
     with pytest.raises(ShapeError):
         conv_asymmetric5(x, good5x1, np.ones((2, 2, 5, 1), dtype=F32), None)
+    with pytest.raises(ShapeError):  # chain: 2 channels out, 3 expected in
+        conv_asymmetric5(x, good5x1, np.ones((2, 3, 1, 5), dtype=F32), None)
+    with pytest.raises(ShapeError):
+        conv_asymmetric5(x, np.float32(1.0), good1x5, None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Optimization passes: batch-norm folding math, dropout elision, pass
 composition, and structural validation diagnostics."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from enetcpu.graph import (
 )
 from enetcpu.kernels import ConvParams
 from enetcpu.passes import elide_dropout, fold_batchnorm, optimize, validate
-from enetcpu.runtime import execute
+from enetcpu.runtime import execute, plan_buffers
 from enetcpu.tensor import Shape
 
 F32 = np.float32
@@ -158,6 +159,33 @@ def test_negative_bn_variance_fails_loudly_fused_and_unfused(role, value):
     with pytest.raises(EnetError, match="bottleneck2.3.ext.conv_bn"):
         fg, fw, _ = optimize(g, w)
         execute(fg, fw, x)
+
+
+# one key per weight role: conv, transposed-conv and asymmetric kernels, a
+# conv bias, the statistics of a folded BN and of the kept entry BN, a slope
+_ROLE_KEYS = ("initial.conv.weight", "bottleneck4.0.ext.deconv.weight",
+              "fullconv.bias", "bottleneck2.3.ext.asym.weight_5x1",
+              "bottleneck2.3.ext.asym.weight_1x5",
+              "bottleneck1.0.ext.proj_bn.gamma", "bottleneck1.0.ext.proj_bn.beta",
+              "bottleneck1.0.ext.proj_bn.mean", "bottleneck1.0.ext.proj_bn.var",
+              "initial.bn.var", "bottleneck1.0.ext.proj_prelu.slopes")
+
+
+@pytest.mark.parametrize("corruption", ["deleted", "float16", "float64", "int32"])
+@pytest.mark.parametrize("key", _ROLE_KEYS)
+def test_fused_and_unfused_refuse_a_bad_weight_alike(key, corruption):
+    g = build_enet(5, 32, 32)
+    w = init_weights(g, seed=0)
+    if corruption == "deleted":
+        del w[key]
+    else:
+        w[key] = w[key].astype(corruption)
+    x = np.random.default_rng(0).random((3, 32, 32), dtype=F32)
+    with pytest.raises(EnetError, match=re.escape(repr(key))):
+        execute(g, w, x)
+    with pytest.raises(EnetError, match=re.escape(repr(key))):
+        fg, fw, _ = optimize(g, w)
+        execute(fg, fw, x, plan_buffers(fg))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from enetcpu import kernels, runtime
+from enetcpu import kernels, passes, runtime
 from enetcpu.errors import ExecutionError, ShapeError
 from enetcpu.graph import (
     GraphBuilder,
@@ -371,9 +371,9 @@ def test_planned_equals_unplanned_when_the_output_producer_reads_the_buffer():
 
 @pytest.mark.parametrize("mode", ["unplanned", "planned", "poisoned"])
 def test_a_node_stored_after_the_output_producer_is_refused(mode, monkeypatch):
-    # `late` reads a value the output producer also reads, so the buffer is
-    # dropped while it is still to run; without validation it must fail
-    # before its kernel is called, not write into the dropped buffer
+    # `late` reads a value the output producer also reads, so a planned run
+    # would drop the buffer while it is still to run; validation refuses it
+    # before any kernel is called, planned, poisoned or not
     b = GraphBuilder(Shape(4, 8, 8))
     a = b.conv("a", b.input_id, ConvParams(out_channels=4, kernel_h=1, kernel_w=1))
     act = b.prelu("act", a)
@@ -382,15 +382,12 @@ def test_a_node_stored_after_the_output_producer_is_refused(mode, monkeypatch):
     w = init_weights(g, seed=0)
     x = np.random.default_rng(8).random((4, 8, 8), dtype=F32)
     plan = None if mode == "unplanned" else plan_buffers(g)
-    with pytest.raises(ExecutionError, match="late.*does not contribute"):
-        execute(g, w, x, plan)
     calls = []
     monkeypatch.setattr(runtime, "conv2d",
                         lambda *args, **kw: calls.append(1) or kernels.conv2d(*args, **kw))
-    with pytest.raises(ExecutionError,
-                       match="node late is stored after the output's producer act"):
-        execute(g, w, x, plan, check=False, poison=mode == "poisoned")
-    assert len(calls) == 1  # `a` only
+    with pytest.raises(ExecutionError, match="late.*does not contribute"):
+        execute(g, w, x, plan, poison=mode == "poisoned")
+    assert calls == []
 
 
 def test_transposed_conv_with_unequal_pads_has_the_inferred_shape():
@@ -546,6 +543,17 @@ def test_benchmark_reports_median_and_min():
     res = benchmark(g, w, Shape(3, 64, 64), warmup=0, iters=4)
     assert 0.0 < res.min_ms <= res.median_ms
     assert res.min_ms <= res.mean_ms
+
+
+def test_benchmark_times_the_checked_call(monkeypatch):
+    # every warmup and timed pass validates, as inference does
+    g = _chain_graph()
+    w = init_weights(g, seed=0)
+    calls = []
+    monkeypatch.setattr(runtime, "validate",
+                        lambda *args: calls.append(1) or passes.validate(*args))
+    benchmark(g, w, g.input_shape, warmup=1, iters=3)
+    assert len(calls) == 4
 
 
 def test_benchmark_validates_arguments():
