@@ -199,9 +199,8 @@ def _cmd_bench(args) -> int:
     print(f"mean {res.mean_ms:.2f} ms  std {res.std_ms:.2f} ms  "
           f"median {res.median_ms:.2f} ms  min {res.min_ms:.2f} ms  "
           f"{res.fps:.1f} fps")
-    plan = plan_buffers(g)
-    print(f"arena {plan.peak_bytes / 1e6:.2f} MB  "
-          f"live-set bound {plan.live_bytes / 1e6:.2f} MB")
+    print(f"arena {res.plan.peak_bytes / 1e6:.2f} MB  "
+          f"live-set bound {res.plan.live_bytes / 1e6:.2f} MB")
     return 0
 
 

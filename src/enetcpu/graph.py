@@ -119,12 +119,13 @@ class Graph:
 
     nodes: tuple[NodeSpec, ...]
     input_shape: Shape
-    num_classes: int = 0
 
     def __post_init__(self):
         seen_ids: set[int] = set()
         seen_names: set[str] = set()
         for n in self.nodes:
+            if n.id < 0:  # the runtime keys a pool's window codes by ~id
+                raise ValidationError(f"negative node id {n.id}")
             if n.id in seen_ids:
                 raise ValidationError(f"duplicate node id {n.id}")
             if n.name in seen_names:
@@ -170,10 +171,9 @@ class Graph:
 class GraphBuilder:
     """Append-only construction of a Graph in topological order."""
 
-    def __init__(self, input_shape: Shape, num_classes: int = 0):
+    def __init__(self, input_shape: Shape):
         check_shape(Shape(*input_shape))
         self.input_shape = Shape(*input_shape)
-        self.num_classes = num_classes
         self._nodes: list[NodeSpec] = []
         self.input_id = self._append(NodeKind.INPUT, "input", ())
 
@@ -234,8 +234,7 @@ class GraphBuilder:
 
     def build(self, final: int) -> Graph:
         self._append(NodeKind.OUTPUT, "output", (final,))
-        return Graph(nodes=tuple(self._nodes), input_shape=self.input_shape,
-                     num_classes=self.num_classes)
+        return Graph(nodes=tuple(self._nodes), input_shape=self.input_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +338,7 @@ def build_enet(num_classes: int, input_h: int, input_w: int) -> Graph:
         raise BuildError(
             f"input dims must be divisible by 8, got {input_h}x{input_w}"
         )
-    b = GraphBuilder(Shape(3, input_h, input_w), num_classes=num_classes)
+    b = GraphBuilder(Shape(3, input_h, input_w))
     x = build_initial_block(b)
 
     # stage 1: downsample to 64 channels, then 4 regular blocks

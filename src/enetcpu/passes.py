@@ -52,8 +52,7 @@ def _drop_nodes(g: Graph, dead: set[int], redirect: dict[int, int],
         if new_inputs != n.inputs:
             n = replace(n, inputs=new_inputs)
         kept.append(n)
-    return Graph(nodes=tuple(kept), input_shape=g.input_shape,
-                 num_classes=g.num_classes)
+    return Graph(nodes=tuple(kept), input_shape=g.input_shape)
 
 
 def fold_batchnorm(g: Graph, weights: dict[str, np.ndarray]) -> tuple[
@@ -64,7 +63,8 @@ def fold_batchnorm(g: Graph, weights: dict[str, np.ndarray]) -> tuple[
     BatchNorms that do not sit on such a conv (the entry block's, which
     follows a concat) are left in place, with a note in the report.  A
     BatchNorm whose statistics BnParams rejects raises FoldError, so the
-    fused path refuses exactly what the unfused one does.
+    fused path refuses exactly what the unfused one does, and so does a
+    fold whose folded weight or bias is not finite in float32.
     """
     consumers = g.consumers()
     new_store = dict(weights)
@@ -96,8 +96,8 @@ def fold_batchnorm(g: Graph, weights: dict[str, np.ndarray]) -> tuple[
             raise FoldError(f"cannot fold {n.name}: {e}") from e
         scale = bn.scale()
 
-        # the scale goes on the kernel applied last
-        wkey = src.ref("weight_1x5" if src.kind is NodeKind.ASYM_CONV5 else "weight")
+        # the scale goes on the kernel applied last; roles list them in order
+        wkey = [key for role, key in src.weight_refs if role != "bias"][-1]
         shape_bcast = [1, 1, 1, 1]
         shape_bcast[out_axis(src.kind)] = len(scale)
         w_old = new_store[wkey].astype(np.float64)
@@ -108,6 +108,9 @@ def fold_batchnorm(g: Graph, weights: dict[str, np.ndarray]) -> tuple[
         b_old = (new_store[bias_key].astype(np.float64) if src.conv.has_bias
                  else np.zeros(len(scale), dtype=np.float64))
         new_store[bias_key] = ((b_old - bn.mean) * scale + bn.beta).astype(np.float32)
+        for key in (wkey, bias_key):
+            if not np.isfinite(new_store[key]).all():
+                raise FoldError(f"cannot fold {n.name}: folded {key!r} is not finite")
 
         for _, key in n.weight_refs:
             del new_store[key]

@@ -2,8 +2,9 @@
 and latency measurement.
 
 Planning packs every intermediate value into one float32 buffer by byte
-offset.  A value is live from its producer's position to its last reader's;
-values are placed largest first, each into the smallest gap left by the
+offset.  Values and maxpool window codes (kept outside the buffer) share one
+liveness map: each is live from its producer's position to its last reader's.
+Values are placed largest first, each into the smallest gap left by the
 already-placed values whose lifetimes overlap its own (greedy by size,
 Pisarchyk & Lee, arXiv 2001.03288).  A node's lifetime overlaps its inputs',
 so no kernel writes over what it reads.  With a plan, every compute node's
@@ -13,9 +14,9 @@ kernel but the last writes into its view of the buffer through the kernel's
 drops the buffer, and only then allocates the array it returns, which that
 kernel writes straight into, so the buffer and the output are never held at
 once.  Apart from that copy, nothing is copied after a kernel returns.
-Without a plan every kernel returns a fresh array; that is the reference,
-and the two are bitwise identical, so a planning bug shows up as corrupted
-values (or poisoned NaNs in debug mode) instead of silent reuse.
+Without a plan every kernel returns a fresh array; that is the reference, and
+the two are bitwise identical, so a planning bug shows up as corrupted values
+(or poisoned NaNs in debug mode) instead of silent reuse.
 
 `execute` validates the graph against its weight store on every call,
 before any kernel reads a weight; there is no unchecked mode, so
@@ -64,8 +65,8 @@ class ExecutionPlan:
     the values live at any one node, a lower bound for any packing;
     no_reuse_bytes is what holding every planned value alive would cost.
     The output node's producer has no offset: it writes into the array
-    `execute` returns.  Pool nodes in `retained` keep their window codes
-    alive past normal liveness because a later unpool consumes them.
+    `execute` returns.  `retained` names the pools whose window codes some
+    unpool reads; the codes of the others are dropped as soon as they exist.
     """
 
     order: tuple[int, ...]
@@ -76,24 +77,24 @@ class ExecutionPlan:
     retained: frozenset[int]
 
 
-def _last_uses(g: Graph) -> tuple[dict[int, int], dict[int, int]]:
-    """Liveness over storage order: for each value id, the position of its
-    last reader; for each maxpool id, the position of the last unpool that
-    reads its window codes."""
-    last_use: dict[int, int] = {}
-    idx_last_use: dict[int, int] = {}
-    for i, n in enumerate(g.nodes):
-        for src in n.inputs:
-            last_use[src] = i
-        if n.kind is NodeKind.MAX_UNPOOL and n.index_link is not None:
-            idx_last_use[n.index_link] = i
-    return last_use, idx_last_use
+def _reads(n) -> tuple[int, ...]:
+    """Keys of the live arrays a node reads: its inputs, and for an unpool
+    the window codes of its pool, kept under the key ~pool_id."""
+    if n.kind is NodeKind.MAX_UNPOOL:
+        return (*n.inputs, ~n.index_link)
+    return n.inputs
+
+
+def _last_uses(g: Graph) -> dict[int, int]:
+    """Liveness over storage order: for each key a node reads (see _reads),
+    the position of its last reader."""
+    return {key: i for i, n in enumerate(g.nodes) for key in _reads(n)}
 
 
 def plan_buffers(g: Graph) -> ExecutionPlan:
     """Greedy-by-size offset assignment over liveness intervals."""
     shapes = infer_shapes(g)
-    last_use, idx_last_use = _last_uses(g)
+    last_use = _last_uses(g)
     result_id = g.output_node.inputs[0]
 
     values = []  # (bytes, first, last, id); first and last positions inclusive
@@ -125,12 +126,13 @@ def plan_buffers(g: Graph) -> ExecutionPlan:
                          peak_bytes=max((end for _, end, _, _ in placed), default=0),
                          live_bytes=max(live, default=0),
                          no_reuse_bytes=sum(v[0] for v in values),
-                         retained=frozenset(idx_last_use))
+                         retained=frozenset(~k for k in last_use if k < 0))
 
 
-def _node_value(n, weights, vals, pool_codes, shapes, out):
+def _node_value(n, weights, vals, shapes, out):
     """Run one node's kernel into `out` (a fresh array when None) and return
-    its output array; a maxpool also parks its window codes in pool_codes."""
+    its output array; a maxpool also stores its window codes in vals, under
+    the key ~n.id."""
     a = vals[n.inputs[0]] if n.inputs else None
     if n.kind in CONV_KINDS:
         bias = weights[n.ref("bias")] if n.conv.has_bias else None
@@ -141,14 +143,14 @@ def _node_value(n, weights, vals, pool_codes, shapes, out):
         return conv(a, weights[n.ref("weight")], bias, n.conv, out=out)
     if n.kind is NodeKind.MAXPOOL:
         res = maxpool2x2(a, out=out)
-        pool_codes[n.id] = res.codes
+        vals[~n.id] = res.codes
         return res.values
     if n.kind is NodeKind.MAX_UNPOOL:
-        if n.index_link not in pool_codes:
+        if ~n.index_link not in vals:
             raise ExecutionError(
                 f"pooling indices of node {n.index_link} are not available")
         out_shape = shapes[n.id]
-        return max_unpool2x2(a, pool_codes[n.index_link], out_shape.height,
+        return max_unpool2x2(a, vals[~n.index_link], out_shape.height,
                              out_shape.width, out=out)
     if n.kind is NodeKind.BATCHNORM:
         return batchnorm_infer(a, graph.bn_params(n, weights), out=out)
@@ -183,8 +185,8 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
     with NaN, overwrites each value with NaN once its last reader has run and
     the whole buffer when it is dropped, so any liveness bug turns into a
     loud failure.  Poison covers values only: pooling window codes live
-    outside the buffer and are dropped after their last unpool, so a later
-    reader finds them missing and raises ExecutionError.
+    outside the buffer, under the same liveness as the values, so a reader
+    after their last unpool finds them missing and raises ExecutionError.
     """
     diags = validate(g, weights)
     if diags:
@@ -200,7 +202,7 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
                              f"(NaN or infinity)")
 
     shapes = infer_shapes(g)
-    last_use, idx_last_use = _last_uses(g)
+    last_use = _last_uses(g)
     result_id = g.output_node.inputs[0]
 
     arena = None
@@ -217,8 +219,7 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
         if poison:
             arena.fill(np.nan)
 
-    vals: dict[int, np.ndarray] = {}
-    pool_codes: dict[int, np.ndarray] = {}
+    vals: dict[int, np.ndarray] = {}  # live values and window codes, by key
     result: Optional[np.ndarray] = None
 
     for i, n in enumerate(g.nodes):
@@ -231,11 +232,11 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
             out = None  # planned: the node's view of the buffer, which its kernel fills
             if n.id == result_id:
                 if arena is not None:
-                    # only the producer's inputs are still needed: copy those
-                    # that live in the buffer out of it and drop the buffer,
+                    # only what the producer reads is still needed: copy what
+                    # lives in the buffer out of it and drop the buffer,
                     # so the returned array is never allocated on top of it
-                    vals = {src: vals[src].copy() if src in plan.offset_of
-                            else vals[src] for src in set(n.inputs)}
+                    vals = {key: vals[key].copy() if key in plan.offset_of
+                            else vals[key] for key in _reads(n)}
                     if poison:  # a view left behind would now read NaN
                         arena.fill(np.nan)
                     arena = None
@@ -247,21 +248,17 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
                 out = arena[start: start + shapes[n.id].count].reshape(
                     tuple(shapes[n.id]))
             try:
-                vals[n.id] = _node_value(n, weights, vals, pool_codes, shapes, out)
+                vals[n.id] = _node_value(n, weights, vals, shapes, out)
             except EnetError as e:
                 raise type(e)(f"node {n.name}: {e}") from e
 
-        # free values/codes whose last consumer just ran, and at once the
-        # codes of a pool that no unpool reads
-        if n.kind is NodeKind.MAXPOOL and n.id not in idx_last_use:
-            del pool_codes[n.id]
-        for src in set(n.inputs):
-            if last_use[src] == i and src in vals:
-                if poison and arena is not None and src in plan.offset_of:
-                    vals[src][...] = np.nan
-                del vals[src]
-        if idx_last_use.get(n.index_link) == i:
-            del pool_codes[n.index_link]
+        # drop what this node read last, and a pool's codes no unpool reads
+        done = (*_reads(n), ~n.id) if n.kind is NodeKind.MAXPOOL else _reads(n)
+        for key in set(done):
+            if last_use.get(key, i) == i:
+                if poison and arena is not None and key in plan.offset_of:
+                    vals[key][...] = np.nan
+                del vals[key]
 
     return result
 
@@ -277,7 +274,7 @@ def argmax_labels(logits: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BenchResult:
-    """Latency measurement for one graph at one resolution."""
+    """Latency measurement for one graph at one resolution, and its plan."""
 
     shape: Shape
     warmup: int
@@ -286,6 +283,7 @@ class BenchResult:
     std_ms: float
     median_ms: float
     min_ms: float
+    plan: ExecutionPlan
 
     @property
     def fps(self) -> float:
@@ -314,4 +312,4 @@ def benchmark(g: Graph, weights: dict[str, np.ndarray], input_shape: Shape,
     return BenchResult(shape=input_shape, warmup=warmup, iters=iters,
                        mean_ms=float(np.mean(times)), std_ms=float(np.std(times)),
                        median_ms=float(np.median(times)),
-                       min_ms=float(np.min(times)))
+                       min_ms=float(np.min(times)), plan=plan)

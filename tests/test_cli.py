@@ -1,12 +1,13 @@
 """End-to-end command-line tests: the build/analyze/infer/bench pipeline,
 frozen report numbers, and the 0/1/2 exit-code contract."""
 
+import re
 import subprocess
 import sys
 
 import numpy as np
 
-from enetcpu import cli
+from enetcpu import cli, runtime
 from enetcpu.cli import main
 from enetcpu.enwt import load_weights, save_weights
 from enetcpu.pnm import load_labelmap, load_ppm, save_ppm
@@ -169,6 +170,24 @@ def test_bench_times_the_fused_graph_unless_no_fuse(tmp_path, capsys, monkeypatc
     assert code == 0 and err == ""
     assert "graph: 315 nodes (fusion disabled)" in out
     assert timed == [205, 315]
+
+
+def test_bench_plans_the_graph_once(tmp_path, capsys, monkeypatch):
+    # the arena figures come from the plan the timed passes ran on
+    planned = []
+    for module in (runtime, cli):
+        def counting(g, real=module.plan_buffers):
+            planned.append(len(g.nodes))
+            return real(g)
+        monkeypatch.setattr(module, "plan_buffers", counting)
+    model = tmp_path / "m.enwt"
+    run(capsys, "build", "--classes", 5, "--out", model)
+    code, out, err = run(capsys, "bench", "--model", model, "--height", 32,
+                         "--width", 32, "--warmup", 0, "--iters", 1)
+    assert code == 0 and err == ""
+    assert planned == [205]
+    assert re.search(r"^arena \d+\.\d\d MB  live-set bound \d+\.\d\d MB$",
+                     out, re.M), out
 
 
 def test_data_errors_exit_2(tmp_path, capsys):

@@ -254,7 +254,7 @@ def test_enet_build_is_deterministic():
     a = build_enet(19, 256, 256)
     b = build_enet(19, 256, 256)
     assert a.nodes == b.nodes
-    assert a.input_shape == b.input_shape and a.num_classes == b.num_classes
+    assert a.input_shape == b.input_shape
 
 
 def test_graph_storage_is_topological():
@@ -275,6 +275,14 @@ def test_graph_rejects_forward_references_and_duplicates():
     dup = NodeSpec(id=0, kind=NodeKind.PRELU, name="q", inputs=(0,))
     with pytest.raises(ValidationError):
         Graph(nodes=(n0, dup), input_shape=Shape(1, 2, 2))
+
+
+def test_graph_rejects_negative_ids():
+    # the runtime keys a pool's window codes by ~id, which must never be a
+    # node id
+    n0 = NodeSpec(id=-1, kind=NodeKind.INPUT, name="input", inputs=())
+    with pytest.raises(ValidationError, match="negative node id -1"):
+        Graph(nodes=(n0,), input_shape=Shape(1, 2, 2))
 
 
 # ---------------------------------------------------------------------------

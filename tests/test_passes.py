@@ -144,6 +144,22 @@ def test_fold_rejects_bad_bn_statistics_naming_the_node(role, value):
         fold_batchnorm(g, w)
 
 
+def test_fold_refuses_a_folded_weight_that_overflows_float32():
+    # a huge but finite gamma folds into a kernel float32 cannot hold; the
+    # fold must say so rather than leave an inf for `execute` to blame on a
+    # conv weight the caller never set.  On this store the unfused path,
+    # which scales activations instead, still returns finite logits
+    g = build_enet(5, 32, 32)
+    w = init_weights(g, seed=0)
+    w["bottleneck5.1.ext.expand_bn.gamma"][:] = 3e38
+    with np.errstate(over="ignore"), pytest.raises(
+            FoldError, match="cannot fold bottleneck5.1.ext.expand_bn: folded "
+                             "'bottleneck5.1.ext.expand.weight' is not finite"):
+        optimize(g, w)
+    x = np.random.default_rng(0).random((3, 32, 32), dtype=F32)
+    assert np.isfinite(execute(g, w, x)).all()
+
+
 @pytest.mark.parametrize("role,value", [("var", -0.5), ("gamma", np.nan),
                                         ("mean", np.inf), ("beta", np.nan),
                                         ("var", -1e-6)])  # var + eps > 0
@@ -290,7 +306,7 @@ def test_conv_whose_params_gain_a_bias_binds_one():
     biased = Graph(nodes=tuple(
         replace(n, conv=replace(n.conv, has_bias=True))
         if n.name == "initial.conv" else n for n in g.nodes),
-        input_shape=g.input_shape, num_classes=g.num_classes)
+        input_shape=g.input_shape)
     diags = validate(biased, w)
     assert len(diags) == 1 and diags[0].startswith(
         "missing weight 'initial.conv.bias'"), diags
@@ -321,8 +337,7 @@ def test_validate_reports_bad_unpool_link():
         bad_nodes = tuple(
             replace(n, index_link=link) if n.name == "up" else n for n in g.nodes
         )
-        bad = Graph(nodes=bad_nodes, input_shape=g.input_shape,
-                    num_classes=g.num_classes)
+        bad = Graph(nodes=bad_nodes, input_shape=g.input_shape)
         diags = validate(bad, {})
         assert len(diags) == 1 and "up" in diags[0] and why in diags[0], diags
 

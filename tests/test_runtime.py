@@ -286,6 +286,23 @@ def test_window_codes_live_until_the_last_unpool_that_reads_them():
         np.testing.assert_array_equal(got.view(np.int32), plain.view(np.int32))
 
 
+def test_window_codes_outlive_the_buffer_when_an_unpool_makes_the_output():
+    # the output's producer runs after the buffer is dropped; the codes it
+    # reads live outside the buffer and must still be there
+    b = GraphBuilder(Shape(4, 8, 8))
+    pre = b.conv("pre", b.input_id,
+                 ConvParams(out_channels=4, kernel_h=1, kernel_w=1))
+    pool = b.maxpool("pool", pre)
+    mid = b.conv("mid", pool, ConvParams(out_channels=4, kernel_h=1, kernel_w=1))
+    g = b.build(b.max_unpool("up", mid, pool))
+    w = init_weights(g, seed=0)
+    x = np.random.default_rng(8).random((4, 8, 8), dtype=F32)
+    plan = plan_buffers(g)
+    plain = execute(g, w, x)
+    for got in (execute(g, w, x, plan), execute(g, w, x, plan, poison=True)):
+        np.testing.assert_array_equal(got.view(np.int32), plain.view(np.int32))
+
+
 def _random_graph_ending_in_two_buffered_inputs(seed):
     """A seeded random chain over convolutions, transposed convolutions,
     maxpool/unpool pairs, concat, pad_channels, PReLU and add, each node
