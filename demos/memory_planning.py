@@ -20,7 +20,7 @@ def main():
 
     plan = plan_buffers(g)
     print(f"{len(g.nodes)} nodes, {len(plan.offset_of)} values packed into one buffer "
-          f"(the output is written straight into the returned array)")
+          f"(the output's producer and what it reads are fresh arrays)")
     print(f"arena (buffer size)    : {plan.peak_bytes / 1e6:8.2f} MB")
     print(f"live-set lower bound   : {plan.live_bytes / 1e6:8.2f} MB "
           f"(most bytes live at any one node)")
@@ -47,7 +47,7 @@ def main():
     planned, planned_peak = traced(plan)
     print(f"planned peak           : {planned_peak / 1e6:8.2f} MB "
           f"(tracemalloc over one execute; the buffer is dropped before "
-          f"the output is allocated)")
+          f"the output's producer runs, with nothing to copy out)")
     print(f"unplanned peak         : {plain_peak / 1e6:8.2f} MB")
     poisoned = execute(g, store, x, plan, poison=True)
     same = (np.array_equal(plain, planned)

@@ -397,22 +397,18 @@ def maxpool2x2(x: np.ndarray, out: Optional[np.ndarray] = None) -> PoolResult:
 
 
 def max_unpool2x2(values: np.ndarray, codes: np.ndarray,
-                  out_h: int, out_w: int,
                   out: Optional[np.ndarray] = None) -> np.ndarray:
     """Put each pooled value back at the cell of its 2x2 window that its
-    window code 0..3 (2*row + col) names; every other cell is +0.0."""
+    window code 0..3 (2*row + col) names; every other cell is +0.0.  The
+    output is (c, 2h, 2w) for (c, h, w) values."""
     values = _chw(values, "unpool values")
     if codes.dtype != np.uint8 or codes.shape != values.shape:
         raise ShapeError(f"window codes must be uint8 of shape {values.shape}, "
                          f"got {codes.dtype} {codes.shape}")
     c, h, w = values.shape
-    if out_h != 2 * h or out_w != 2 * w:
-        raise ShapeError(
-            f"unpool target {out_h}x{out_w} must be exactly double {h}x{w}"
-        )
     if codes.size and codes.max() > 3:
         raise CorruptIndicesError(f"window code {codes.max()} is not in 0..3")
-    out = _out(out, (c, out_h, out_w))
+    out = _out(out, (c, 2 * h, 2 * w))
     zero = np.zeros((), dtype=F32)
     for k in range(4):  # each cell view is written once
         _select(codes == k, values, zero, out[:, k >> 1::2, k & 1::2])

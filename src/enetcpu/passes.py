@@ -86,9 +86,6 @@ def fold_batchnorm(g: Graph, weights: dict[str, np.ndarray]) -> tuple[
                          f"{len(consumers[src.id])} consumers, folding would "
                          f"corrupt the others")
             continue
-        if src.id in patched:  # two BNs stacked on one conv never both fold
-            notes.append(f"kept {n.name}: conv {src.name} already folded into")
-            continue
 
         try:
             bn = bn_params(n, weights)
@@ -101,13 +98,15 @@ def fold_batchnorm(g: Graph, weights: dict[str, np.ndarray]) -> tuple[
         shape_bcast = [1, 1, 1, 1]
         shape_bcast[out_axis(src.kind)] = len(scale)
         w_old = new_store[wkey].astype(np.float64)
-        new_store[wkey] = (w_old * scale.reshape(shape_bcast)).astype(np.float32)
-
         new_src = replace(src, conv=replace(src.conv, has_bias=True))
         bias_key = new_src.ref("bias")
         b_old = (new_store[bias_key].astype(np.float64) if src.conv.has_bias
                  else np.zeros(len(scale), dtype=np.float64))
-        new_store[bias_key] = ((b_old - bn.mean) * scale + bn.beta).astype(np.float32)
+        # an overflow to inf is refused just below, with the BN's name
+        with np.errstate(over="ignore"):
+            new_store[wkey] = (w_old * scale.reshape(shape_bcast)).astype(np.float32)
+            new_store[bias_key] = ((b_old - bn.mean) * scale
+                                   + bn.beta).astype(np.float32)
         for key in (wkey, bias_key):
             if not np.isfinite(new_store[key]).all():
                 raise FoldError(f"cannot fold {n.name}: folded {key!r} is not finite")

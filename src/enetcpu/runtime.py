@@ -1,22 +1,20 @@
 """Graph execution: buffer planning, the interpreter loop, label extraction,
 and latency measurement.
 
-Planning packs every intermediate value into one float32 buffer by byte
-offset.  Values and maxpool window codes (kept outside the buffer) share one
-liveness map: each is live from its producer's position to its last reader's.
-Values are placed largest first, each into the smallest gap left by the
+Planning packs intermediate values into one float32 buffer by byte offset.
+Values and maxpool window codes (kept outside the buffer) share one liveness
+map: each is live from its producer's position to its last reader's.  Values
+are placed largest first, each into the smallest gap left by the
 already-placed values whose lifetimes overlap its own (greedy by size,
 Pisarchyk & Lee, arXiv 2001.03288).  A node's lifetime overlaps its inputs',
-so no kernel writes over what it reads.  With a plan, every compute node's
-kernel but the last writes into its view of the buffer through the kernel's
-`out` argument.  The last, the output node's producer, gets no buffer bytes:
-`execute` copies its inputs that live in the buffer out to fresh arrays,
-drops the buffer, and only then allocates the array it returns, which that
-kernel writes straight into, so the buffer and the output are never held at
-once.  Apart from that copy, nothing is copied after a kernel returns.
-Without a plan every kernel returns a fresh array; that is the reference, and
-the two are bitwise identical, so a planning bug shows up as corrupted values
-(or poisoned NaNs in debug mode) instead of silent reuse.
+so no kernel writes over what it reads.  The plan alone decides where a value
+lives; the output node's producer and every value it reads get no offset.
+Every kernel writes through its `out` argument: into its view of the buffer
+when it has an offset, else into a fresh array, so without a plan the same
+loop runs with no offsets.  The buffer is dropped before the producer runs,
+with nothing to copy out, so it is never held beside the output.  Planned
+and unplanned runs are bitwise identical, so a planning bug shows up as
+corrupted values (or poisoned NaNs in debug mode) instead of silent reuse.
 
 `execute` validates the graph against its weight store on every call,
 before any kernel reads a weight; there is no unchecked mode, so
@@ -64,12 +62,14 @@ class ExecutionPlan:
     peak_bytes is the buffer size; live_bytes is the largest total size of
     the values live at any one node, a lower bound for any packing;
     no_reuse_bytes is what holding every planned value alive would cost.
-    The output node's producer has no offset: it writes into the array
-    `execute` returns.  `retained` names the pools whose window codes some
-    unpool reads; the codes of the others are dropped as soon as they exist.
+    The output node's producer and the values it reads have no offset: they
+    are fresh arrays, and the producer's is the one `execute` returns.
+    `retained` names the pools whose window codes some unpool reads; the
+    codes of the others are dropped as soon as they exist.  `graph` is the
+    graph the plan was made for; `execute` refuses any other.
     """
 
-    order: tuple[int, ...]
+    graph: Graph
     offset_of: dict[int, int]
     peak_bytes: int
     live_bytes: int
@@ -95,12 +95,13 @@ def plan_buffers(g: Graph) -> ExecutionPlan:
     """Greedy-by-size offset assignment over liveness intervals."""
     shapes = infer_shapes(g)
     last_use = _last_uses(g)
-    result_id = g.output_node.inputs[0]
+    producer = g.node(g.output_node.inputs[0])
+    unplaced = {producer.id, *producer.inputs}
 
     values = []  # (bytes, first, last, id); first and last positions inclusive
     live = [0] * len(g.nodes)
     for i, n in enumerate(g.nodes):
-        if n.kind in (NodeKind.INPUT, NodeKind.OUTPUT) or n.id == result_id:
+        if n.kind in (NodeKind.INPUT, NodeKind.OUTPUT) or n.id in unplaced:
             continue
         size = shapes[n.id].count * _BYTES_F32
         last = last_use.get(n.id, i)
@@ -122,17 +123,16 @@ def plan_buffers(g: Graph) -> ExecutionPlan:
         offset_of[nid] = top if best < 0 else best
         insort(placed, (offset_of[nid], offset_of[nid] + need, first, last))
 
-    return ExecutionPlan(order=tuple(n.id for n in g.nodes), offset_of=offset_of,
+    return ExecutionPlan(graph=g, offset_of=offset_of,
                          peak_bytes=max((end for _, end, _, _ in placed), default=0),
                          live_bytes=max(live, default=0),
                          no_reuse_bytes=sum(v[0] for v in values),
                          retained=frozenset(~k for k in last_use if k < 0))
 
 
-def _node_value(n, weights, vals, shapes, out):
-    """Run one node's kernel into `out` (a fresh array when None) and return
-    its output array; a maxpool also stores its window codes in vals, under
-    the key ~n.id."""
+def _node_value(n, weights, vals, out):
+    """Run one node's kernel into `out` and return its output array; a
+    maxpool also stores its window codes in vals, under the key ~n.id."""
     a = vals[n.inputs[0]] if n.inputs else None
     if n.kind in CONV_KINDS:
         bias = weights[n.ref("bias")] if n.conv.has_bias else None
@@ -149,9 +149,7 @@ def _node_value(n, weights, vals, shapes, out):
         if ~n.index_link not in vals:
             raise ExecutionError(
                 f"pooling indices of node {n.index_link} are not available")
-        out_shape = shapes[n.id]
-        return max_unpool2x2(a, vals[~n.index_link], out_shape.height,
-                             out_shape.width, out=out)
+        return max_unpool2x2(a, vals[~n.index_link], out=out)
     if n.kind is NodeKind.BATCHNORM:
         return batchnorm_infer(a, graph.bn_params(n, weights), out=out)
     if n.kind is NodeKind.PRELU:
@@ -178,15 +176,17 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
     not contribute to the output and is refused there.  An input holding a
     NaN or an infinity is refused with ExecutionError too.
 
-    The output node's producer writes into the returned array.  With a plan,
-    every other kernel writes into its view of one buffer allocated for this
-    call; before the producer runs, its inputs in the buffer are copied out
-    and the buffer is dropped.  poison=True additionally fills the buffer
-    with NaN, overwrites each value with NaN once its last reader has run and
-    the whole buffer when it is dropped, so any liveness bug turns into a
-    loud failure.  Poison covers values only: pooling window codes live
-    outside the buffer, under the same liveness as the values, so a reader
-    after their last unpool finds them missing and raises ExecutionError.
+    With a plan, a node the plan gives an offset writes into its view of one
+    buffer allocated for this call, and every other node into a fresh array;
+    without one, every node writes into a fresh array.  The buffer is dropped
+    before the output node's producer runs; the plan keeps that node and what
+    it reads out of the buffer, so nothing is copied.  poison=True fills the
+    buffer and every fresh array with NaN before use, overwrites each
+    buffered value with NaN once its last reader has run and the whole
+    buffer when it is dropped, so any liveness bug turns into a loud
+    failure.  Poison covers values only: pooling window codes live outside
+    the buffer, under the same liveness as the values, so a reader after
+    their last unpool finds them missing and raises ExecutionError.
     """
     diags = validate(g, weights)
     if diags:
@@ -203,52 +203,45 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
 
     shapes = infer_shapes(g)
     last_use = _last_uses(g)
-    result_id = g.output_node.inputs[0]
+    producer_id = g.output_node.inputs[0]
 
+    offset_of: dict[int, int] = {}
     arena = None
     if plan is not None:
-        planned = {n.id for n in g.nodes if n.id != result_id
-                   and n.kind not in (NodeKind.INPUT, NodeKind.OUTPUT)}
-        if plan.order != tuple(n.id for n in g.nodes) or \
-                plan.offset_of.keys() != planned or any(
-                    off < 0 or off + shapes[i].count * _BYTES_F32 > plan.peak_bytes
-                    for i, off in plan.offset_of.items()):
-            raise ExecutionError("plan was made for another graph: its node "
-                                 "order or offsets do not fit this one")
+        if plan.graph != g or any(
+                i == producer_id or i not in shapes or off < 0
+                or off + shapes[i].count * _BYTES_F32 > plan.peak_bytes
+                for i, off in plan.offset_of.items()):
+            raise ExecutionError("plan was made for another graph: its graph "
+                                 "or offsets do not fit this one")
+        offset_of = plan.offset_of
         arena = np.empty(plan.peak_bytes // _BYTES_F32, dtype=np.float32)
         if poison:
             arena.fill(np.nan)
 
     vals: dict[int, np.ndarray] = {}  # live values and window codes, by key
-    result: Optional[np.ndarray] = None
 
     for i, n in enumerate(g.nodes):
         if n.kind is NodeKind.INPUT:
             vals[n.id] = x
         elif n.kind is NodeKind.OUTPUT:
-            if result is None:  # the output reads the graph input
-                result = vals[result_id].copy()
+            a = vals[n.inputs[0]]
+            vals[n.id] = a.copy() if a is x else a
         else:
-            out = None  # planned: the node's view of the buffer, which its kernel fills
-            if n.id == result_id:
-                if arena is not None:
-                    # only what the producer reads is still needed: copy what
-                    # lives in the buffer out of it and drop the buffer,
-                    # so the returned array is never allocated on top of it
-                    vals = {key: vals[key].copy() if key in plan.offset_of
-                            else vals[key] for key in _reads(n)}
-                    if poison:  # a view left behind would now read NaN
-                        arena.fill(np.nan)
-                    arena = None
-                out = result = np.empty(tuple(shapes[n.id]), dtype=np.float32)
+            if n.id == producer_id and arena is not None:
+                if poison:  # a view left behind would now read NaN
+                    arena.fill(np.nan)
+                arena = None
+            shape = tuple(shapes[n.id])
+            if n.id in offset_of:
+                start = offset_of[n.id] // _BYTES_F32
+                out = arena[start: start + shapes[n.id].count].reshape(shape)
+            else:
+                out = np.empty(shape, dtype=np.float32)
                 if poison:
-                    result.fill(np.nan)
-            elif arena is not None:
-                start = plan.offset_of[n.id] // _BYTES_F32
-                out = arena[start: start + shapes[n.id].count].reshape(
-                    tuple(shapes[n.id]))
+                    out.fill(np.nan)
             try:
-                vals[n.id] = _node_value(n, weights, vals, shapes, out)
+                vals[n.id] = _node_value(n, weights, vals, out)
             except EnetError as e:
                 raise type(e)(f"node {n.name}: {e}") from e
 
@@ -256,11 +249,11 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
         done = (*_reads(n), ~n.id) if n.kind is NodeKind.MAXPOOL else _reads(n)
         for key in set(done):
             if last_use.get(key, i) == i:
-                if poison and arena is not None and key in plan.offset_of:
+                if poison and key in offset_of:
                     vals[key][...] = np.nan
                 del vals[key]
 
-    return result
+    return vals[g.output_node.id]
 
 
 def argmax_labels(logits: np.ndarray) -> np.ndarray:

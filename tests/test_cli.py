@@ -264,6 +264,27 @@ def test_missing_bn_weight_exits_2_fused_and_unfused(tmp_path, capsys):
         assert "Traceback" not in err and not labels.exists()
 
 
+def test_fold_overflow_exits_2_without_a_numpy_warning(tmp_path, capsys):
+    # a huge gamma folds into a kernel float32 cannot hold: the fused path
+    # refuses it with one error line, and numpy's overflow warning, which a
+    # separate process would print to stderr, is not shown above it
+    good, image = tmp_path / "m.enwt", tmp_path / "in.ppm"
+    _write_image(image, h=32, w=32)
+    run(capsys, "build", "--classes", 5, "--out", good)
+    store = load_weights(good)
+    store["bottleneck5.1.ext.expand_bn.gamma"][:] = 3e38
+    model = tmp_path / "huge.enwt"
+    save_weights(store, model)
+    labels = tmp_path / "out.pgm"
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "enetcpu.cli", "infer",
+         "--model", str(model), "--image", str(image), "--out", str(labels)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "cannot fold bottleneck5.1.ext.expand_bn" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr and not labels.exists()
+
+
 def test_model_without_classifier_bias_exits_2(tmp_path, capsys):
     model = tmp_path / "notenet.enwt"
     save_weights({"x": np.float32([1.0, 2.0])}, model)

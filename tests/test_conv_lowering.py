@@ -56,12 +56,12 @@ def oracle_report():
     for name, (g, weights) in _graphs().items():
         checked, differ = [], []
 
-        def checked_node_value(n, weights, vals, shapes, out):
-            got = node_value(n, weights, vals, shapes, out)
+        def checked_node_value(n, weights, vals, out):
+            got = node_value(n, weights, vals, out)
             if n.kind in CONV_KINDS:
                 kernels._conv_gemm, engine = sliding_conv_gemm, kernels._conv_gemm
                 try:
-                    want = node_value(n, weights, vals, shapes, None)
+                    want = node_value(n, weights, vals, None)
                 finally:
                     kernels._conv_gemm = engine
                 checked.append(n.name)

@@ -639,7 +639,7 @@ def test_maxpool_scratch_stays_near_the_input_size(shape):
 def test_unpool_scatters_single_value():
     vals = np.array([[[4.0]]], dtype=F32)
     codes = np.array([[[3]]], dtype=np.uint8)  # bottom-right cell
-    out = max_unpool2x2(vals, codes, 2, 2)
+    out = max_unpool2x2(vals, codes)
     np.testing.assert_array_equal(out, [[[0.0, 0.0], [0.0, 4.0]]])
 
 
@@ -651,7 +651,7 @@ def test_unpool_of_pool_restores_maxima_positions_exactly():
         w = 2 * int(rng.integers(2, 8))
         x = rand_input(rng, c, h, w)
         res = maxpool2x2(x)
-        up = max_unpool2x2(res.values, res.codes, h, w)
+        up = max_unpool2x2(res.values, res.codes)
         want = ref_max_unpool2x2(res.values, codes_to_flat(res.codes, w), h, w)
         np.testing.assert_array_equal(up, want)
         # each window's max sits at its original spot, zeros elsewhere
@@ -675,7 +675,7 @@ def test_unpool_matches_reference_on_randomized_instances():
             hit = rng.random(vals.shape) < 0.3
             vals[hit] = rng.choice(special, size=int(hit.sum()))
         codes = rng.integers(0, 4, size=vals.shape, dtype=np.uint8)
-        got = max_unpool2x2(vals, codes, oh, ow)
+        got = max_unpool2x2(vals, codes)
         want = ref_max_unpool2x2(vals, codes_to_flat(codes, ow), oh, ow)
         np.testing.assert_array_equal(got.view(np.int32), want.view(np.int32))
 
@@ -684,18 +684,15 @@ def test_unpool_rejects_out_of_range_indices():
     vals = np.ones((1, 1, 1), dtype=F32)
     for code in (4, 255):  # a window has 4 cells: codes 0..3
         with pytest.raises(CorruptIndicesError):
-            max_unpool2x2(vals, np.array([[[code]]], dtype=np.uint8), 2, 2)
+            max_unpool2x2(vals, np.array([[[code]]], dtype=np.uint8))
     with pytest.raises(ShapeError):  # flat int64 indices are not codes
-        max_unpool2x2(vals, np.array([[[3]]], dtype=np.int64), 2, 2)
+        max_unpool2x2(vals, np.array([[[3]]], dtype=np.int64))
 
 
 def test_unpool_rejects_mismatched_geometry():
     vals = np.ones((1, 2, 2), dtype=F32)
-    codes = np.zeros((1, 2, 2), dtype=np.uint8)
     with pytest.raises(ShapeError):
-        max_unpool2x2(vals, codes, 5, 4)  # out dims must be exactly doubled
-    with pytest.raises(ShapeError):
-        max_unpool2x2(vals, np.zeros((1, 2, 3), dtype=np.uint8), 4, 4)
+        max_unpool2x2(vals, np.zeros((1, 2, 3), dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -888,7 +885,7 @@ def _out_cases():
          lambda out=None: conv_asymmetric5(x, w5x1, w1x5, b5[:2], out=out)),
         ("maxpool2x2", lambda out=None: maxpool2x2(x, out=out).values),
         ("max_unpool2x2", lambda out=None: max_unpool2x2(
-            pool.values, pool.codes, 6, 8, out=out)),
+            pool.values, pool.codes, out=out)),
         ("batchnorm_infer", lambda out=None: batchnorm_infer(x, bn, out=out)),
         ("prelu", lambda out=None: prelu(x, slopes, out=out)),
         ("add", lambda out=None: add(x, x[::-1].copy(), out=out)),

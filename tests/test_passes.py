@@ -2,6 +2,7 @@
 composition, and structural validation diagnostics."""
 
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -147,14 +148,16 @@ def test_fold_rejects_bad_bn_statistics_naming_the_node(role, value):
 def test_fold_refuses_a_folded_weight_that_overflows_float32():
     # a huge but finite gamma folds into a kernel float32 cannot hold; the
     # fold must say so rather than leave an inf for `execute` to blame on a
-    # conv weight the caller never set.  On this store the unfused path,
-    # which scales activations instead, still returns finite logits
+    # conv weight the caller never set, and without a numpy overflow
+    # warning on the way.  On this store the unfused path, which scales
+    # activations instead, still returns finite logits
     g = build_enet(5, 32, 32)
     w = init_weights(g, seed=0)
     w["bottleneck5.1.ext.expand_bn.gamma"][:] = 3e38
-    with np.errstate(over="ignore"), pytest.raises(
+    with warnings.catch_warnings(), pytest.raises(
             FoldError, match="cannot fold bottleneck5.1.ext.expand_bn: folded "
                              "'bottleneck5.1.ext.expand.weight' is not finite"):
+        warnings.simplefilter("error")
         optimize(g, w)
     x = np.random.default_rng(0).random((3, 32, 32), dtype=F32)
     assert np.isfinite(execute(g, w, x)).all()

@@ -49,7 +49,7 @@ def _assert_planned_bytes_disjoint(g, plan):
     value fits the buffer, no two values live at the same time share a byte,
     and no node's bytes overlap any of its inputs' bytes."""
     shapes = infer_shapes(g)
-    pos = {nid: i for i, nid in enumerate(plan.order)}
+    pos = {n.id: i for i, n in enumerate(g.nodes)}
     last_use = {}
     for n in g.nodes:
         for src in n.inputs:
@@ -84,12 +84,14 @@ def test_plan_chain_reuses_one_slot():
     plan = plan_buffers(g)
     _assert_planned_bytes_disjoint(g, plan)
     value = 4 * 8 * 8 * 4
-    # the output's producer writes into the returned array, not the buffer
+    # the output's producer writes into the returned array, and the value it
+    # reads is a fresh array too, so neither is in the buffer
     assert g.find("last").id not in plan.offset_of
-    # four equal-sized values over a linear chain fit in two values' bytes,
+    assert g.find("p1").id not in plan.offset_of
+    # three equal-sized values over a linear chain fit in two values' bytes,
     # so the second conv reuses the first conv's bytes
     assert plan.peak_bytes == plan.live_bytes == 2 * value
-    assert plan.no_reuse_bytes == 4 * value
+    assert plan.no_reuse_bytes == 3 * value
     assert plan.offset_of[g.find("c0").id] == plan.offset_of[g.find("c1").id]
     assert plan.peak_bytes < plan.no_reuse_bytes
 
@@ -99,7 +101,8 @@ def test_plan_add_inputs_get_distinct_slots():
     left = b.conv("l", b.input_id, ConvParams(out_channels=2, kernel_h=1, kernel_w=1))
     right = b.conv("r", b.input_id, ConvParams(out_channels=2, kernel_h=1, kernel_w=1))
     s = b.add("s", left, right)
-    g = b.build(b.prelu("act", s))
+    # a second PReLU, so the sum is not read by the output's producer
+    g = b.build(b.prelu("act2", b.prelu("act", s)))
     plan = plan_buffers(g)
     _assert_planned_bytes_disjoint(g, plan)
     # the sum may not alias either addend, nor the addends each other
@@ -118,6 +121,19 @@ def test_plan_never_aliases_output_with_live_inputs():
         plan = plan_buffers(graph)
         _assert_planned_bytes_disjoint(graph, plan)
         assert graph.output_node.inputs[0] not in plan.offset_of
+
+
+def test_plan_leaves_the_output_producer_and_what_it_reads_unplaced():
+    g = build_enet(19, 64, 64)
+    fused = optimize(g, init_weights(g, seed=0))[0]
+    for graph in (g, fused):
+        plan = plan_buffers(graph)
+        producer = graph.node(graph.output_node.inputs[0])
+        assert producer.name == "fullconv"
+        assert not {producer.id, *producer.inputs} & plan.offset_of.keys()
+        compute = {n.id for n in graph.nodes
+                   if n.kind not in (NodeKind.INPUT, NodeKind.OUTPUT)}
+        assert plan.offset_of.keys() == compute - {producer.id, *producer.inputs}
 
 
 def test_plan_enet_reuse_beats_no_reuse():
@@ -176,7 +192,7 @@ def test_poison_catches_a_value_moved_onto_a_live_inputs_bytes():
     plain = execute(g, w, x)
     plan = plan_buffers(g)
     shapes = infer_shapes(g)
-    pos = {nid: i for i, nid in enumerate(plan.order)}
+    pos = {n.id: i for i, n in enumerate(g.nodes)}
     last_use = {}
     for n in g.nodes:
         for src in n.inputs:
@@ -190,6 +206,33 @@ def test_poison_catches_a_value_moved_onto_a_live_inputs_bytes():
     got = execute(g, w, x, mutant, poison=True)
     assert not np.array_equal(got, plain) or not np.all(np.isfinite(got)), \
         f"{node.name} written over live {g.node(src).name} went unnoticed"
+
+
+def test_poison_catches_the_output_producers_input_placed_in_the_buffer():
+    # a plan mutant: fullconv's input given bytes of its own past the end of
+    # the buffer; the buffer is dropped before fullconv runs, so under poison
+    # fullconv must read NaN
+    g = build_enet(5, 64, 64)
+    w = init_weights(g, seed=1)
+    x = np.random.default_rng(2).random((3, 64, 64), dtype=F32)
+    plain = execute(g, w, x)
+    plan = plan_buffers(g)
+    src = g.find("fullconv").inputs[0]
+    mutant = dataclasses.replace(
+        plan, offset_of={**plan.offset_of, src: plan.peak_bytes},
+        peak_bytes=plan.peak_bytes + infer_shapes(g)[src].count * 4)
+    got = execute(g, w, x, mutant, poison=True)
+    assert not np.array_equal(got, plain) or not np.all(np.isfinite(got))
+
+
+def test_execute_accepts_a_plan_made_for_an_equal_graph():
+    g = build_enet(4, 64, 64)
+    w = init_weights(g, seed=0)
+    x = np.random.default_rng(9).random((3, 64, 64), dtype=F32)
+    twin = build_enet(4, 64, 64)
+    assert twin is not g and twin == g
+    np.testing.assert_array_equal(execute(g, w, x, plan_buffers(twin)),
+                                  execute(g, w, x))
 
 
 def test_execute_returns_a_fresh_array_when_the_output_reads_the_input():
@@ -224,9 +267,9 @@ def test_planned_execute_peak_is_the_arena_the_output_and_scratch():
 
 
 def test_planned_execute_peak_is_at_most_the_unplanned_peak():
-    # the buffer is dropped before the logits are allocated, so while
-    # fullconv runs only its input (copied out of the buffer), the logits
-    # and one band of convolution scratch are held, as without a plan
+    # the buffer is dropped before fullconv runs, so while it runs only its
+    # input (a fresh array, never in the buffer), the logits and one band of
+    # convolution scratch are held, as without a plan
     g = build_enet(19, 360, 640)
     g, w, _ = optimize(g, init_weights(g, seed=0))
     plan = plan_buffers(g)
@@ -365,16 +408,17 @@ def _random_graph_ending_in_two_buffered_inputs(seed):
 
 
 def test_planned_equals_unplanned_when_the_output_producer_reads_the_buffer():
-    # every output producer here reads two buffered values (or one twice),
-    # which execute copies out before it drops the buffer; poison fills the
-    # dropped buffer with NaN, so an input left in it would show
+    # every output producer here reads two values (or one twice) that would
+    # otherwise live in the buffer; the plan keeps them out of it, and poison
+    # fills the buffer with NaN when it is dropped, so an input left in it
+    # would show
     kinds = set()
     for seed in range(40):
         g = _random_graph_ending_in_two_buffered_inputs(seed)
         kinds |= {n.kind for n in g.nodes}
         plan = plan_buffers(g)
         producer = g.node(g.output_node.inputs[0])
-        assert all(src in plan.offset_of for src in producer.inputs)
+        assert not any(src in plan.offset_of for src in producer.inputs)
         assert len(set(producer.inputs)) == (1 if seed % 3 == 2 else 2)
         w = init_weights(g, seed=seed)
         x = np.random.default_rng(200 + seed).random((3, 8, 8), dtype=F32)
@@ -465,6 +509,18 @@ def test_execute_rejects_a_plan_made_for_another_graph():
         execute(g, w, x, plan_buffers(build_enet(4, 32, 32)))
     with pytest.raises(ExecutionError, match="another graph"):
         execute(g, w, x, plan_buffers(_chain_graph()))
+
+
+def test_execute_refuses_a_plan_that_places_the_output_producer():
+    # the buffer is gone when the producer runs, so an offset for it cannot
+    # be honoured; a hand-made plan that gives one is refused up front
+    g = _chain_graph()
+    w = init_weights(g, seed=0)
+    plan = plan_buffers(g)
+    mutant = dataclasses.replace(
+        plan, offset_of={**plan.offset_of, g.find("c2").id: 0})
+    with pytest.raises(ExecutionError, match="another graph"):
+        execute(g, w, np.zeros((4, 8, 8), dtype=F32), mutant)
 
 
 @pytest.mark.parametrize("planned", [False, True], ids=["unplanned", "planned"])
