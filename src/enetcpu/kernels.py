@@ -19,34 +19,40 @@ chosen operand's bits exactly, so signed zeros, denormals, infinities and NaN
 come through as np.where would give them.  prelu is one such pass for every
 slope: x times the slope into out, then x wherever x >= 0.
 
-prelu and batchnorm_infer run over strips of about _STRIP elements of whole
-channels, so their temporaries stay in cache.
+prelu, batchnorm_infer, maxpool2x2 and max_unpool2x2 run over strips of
+whole channels, each about _STRIP elements of their input (of the pooled
+plane for the two pooling kernels), so their temporaries stay in L2.
 
 Convolutions are lowered to float64 GEMM (Chellapilla et al., 2006) and take
 their geometry from ConvParams, as shape inference does.  conv2d fills a
 contiguous (C*kh*kw, rows*ow) im2col matrix with one strided copy per kernel
-tap, a (C, rows, ow) view of the padded input whose rows land contiguously,
-and multiplies the (oc, C*kh*kw) weight matrix into it, over bands of output
-rows of equal height: each band's im2col plus its accumulator holds at most
-_BAND float64 elements (or one row), and is freed before the next band is
-built.  A convolution whose scratch fits runs as one band.  A bias is the
-GEMM's last K term, a float64 column of the weight matrix times a last im2col
-row of 1.0, so no separate pass adds it to the accumulator.  BLAS sums each
-output's K terms in order, so each sum ends with s + bias*1.0 rounded once,
-the bits a separate float64 add gives; tests/test_conv_lowering.py checks this
-on every network convolution (K up to 289).  Each output element stays one dot
-product over the same K terms in the same order whatever the band, so its
-bits do not depend on the band height (the band tests and golden hashes check
-this against the BLAS in use).  conv_transpose2d is lowered by
-sub-pixel phase (Dumoulin & Visin, arXiv 1603.07285, section 4): the outputs
-with (Y mod stride, X mod stride) = (ry, rx) are reached only by the kernel
-taps with ky = Y + pad_h and kx = X + pad_w (mod stride), so each phase is one
-stride-1 im2col GEMM of the un-stuffed input with that sub-kernel, banded as
-conv2d's and rounded into the phase's strided view of the output.  No product
-with an inserted zero is formed.  The taps keep the order in which the
-zero-stuffed formulation summed them (input channel, then ky and kx
-descending) and only its exact-zero terms are dropped, so its float32 output
-is reproduced bit for bit.
+tap, a (C, rows, ow) view of the unpadded input whose rows land contiguously,
+and writes 0.0 over the rows and columns of the tap that fall in the padding,
+so no padded copy of the input is made.  It multiplies the (oc, C*kh*kw)
+weight matrix into that matrix over bands of output rows of equal height:
+each band's im2col plus its accumulator holds at most _BAND float64 elements
+(2 MiB, sized to one core's L2 cache, or one row), and is freed before the
+next band is built.  A convolution whose scratch fits runs as one band.  A
+bias is the GEMM's last K term, a float64 column of the weight matrix times a
+last im2col row of 1.0, so no separate pass adds it to the accumulator.  BLAS
+sums each output's K terms in order, so each sum ends with s + bias*1.0
+rounded once, the bits a separate float64 add gives;
+tests/test_conv_lowering.py checks this on every network convolution (K up to
+289).  Each output element stays one dot product over the same K terms in the
+same order whatever the band, so its bits do not depend on the band height
+(the band tests and golden hashes check this against the BLAS in use).
+conv_transpose2d is lowered by sub-pixel phase (Dumoulin & Visin, arXiv
+1603.07285, section 4): the outputs with (Y mod stride, X mod stride) =
+(ry, rx) are reached only by the kernel taps with ky = Y + pad_h and
+kx = X + pad_w (mod stride), so each phase is one stride-1 im2col GEMM of the
+un-stuffed input with that sub-kernel, banded as conv2d's and rounded into
+the phase's strided view of the output.  Phases that read the same input
+window share its im2col: each band of it is built once and serves their GEMMs
+in turn, one accumulator at a time (fullconv's 2x2 stride-2 kernel has four
+phases over one window).  No product with an inserted zero is formed.  The
+taps keep the order in which the zero-stuffed formulation summed them (input
+channel, then ky and kx descending) and only its exact-zero terms are
+dropped, so its float32 output is reproduced bit for bit.
 """
 
 from __future__ import annotations
@@ -59,8 +65,8 @@ import numpy as np
 from .errors import CorruptIndicesError, ShapeError
 
 F32 = np.float32
-_STRIP = 1 << 16  # elements per prelu/batchnorm strip: its temporaries then fit in L2
-_BAND = 1 << 19  # float64 elements of im2col plus accumulator per conv band
+_STRIP = 1 << 16  # elements per strip of the strip-wise kernels: temporaries fit in L2
+_BAND = 1 << 18  # float64 elements of im2col plus accumulator per conv band (2 MiB)
 
 
 @dataclass(frozen=True)
@@ -200,21 +206,53 @@ def _select(take: np.ndarray, a: np.ndarray, b: np.ndarray,
     return out
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, dilation: int,
-            oh: int, ow: int, ones: bool) -> np.ndarray:
-    """Window matrix of an already-padded input: one contiguous float64
-    (C*kh*kw, oh*ow) buffer, rows in (channel, ky, kx) order, filled by one
-    strided copy of a (C, oh, ow) view per tap; with `ones`, one more row of
-    1.0 that multiplies the bias column of the weight matrix."""
-    c = xp.shape[0]
+def _strips(c: int, h: int, w: int) -> list[slice]:
+    """Slices of whole channels of a (c, h, w) array, each holding about
+    _STRIP elements (at least one channel)."""
+    step = max(1, _STRIP // max(1, h * w))
+    return [slice(i, i + step) for i in range(0, c, step)]
+
+
+def _span(start: int, n: int, stride: int, size: int) -> tuple[int, int]:
+    """The outputs j in [lo, hi) of 0..n-1 whose input index start + j*stride
+    lies in 0..size-1 (lo == hi when none does)."""
+    lo = min(n, max(0, -(start // stride)))  # ceil(-start / stride)
+    return lo, max(lo, min(n, (size - 1 - start) // stride + 1))
+
+
+def _im2col(x: np.ndarray, top: int, left: int, kh: int, kw: int,
+            stride: int, dilation: int, y0: int, oh: int, ow: int,
+            ones: bool) -> np.ndarray:
+    """Window matrix of output rows y0 .. y0+oh-1 of a convolution whose tap
+    (ky, kx) reads the unpadded input x at (y*stride + ky*dilation - top,
+    x*stride + kx*dilation - left), zero outside it: one contiguous float64
+    (C*kh*kw, oh*ow) buffer, rows in (channel, ky, kx) order.  Each tap
+    copies the in-range part of a strided (C, oh, ow) view of x and writes
+    0.0 over the rows and columns that fall outside; with `ones`, one more
+    row of 1.0 multiplies the bias column of the weight matrix."""
+    c, h, w = x.shape
     k = c * kh * kw
     cols = np.empty((k + 1 if ones else k, oh * ow), dtype=np.float64)
     taps = cols[:k].reshape(c, kh, kw, oh, ow)
-    span_h, span_w = (oh - 1) * stride + 1, (ow - 1) * stride + 1
     for ky in range(kh):
+        sy = y0 * stride + ky * dilation - top
+        j0, j1 = _span(sy, oh, stride, h)
         for kx in range(kw):
-            y, x = ky * dilation, kx * dilation
-            taps[:, ky, kx] = xp[:, y:y + span_h:stride, x:x + span_w:stride]
+            sx = kx * dilation - left
+            i0, i1 = _span(sx, ow, stride, w)
+            tap = taps[:, ky, kx]
+            if j0:
+                tap[:, :j0] = 0.0
+            if j1 < oh:
+                tap[:, j1:] = 0.0
+            if i0:
+                tap[:, j0:j1, :i0] = 0.0
+            if i1 < ow:
+                tap[:, j0:j1, i1:] = 0.0
+            if j0 < j1 and i0 < i1:
+                tap[:, j0:j1, i0:i1] = x[
+                    :, sy + j0 * stride: sy + (j1 - 1) * stride + 1: stride,
+                    sx + i0 * stride: sx + (i1 - 1) * stride + 1: stride]
     if ones:
         cols[-1] = 1.0
     return cols
@@ -243,29 +281,33 @@ def _conv_operands(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray],
     return x
 
 
-def _conv_gemm(xp: np.ndarray, wmat: np.ndarray, bias: Optional[np.ndarray],
-               kh: int, kw: int, stride: int, dilation: int,
-               dst: np.ndarray) -> None:
-    """dst = wmat @ im2col(xp) (+ bias), rounded into dst, a float32
-    (oc, oh, ow) view, over bands of equal height of dst's rows, each band's
-    im2col (its ones row included) plus accumulator at most _BAND float64
-    elements (or one row).
+def _conv_gemm(x: np.ndarray, top: int, left: int, kh: int, kw: int,
+               stride: int, dilation: int, gemms: list, bias: Optional[np.ndarray]
+               ) -> None:
+    """For each (wmat, dst) of `gemms`: dst = wmat @ im2col(x) (+ bias),
+    rounded into dst, a float32 (oc, oh, ow) view, every dst of one shape.
+    It runs over bands of equal height of the dsts' rows: each band's im2col
+    (see _im2col for top and left) is built once and serves every GEMM in
+    turn, and it (its ones row included) plus one accumulator holds at most
+    _BAND float64 elements (or one row).
 
     A bias is the GEMM's last K term: wmat gains it as a float64 column and
     im2col a row of 1.0, so each sum ends with + bias*1.0, rounded once."""
-    oc, oh, ow = dst.shape
+    oc, oh, ow = gemms[0][1].shape
     if bias is not None:
-        wmat = np.concatenate([wmat, bias.astype(np.float64)[:, None]], axis=1)
-    eff_kh = dilation * (kh - 1) + 1
-    rows = max(1, _BAND // ((wmat.shape[1] + oc) * ow))
+        b64 = bias.astype(np.float64)[:, None]
+        gemms = [(np.concatenate([wmat, b64], axis=1), dst) for wmat, dst in gemms]
+    rows = max(1, _BAND // ((gemms[0][0].shape[1] + oc) * ow))
     height = -(-oh // -(-oh // rows))  # ceil(oh / number of bands)
     for y0 in range(0, oh, height):
         y1 = min(y0 + height, oh)
-        band = xp[:, y0 * stride: (y1 - 1) * stride + eff_kh]
-        acc = wmat @ _im2col(band, kh, kw, stride, dilation, y1 - y0, ow,
-                             bias is not None)
-        dst[:, y0:y1] = acc.reshape(oc, y1 - y0, ow)
-        del acc  # free before the next band's im2col is built
+        cols = _im2col(x, top, left, kh, kw, stride, dilation, y0, y1 - y0, ow,
+                       bias is not None)
+        for wmat, dst in gemms:
+            acc = wmat @ cols
+            dst[:, y0:y1] = acc.reshape(oc, y1 - y0, ow)
+            del acc  # free before the next GEMM's accumulator exists
+        del cols  # free before the next band's im2col is built
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray],
@@ -275,11 +317,10 @@ def conv2d(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray],
     x = _conv_operands(x, w, bias, params, transposed=False)
     oc, _, kh, kw = w.shape
     oh, ow = params.conv_out_hw(x.shape[1], x.shape[2])  # raises if kernel does not fit
-    xp = x if params.pad_h == params.pad_w == 0 else np.pad(
-        x, ((0, 0), (params.pad_h, params.pad_h), (params.pad_w, params.pad_w)))
     wmat = np.asarray(w, dtype=F32).reshape(oc, -1).astype(np.float64)
     out = _out(out, (oc, oh, ow))
-    _conv_gemm(xp, wmat, bias, kh, kw, params.stride, params.dilation, out)
+    _conv_gemm(x, params.pad_h, params.pad_w, kh, kw, params.stride,
+               params.dilation, [(wmat, out)], bias)
     return out
 
 
@@ -295,14 +336,6 @@ def _phases(n_out: int, k: int, stride: int, pad: int):
         first = (k - 1 - r - pad) % stride
         yield (r, first, len(range(first, k, stride)),
                (r + pad - k + 1 + first) // stride, len(range(r, n_out, stride)))
-
-
-def _phase_padding(phases, n_in: int) -> tuple[int, int]:
-    """Zeros to put before and after the input so every phase's reads fit."""
-    reads = [(base, base + count + taps - 1)  # [first, end) input index
-             for _, _, taps, base, count in phases if taps]
-    return (max([0] + [-first for first, _ in reads]),
-            max([0] + [end - n_in for _, end in reads]))
 
 
 def conv_transpose2d(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray],
@@ -322,15 +355,12 @@ def conv_transpose2d(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray],
     oh, ow = params.tconv_out_hw(h, wd)
     rows = list(_phases(oh, kh, stride, params.pad_h))
     cols = list(_phases(ow, kw, stride, params.pad_w))
-    top, bottom = _phase_padding(rows, h)
-    left, right = _phase_padding(cols, wd)
-    xp = x if top == bottom == left == right == 0 else np.pad(
-        x, ((0, 0), (top, bottom), (left, right)))
     # taps in ascending flipped order are the zero-stuffed contraction's
     # (channel, ky, kx) order with ky and kx descending, so each float64 sum
     # adds the same nonzero terms in the same order
     w_flip = np.asarray(w, dtype=F32)[:, :, ::-1, ::-1]
     out = _out(out, (oc, oh, ow))
+    windows: dict[tuple, list] = {}  # phases by the input window they read
     for ry, fy, ty, by, ny in rows:
         for rx, fx, tx, bx, nx in cols:
             phase = out[:, ry::stride, rx::stride]
@@ -339,9 +369,9 @@ def conv_transpose2d(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray],
                 continue
             sub = w_flip[:, :, fy::stride, fx::stride]
             wmat = sub.transpose(1, 0, 2, 3).reshape(oc, -1).astype(np.float64)
-            window = xp[:, top + by: top + by + ny + ty - 1,
-                        left + bx: left + bx + nx + tx - 1]
-            _conv_gemm(window, wmat, bias, ty, tx, 1, 1, phase)
+            windows.setdefault((by, ty, ny, bx, tx, nx), []).append((wmat, phase))
+    for (by, ty, _, bx, tx, _), gemms in windows.items():
+        _conv_gemm(x, -by, -bx, ty, tx, 1, 1, gemms, bias)
     return out
 
 
@@ -387,12 +417,16 @@ def maxpool2x2(x: np.ndarray, out: Optional[np.ndarray] = None) -> PoolResult:
     c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2x2 needs even dims, got {h}x{w}")
-    top_left, top = _earlier_max(x[:, 0::2, 0::2], x[:, 0::2, 1::2])
-    bottom_left, bottom = _earlier_max(x[:, 1::2, 0::2], x[:, 1::2, 1::2])
-    upper, values = _earlier_max(top, bottom, out)
-    left = bottom_left ^ ((bottom_left ^ top_left) & upper)
-    codes = (~upper).view(np.uint8) * np.uint8(2)
-    codes += (~left).view(np.uint8)
+    values = _out(out, (c, h // 2, w // 2))
+    codes = np.empty(values.shape, dtype=np.uint8)
+    for s in _strips(*values.shape):
+        xs, cs = x[s], codes[s]
+        top_left, top = _earlier_max(xs[:, 0::2, 0::2], xs[:, 0::2, 1::2])
+        bottom_left, bottom = _earlier_max(xs[:, 1::2, 0::2], xs[:, 1::2, 1::2])
+        upper, _ = _earlier_max(top, bottom, values[s])
+        left = bottom_left ^ ((bottom_left ^ top_left) & upper)
+        np.multiply((~upper).view(np.uint8), np.uint8(2), out=cs)
+        cs += (~left).view(np.uint8)
     return PoolResult(values, codes)
 
 
@@ -410,8 +444,10 @@ def max_unpool2x2(values: np.ndarray, codes: np.ndarray,
         raise CorruptIndicesError(f"window code {codes.max()} is not in 0..3")
     out = _out(out, (c, 2 * h, 2 * w))
     zero = np.zeros((), dtype=F32)
-    for k in range(4):  # each cell view is written once
-        _select(codes == k, values, zero, out[:, k >> 1::2, k & 1::2])
+    for s in _strips(*values.shape):
+        vs, cs, os_ = values[s], codes[s], out[s]
+        for k in range(4):  # each cell view is written once
+            _select(cs == k, vs, zero, os_[:, k >> 1::2, k & 1::2])
     return out
 
 
@@ -425,15 +461,15 @@ def batchnorm_infer(x: np.ndarray, p: BnParams,
     shift = np.asarray(p.beta, dtype=np.float64) - np.asarray(p.mean, dtype=np.float64) * scale
     scale, shift = scale[:, None, None], shift[:, None, None]
     out = _out(out, x.shape)
-    step = max(1, _STRIP // (x.shape[1] * x.shape[2]))
-    acc = np.empty((min(step, x.shape[0]), *x.shape[1:]), dtype=np.float64)
-    for c in range(0, x.shape[0], step):
-        xs = x[c:c + step]
+    strips = _strips(*x.shape)
+    acc = np.empty(x[strips[0]].shape if strips else x.shape, dtype=np.float64)
+    for s in strips:
+        xs = x[s]
         a = acc[:len(xs)]
         a[...] = xs
-        a *= scale[c:c + step]
-        a += shift[c:c + step]
-        out[c:c + step] = a
+        a *= scale[s]
+        a += shift[s]
+        out[s] = a
     return out
 
 
@@ -447,10 +483,9 @@ def prelu(x: np.ndarray, slopes: np.ndarray,
         )
     s = np.ascontiguousarray(slopes, dtype=F32)[:, None, None]
     out = _out(out, x.shape)
-    step = max(1, _STRIP // (x.shape[1] * x.shape[2]))
-    for c in range(0, x.shape[0], step):
-        xs, ys = x[c:c + step], out[c:c + step]
-        np.multiply(xs, s[c:c + step], out=ys)
+    for c in _strips(*x.shape):
+        xs, ys = x[c], out[c]
+        np.multiply(xs, s[c], out=ys)
         _select(xs >= 0, xs, ys, ys)
     return out
 

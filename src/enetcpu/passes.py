@@ -194,6 +194,7 @@ def validate(g: Graph, weights: dict[str, np.ndarray]) -> list[str]:
         diags.append(f"shape inference failed: {e}")
         return diags
 
+    sound = set()  # keys whose weight passed every check below
     for key, shp in want.items():
         if key not in weights:
             diags.append(f"missing weight {key!r} (expected shape {shp})")
@@ -205,6 +206,19 @@ def validate(g: Graph, weights: dict[str, np.ndarray]) -> list[str]:
                          f"expected float32")
         elif not np.isfinite(weights[key]).all():
             diags.append(f"weight {key!r} is not finite")
+        else:
+            sound.add(key)
+    # the statistics BnParams refuses, refused here too, before any kernel
+    # runs on the unfused path and before any fold on the fused one
+    for n in g.nodes:
+        if n.kind is not NodeKind.BATCHNORM or n.ref("var") not in sound:
+            continue
+        key = n.ref("var")
+        var = weights[key].astype(np.float64)
+        if (var < 0).any():
+            diags.append(f"weight {key!r} holds a negative batchnorm variance")
+        elif (var + n.bn_eps <= 0).any():
+            diags.append(f"weight {key!r} plus eps {n.bn_eps} is not positive")
     for key in weights:
         if key not in want:
             diags.append(f"weight {key!r} is not referenced by any node")

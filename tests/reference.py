@@ -4,8 +4,9 @@ Everything here is plain nested loops over float64 scalars, deliberately
 ignoring performance, so the vectorized engine kernels have an independent
 implementation to agree with.  Keep these dumb: no shared code with the
 engine, no clever indexing.  The exceptions are stuffed_conv_transpose2d,
-argmax_maxpool2x2 and sliding_conv_gemm, the engine's earlier zero-stuffing,
-argmax and im2col kernels, kept verbatim so the current ones can be checked
+argmax_maxpool2x2, sliding_conv_gemm and padded_conv2d /
+padded_conv_transpose2d, the engine's earlier zero-stuffing, argmax, im2col
+and padded-copy kernels, kept verbatim so the current ones can be checked
 against them bit for bit.
 """
 
@@ -142,8 +143,8 @@ def sliding_conv_gemm(xp: np.ndarray, wmat: np.ndarray, bias: Optional[np.ndarra
                       dst: np.ndarray) -> None:
     """The engine's former kernels._conv_gemm, kept as a bitwise oracle: im2col
     as one 5-D transposed copy out of a sliding-window view, and the bias
-    added to the float64 accumulator after the GEMM.  It takes the same
-    arguments as the current _conv_gemm, so a test can swap it in.
+    added to the float64 accumulator after the GEMM.  It reads an already
+    padded input; padded_conv2d and padded_conv_transpose2d make that copy.
 
     dst = wmat @ im2col(xp) (+ bias), rounded into dst, a float32
     (oc, oh, ow) view, over bands of equal height of dst's rows, each band's
@@ -161,6 +162,74 @@ def sliding_conv_gemm(xp: np.ndarray, wmat: np.ndarray, bias: Optional[np.ndarra
             acc += b64
         dst[:, y0:y1] = acc.reshape(oc, y1 - y0, ow)
         del acc  # free before the next band's im2col is built
+
+
+def padded_conv2d(x, w, bias, params, out=None) -> np.ndarray:
+    """The engine's former conv2d, kept as a bitwise oracle: an np.pad copy
+    of the input, lowered by sliding_conv_gemm.  params is a ConvParams; the
+    result goes into `out` when one is given."""
+    x = np.ascontiguousarray(x, dtype=np.float32)
+    oc, _, kh, kw = w.shape
+    _, h, wd = x.shape
+    eff_kh = params.dilation * (kh - 1) + 1
+    eff_kw = params.dilation * (kw - 1) + 1
+    oh = (h + 2 * params.pad_h - eff_kh) // params.stride + 1
+    ow = (wd + 2 * params.pad_w - eff_kw) // params.stride + 1
+    xp = x if params.pad_h == params.pad_w == 0 else np.pad(
+        x, ((0, 0), (params.pad_h, params.pad_h), (params.pad_w, params.pad_w)))
+    wmat = np.asarray(w, dtype=np.float32).reshape(oc, -1).astype(np.float64)
+    out = np.empty((oc, oh, ow), dtype=np.float32) if out is None else out
+    sliding_conv_gemm(xp, wmat, bias, kh, kw, params.stride, params.dilation, out)
+    return out
+
+
+def _phases(n_out, k, stride, pad):
+    """The former kernels._phases: (r, first, taps, base, count) per phase."""
+    for r in range(min(stride, n_out)):
+        first = (k - 1 - r - pad) % stride
+        yield (r, first, len(range(first, k, stride)),
+               (r + pad - k + 1 + first) // stride, len(range(r, n_out, stride)))
+
+
+def _phase_padding(phases, n_in):
+    """Zeros to put before and after the input so every phase's reads fit."""
+    reads = [(base, base + count + taps - 1)  # [first, end) input index
+             for _, _, taps, base, count in phases if taps]
+    return (max([0] + [-first for first, _ in reads]),
+            max([0] + [end - n_in for _, end in reads]))
+
+
+def padded_conv_transpose2d(x, w, bias, params, out=None) -> np.ndarray:
+    """The engine's former conv_transpose2d, kept as a bitwise oracle: an
+    np.pad copy of the input that fits every sub-pixel phase's reads, and
+    one sliding_conv_gemm per phase over its own window of that copy; the
+    result goes into `out` when one is given."""
+    x = np.ascontiguousarray(x, dtype=np.float32)
+    _, oc, kh, kw = w.shape
+    _, h, wd = x.shape
+    stride = params.stride
+    oh = (h - 1) * stride - 2 * params.pad_h + kh + params.out_pad
+    ow = (wd - 1) * stride - 2 * params.pad_w + kw + params.out_pad
+    rows = list(_phases(oh, kh, stride, params.pad_h))
+    cols = list(_phases(ow, kw, stride, params.pad_w))
+    top, bottom = _phase_padding(rows, h)
+    left, right = _phase_padding(cols, wd)
+    xp = x if top == bottom == left == right == 0 else np.pad(
+        x, ((0, 0), (top, bottom), (left, right)))
+    w_flip = np.asarray(w, dtype=np.float32)[:, :, ::-1, ::-1]
+    out = np.empty((oc, oh, ow), dtype=np.float32) if out is None else out
+    for ry, fy, ty, by, ny in rows:
+        for rx, fx, tx, bx, nx in cols:
+            phase = out[:, ry::stride, rx::stride]
+            if not ty or not tx:  # no tap reaches this phase
+                phase[...] = 0.0 if bias is None else bias[:, None, None]
+                continue
+            sub = w_flip[:, :, fy::stride, fx::stride]
+            wmat = sub.transpose(1, 0, 2, 3).reshape(oc, -1).astype(np.float64)
+            window = xp[:, top + by: top + by + ny + ty - 1,
+                        left + bx: left + bx + nx + tx - 1]
+            sliding_conv_gemm(window, wmat, bias, ty, tx, 1, 1, phase)
+    return out
 
 
 def ref_maxpool2x2(x):

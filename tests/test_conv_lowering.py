@@ -1,17 +1,22 @@
 """The convolution GEMM lowering against its former self, and its scratch.
 
-reference.sliding_conv_gemm is the engine's previous kernels._conv_gemm: one
-5-D transposed im2col copy out of a sliding-window view, and the bias added
-to the float64 accumulator after the GEMM.  Every conv, transposed-conv and
-asymmetric node of the fused and unfused build_enet(19, 64, 128) graphs, with
-seeded non-trivial weights, is run by the engine and again with that oracle
-swapped in for kernels._conv_gemm, on the node's real input; the float32
-outputs must agree bit for bit.  The check runs in a fresh interpreter per
-BLAS thread count, because OpenBLAS reads OPENBLAS_NUM_THREADS once at load
-time.
+reference.padded_conv2d and reference.padded_conv_transpose2d are the
+engine's previous conv2d and conv_transpose2d: an np.pad copy of the input,
+one im2col per transposed-conv phase, each lowered by
+reference.sliding_conv_gemm (one 5-D transposed im2col copy out of a
+sliding-window view, the bias added to the float64 accumulator after the
+GEMM).  Every conv, transposed-conv and asymmetric node of the fused and
+unfused build_enet(19, 64, 128) graphs, with seeded non-trivial weights, is
+run by the engine and again with those oracles swapped in, on the node's
+real input; the float32 outputs must agree bit for bit.  fullconv's four
+phases, which share one im2col in the engine, are each checked against
+their own.  The engine runs at each of BUDGETS: the current band, the
+former one, and one so small that every network conv runs in many bands.
+The check runs in a fresh interpreter per BLAS thread count, because
+OpenBLAS reads OPENBLAS_NUM_THREADS once at load time.
 
-Run this file directly to print, per graph, the nodes checked and the nodes
-that disagreed, as JSON.
+Run this file directly to print, per budget and graph, the nodes checked
+and the nodes that disagreed, as JSON.
 """
 
 import json
@@ -29,11 +34,12 @@ from enetcpu.kernels import ConvParams, conv2d, conv_transpose2d
 from enetcpu.passes import optimize
 from enetcpu.runtime import execute, plan_buffers
 from reference import (
+    padded_conv2d,
+    padded_conv_transpose2d,
     rand_bias,
     rand_conv_weight,
     rand_input,
     rand_tconv_weight,
-    sliding_conv_gemm,
 )
 from test_golden import _perturbed_weights
 
@@ -47,34 +53,49 @@ def _graphs():
     return {"fused": (fg, fw), "unfused": (g, weights)}
 
 
+# the current band, the former one (reference.SLIDING_BAND), and a budget
+# that splits every network conv into bands of a few rows
+BUDGETS = (kernels._BAND, 1 << 19, 1 << 12)
+
+
 def oracle_report():
-    """Per graph, the convolution nodes run and those whose output differs
-    from the former lowering's."""
+    """Per engine band budget and graph, the convolution nodes run and those
+    whose output differs from the former kernels'."""
     x = np.random.default_rng(5).random((3, 64, 128), dtype=np.float32)
     node_value = runtime._node_value
+    former = {(runtime, "conv2d"): padded_conv2d,
+              (runtime, "conv_transpose2d"): padded_conv_transpose2d,
+              (kernels, "conv2d"): padded_conv2d}  # conv_asymmetric5's passes
+    engine = {key: getattr(*key) for key in former}
     report = {}
-    for name, (g, weights) in _graphs().items():
-        checked, differ = [], []
+    for budget in BUDGETS:
+        report[budget] = {}
+        for name, (g, weights) in _graphs().items():
+            checked, differ = [], []
 
-        def checked_node_value(n, weights, vals, out):
-            got = node_value(n, weights, vals, out)
-            if n.kind in CONV_KINDS:
-                kernels._conv_gemm, engine = sliding_conv_gemm, kernels._conv_gemm
-                try:
-                    want = node_value(n, weights, vals, None)
-                finally:
-                    kernels._conv_gemm = engine
-                checked.append(n.name)
-                if not np.array_equal(got.view(np.uint32), want.view(np.uint32)):
-                    differ.append(n.name)
-            return got
+            def checked_node_value(n, weights, vals, out):
+                got = node_value(n, weights, vals, out)
+                if n.kind in CONV_KINDS:
+                    for (module, attr), fn in former.items():
+                        setattr(module, attr, fn)
+                    try:
+                        want = node_value(n, weights, vals, None)
+                    finally:
+                        for (module, attr), fn in engine.items():
+                            setattr(module, attr, fn)
+                    checked.append(n.name)
+                    if not np.array_equal(got.view(np.uint32), want.view(np.uint32)):
+                        differ.append(n.name)
+                return got
 
-        runtime._node_value = checked_node_value
-        try:
-            execute(g, weights, x, plan_buffers(g))
-        finally:
-            runtime._node_value = node_value
-        report[name] = {"checked": checked, "differ": differ}
+            band, kernels._BAND = kernels._BAND, budget
+            runtime._node_value = checked_node_value
+            try:
+                execute(g, weights, x, plan_buffers(g))
+            finally:
+                runtime._node_value = node_value
+                kernels._BAND = band
+            report[budget][name] = {"checked": checked, "differ": differ}
     return report
 
 
@@ -88,11 +109,14 @@ def test_every_network_conv_matches_the_former_lowering(threads):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
+    assert sorted(map(int, report)) == sorted(BUDGETS)
     for name, (g, _) in _graphs().items():
         convs = [n.name for n in g.nodes if n.kind in CONV_KINDS]
         assert {n.kind for n in g.nodes} >= set(CONV_KINDS)
-        assert sorted(report[name]["checked"]) == sorted(convs), name
-        assert report[name]["differ"] == [], name
+        for budget in BUDGETS:
+            got = report[str(budget)][name]
+            assert sorted(got["checked"]) == sorted(convs), (budget, name)
+            assert got["differ"] == [], (budget, name)
 
 
 # (transposed, ic, oc, kh, kw, stride, pad, h, w, budget): the largest
@@ -119,9 +143,9 @@ def test_band_scratch_with_bias_row_stays_within_the_budget(monkeypatch, case):
     bands = []
     im2col = kernels._im2col
 
-    def recording_im2col(band, kh, kw, stride, dilation, oh, ow, ones):
-        cols = im2col(band, kh, kw, stride, dilation, oh, ow, ones)
-        bands.append((band.shape[0] * kh * kw, cols.shape))
+    def recording_im2col(x, top, left, kh, kw, stride, dilation, y0, oh, ow, ones):
+        cols = im2col(x, top, left, kh, kw, stride, dilation, y0, oh, ow, ones)
+        bands.append((x.shape[0] * kh * kw, cols.shape))
         return cols
 
     monkeypatch.setattr(kernels, "_im2col", recording_im2col)
@@ -135,10 +159,36 @@ def test_band_scratch_with_bias_row_stays_within_the_budget(monkeypatch, case):
         conv_transpose2d(x, rand_tconv_weight(rng, ic, oc, kh, kw), bias, p)
     else:
         conv2d(x, rand_conv_weight(rng, oc, ic, kh, kw), bias, p)
-    assert len(bands) > (s * s if tr else 1)  # some phase ran in several bands
+    assert len(bands) > (s * s if tr else 1)  # some window ran in several bands
     for taps, (k, n) in bands:
         assert k == taps + 1  # the ones row that takes the bias
         assert (k + oc) * n <= budget, (k, oc, n, budget)
+
+
+def test_phases_that_read_one_window_share_its_im2col(monkeypatch):
+    # fullconv's four phases (2x2, stride 2) all read the input itself: each
+    # band's im2col is built once, for the four GEMMs, and the bands tile
+    # the phases' rows once
+    monkeypatch.setattr(kernels, "_BAND", 5000)
+    bands = []
+    im2col = kernels._im2col
+
+    def recording_im2col(x, top, left, kh, kw, stride, dilation, y0, oh, ow, ones):
+        bands.append((y0, oh))
+        return im2col(x, top, left, kh, kw, stride, dilation, y0, oh, ow, ones)
+
+    monkeypatch.setattr(kernels, "_im2col", recording_im2col)
+    rng = np.random.default_rng(3)
+    x = rand_input(rng, 16, 24, 40)
+    wt, bias = rand_tconv_weight(rng, 16, 19, 2, 2), rand_bias(rng, 19)
+    p = ConvParams(out_channels=19, kernel_h=2, kernel_w=2, stride=2,
+                   has_bias=True)
+    got = conv_transpose2d(x, wt, bias, p)
+    assert len(bands) > 1
+    assert [y0 for y0, _ in bands] == sorted({y0 for y0, _ in bands})
+    assert sum(oh for _, oh in bands) == 24
+    want = padded_conv_transpose2d(x, wt, bias, p)
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 if __name__ == "__main__":

@@ -421,24 +421,36 @@ def test_conv_bands_give_the_bits_of_one_band(monkeypatch, case, budget):
     assert _bitwise_equal(run(), whole)
 
 
-@pytest.mark.parametrize("transposed", [False, True], ids=["conv2d", "conv_transpose2d"])
-def test_conv_scratch_stays_within_the_band_budget(transposed):
-    # a 3x3 16->16 conv at 90x160 and the 2x2/2 16->19 fullconv at 180x320,
-    # the two largest scratch users of the 360x640 network, each writing
-    # into a given out
+# (transposed, ic, oc, kh, kw, stride, pad, dilation, bias, h, w): a 3x3
+# 16->16 conv at 90x160 and the 2x2/2 16->19 fullconv at 180x320, the two
+# largest scratch users of the 360x640 network, and two padded convs whose
+# padding is written into the band: the initial 3x3/2 conv at 360x640 and a
+# dilation-16 3x3 conv at 45x80
+SCRATCH_CASES = {
+    "conv2d": (False, 16, 16, 3, 3, 1, 1, 1, False, 90, 160),
+    "conv_transpose2d": (True, 16, 19, 2, 2, 2, 0, 1, True, 180, 320),
+    "initial": (False, 3, 13, 3, 3, 2, 1, 1, True, 360, 640),
+    "dilated16": (False, 32, 32, 3, 3, 1, 16, 16, False, 45, 80),
+}
+
+
+@pytest.mark.parametrize("case", SCRATCH_CASES.values(), ids=SCRATCH_CASES.keys())
+def test_conv_scratch_stays_within_the_band_budget(case):
+    # each writing into a given out: one band of im2col and accumulator,
+    # and no padded copy of the input beside it
+    tr, ic, oc, kh, kw, s, pad, d, has_bias, h, w = case
     rng = np.random.default_rng(90)
-    if transposed:
-        x = rand_input(rng, 16, 180, 320)
-        wt, bias = rand_tconv_weight(rng, 16, 19, 2, 2), rand_bias(rng, 19)
-        p = ConvParams(out_channels=19, kernel_h=2, kernel_w=2, stride=2,
-                       has_bias=True)
-        out = np.empty((19, 360, 640), dtype=F32)
+    x = rand_input(rng, ic, h, w)
+    bias = rand_bias(rng, oc) if has_bias else None
+    p = ConvParams(out_channels=oc, kernel_h=kh, kernel_w=kw, stride=s,
+                   pad_h=pad, pad_w=pad, dilation=d, has_bias=has_bias)
+    if tr:
+        wt = rand_tconv_weight(rng, ic, oc, kh, kw)
+        out = np.empty((oc, *p.tconv_out_hw(h, w)), dtype=F32)
         run = lambda: conv_transpose2d(x, wt, bias, p, out=out)  # noqa: E731
     else:
-        x = rand_input(rng, 16, 90, 160)
-        wt, bias = rand_conv_weight(rng, 16, 16, 3, 3), None
-        p = ConvParams(out_channels=16, kernel_h=3, kernel_w=3, pad_h=1, pad_w=1)
-        out = np.empty((16, 90, 160), dtype=F32)
+        wt = rand_conv_weight(rng, oc, ic, kh, kw)
+        out = np.empty((oc, *p.conv_out_hw(h, w)), dtype=F32)
         run = lambda: conv2d(x, wt, bias, p, out=out)  # noqa: E731
     tracemalloc.start()
     try:
@@ -446,7 +458,7 @@ def test_conv_scratch_stays_within_the_band_budget(transposed):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (1 << 19) * 8 + 2**20, peak / 1e6  # 2^19 float64 + 1 MiB
+    assert peak <= kernels._BAND * 8 + 128 * 1024, peak / 1e6
 
 
 def test_conv_and_transpose_are_adjoint():
@@ -623,8 +635,8 @@ def test_maxpool_bitwise_equals_argmax_kernel():
 
 @pytest.mark.parametrize("shape", [(64, 90, 160), (64, 180, 320)])
 def test_maxpool_scratch_stays_near_the_input_size(shape):
-    # tracemalloc peak of pooling into a given out: the row winners, their
-    # masks and the uint8 codes, with no wider index array beside them
+    # tracemalloc peak of pooling into a given out: the uint8 codes, and one
+    # channel strip's row winners and masks at a time
     x = np.random.default_rng(59).random(shape, dtype=F32)
     out = np.empty((shape[0], shape[1] // 2, shape[2] // 2), dtype=F32)
     tracemalloc.start()
@@ -633,7 +645,23 @@ def test_maxpool_scratch_stays_near_the_input_size(shape):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * x.nbytes, peak / x.nbytes
+    assert peak <= out.size + 32 * kernels._STRIP, peak / x.nbytes
+
+
+@pytest.mark.parametrize("shape", [(64, 90, 160), (16, 180, 320)])
+def test_unpool_scratch_stays_within_a_strip(shape):
+    # tracemalloc peak of unpooling into a given out: one channel strip's
+    # masks and selected bits at a time
+    x = np.random.default_rng(60).random(shape, dtype=F32)
+    pooled = maxpool2x2(x)
+    out = np.empty(shape, dtype=F32)
+    tracemalloc.start()
+    try:
+        max_unpool2x2(pooled.values, pooled.codes, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * kernels._STRIP, peak
 
 
 def test_unpool_scatters_single_value():

@@ -190,13 +190,23 @@ _ROLE_KEYS = ("initial.conv.weight", "bottleneck4.0.ext.deconv.weight",
               "initial.bn.var", "bottleneck1.0.ext.proj_prelu.slopes")
 
 
-@pytest.mark.parametrize("corruption", ["deleted", "float16", "float64", "int32"])
-@pytest.mark.parametrize("key", _ROLE_KEYS)
+# every key with every corruption of its storage, and each variance negated
+_CORRUPTIONS = [(key, corruption) for key in _ROLE_KEYS for corruption in
+                ("deleted", "float16", "float64", "int32")]
+_CORRUPTIONS += [(key, "negative variance") for key in _ROLE_KEYS
+                 if key.endswith(".var")]
+
+
+@pytest.mark.parametrize("key,corruption", _CORRUPTIONS)
 def test_fused_and_unfused_refuse_a_bad_weight_alike(key, corruption):
+    # both paths refuse at the one gate, before any kernel runs or any BN
+    # folds, and name the key
     g = build_enet(5, 32, 32)
     w = init_weights(g, seed=0)
     if corruption == "deleted":
         del w[key]
+    elif corruption == "negative variance":
+        w[key] = -w[key]
     else:
         w[key] = w[key].astype(corruption)
     x = np.random.default_rng(0).random((3, 32, 32), dtype=F32)

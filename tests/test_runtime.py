@@ -266,19 +266,23 @@ def test_planned_execute_peak_is_the_arena_the_output_and_scratch():
     assert peak <= plan.peak_bytes + logits.nbytes + 8 * 10**6, peak / 1e6
 
 
-def test_planned_execute_peak_is_at_most_the_unplanned_peak():
+@pytest.mark.parametrize("fused,h,w", [(True, 360, 640), (False, 128, 256)],
+                         ids=["fused-360x640", "unfused-128x256"])
+def test_planned_execute_peak_is_at_most_the_unplanned_peak(fused, h, w):
     # the buffer is dropped before fullconv runs, so while it runs only its
     # input (a fresh array, never in the buffer), the logits and one band of
     # convolution scratch are held, as without a plan
-    g = build_enet(19, 360, 640)
-    g, w, _ = optimize(g, init_weights(g, seed=0))
+    g = build_enet(19, h, w)
+    weights = init_weights(g, seed=0)
+    if fused:
+        g, weights, _ = optimize(g, weights)
     plan = plan_buffers(g)
-    x = np.random.default_rng(4).random((3, 360, 640), dtype=F32)
+    x = np.random.default_rng(4).random((3, h, w), dtype=F32)
     peaks = {}
     for name, p in (("planned", plan), ("unplanned", None)):
         tracemalloc.start()
         try:
-            logits = execute(g, w, x, p)
+            logits = execute(g, weights, x, p)
             peaks[name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
