@@ -1,7 +1,8 @@
 """Buffer planning walkthrough: how packing values by liveness into one
-buffer bounds the activation memory of a deep encoder-decoder, how close the
-buffer comes to the live-set lower bound, and the measured peak of planned
-against unplanned execution, verified bitwise.
+buffer bounds the activation memory of a deep encoder-decoder, how many
+values share a slot because an elementwise node writes over its dying input,
+how close the buffer comes to the live-set lower bound, and the measured peak
+of planned against unplanned execution, verified bitwise.
 
 Run from the repository root:  python3 demos/memory_planning.py
 """
@@ -19,11 +20,17 @@ def main():
     g, store, _ = optimize(g, store)
 
     plan = plan_buffers(g)
-    print(f"{len(g.nodes)} nodes, {len(plan.offset_of)} values packed into one buffer "
-          f"(the output's producer and what it reads are fresh arrays)")
+    # a value on the offset of an input it reads was written over that input
+    # (a PReLU, add, batch norm or dropout on its dying input's slot)
+    off = plan.offset_of
+    joined = sum(1 for n in g.nodes if n.id in off
+                 and any(off.get(src) == off[n.id] for src in n.inputs))
+    print(f"{len(g.nodes)} nodes, {len(off)} values in {len(off) - joined} slots "
+          f"of one buffer (the output's producer and what it reads are fresh "
+          f"arrays)")
     print(f"arena (buffer size)    : {plan.peak_bytes / 1e6:8.2f} MB")
     print(f"live-set lower bound   : {plan.live_bytes / 1e6:8.2f} MB "
-          f"(most bytes live at any one node)")
+          f"(most slot bytes live at any one node)")
     print(f"without any reuse      : {plan.no_reuse_bytes / 1e6:8.2f} MB")
     print(f"reuse factor           : "
           f"{plan.no_reuse_bytes / plan.peak_bytes:8.1f}x")

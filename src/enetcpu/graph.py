@@ -141,6 +141,9 @@ class Graph:
         by_name = {n.name: n for n in self.nodes}
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_by_name", by_name)
+        for attr, kind in (("_input", NodeKind.INPUT), ("_output", NodeKind.OUTPUT)):
+            object.__setattr__(self, attr, next(
+                (n for n in self.nodes if n.kind is kind), None))
 
     def __iter__(self) -> Iterator[NodeSpec]:
         return iter(self.nodes)
@@ -153,11 +156,17 @@ class Graph:
 
     @property
     def input_node(self) -> NodeSpec:
-        return next(n for n in self.nodes if n.kind is NodeKind.INPUT)
+        """The first INPUT node (validate refuses a graph with another count)."""
+        if self._input is None:
+            raise ValidationError("graph has no input node")
+        return self._input
 
     @property
     def output_node(self) -> NodeSpec:
-        return next(n for n in self.nodes if n.kind is NodeKind.OUTPUT)
+        """The first OUTPUT node (validate refuses a graph with another count)."""
+        if self._output is None:
+            raise ValidationError("graph has no output node")
+        return self._output
 
     def consumers(self) -> dict[int, tuple[int, ...]]:
         """Map node id -> ids of nodes that read it, in storage order."""

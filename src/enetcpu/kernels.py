@@ -6,18 +6,22 @@ run-to-run and land within one float32 rounding of an exact-accumulation
 reference regardless of BLAS summation order.
 
 Every kernel takes an optional `out`: a C-contiguous float32 array of the
-result's shape that must not overlap any input.  Given one, the kernel writes
-its result there and returns it; without one it returns a fresh array (or,
-for the identity cases of pad_channels and spatial_dropout_infer, its
-input).  Float64 accumulators are rounded in by assignment, which rounds
-exactly as astype(float32) does, so both forms give the same bits.
+result's shape.  For prelu, add, batchnorm_infer and spatial_dropout_infer,
+`out` may be exactly the first input (for add, either addend), so the result
+is written over it; otherwise it must not overlap any input.  Given one, the
+kernel writes its result there and returns it; without one it returns a
+fresh array.  The identity cases of pad_channels and spatial_dropout_infer
+return their input, uncopied, when `out` is None or is that input.  Float64
+accumulators are rounded in by assignment, which rounds exactly as
+astype(float32) does, so both forms give the same bits.
 
-prelu, maxpool2x2 and max_unpool2x2 choose between float32 values with
+maxpool2x2, max_unpool2x2 and prelu choose between float32 values with
 _select, an integer select on their bits, b ^ ((a ^ b) & -mask), instead of
 np.where, whose data-dependent branch made it 3-4x slower.  It picks the
 chosen operand's bits exactly, so signed zeros, denormals, infinities and NaN
-come through as np.where would give them.  prelu is one such pass for every
-slope: x times the slope into out, then x wherever x >= 0.
+come through as np.where would give them.  prelu multiplies each strip by its
+slopes into a temporary t, then writes np.maximum(x, t) when every slope of
+the strip is in (0, 1], and the select of x where x >= 0, else t, otherwise.
 
 prelu, batchnorm_infer, maxpool2x2 and max_unpool2x2 run over strips of
 whole channels, each about _STRIP elements of their input (of the pooled
@@ -186,12 +190,12 @@ def _out(out: Optional[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _into(out: Optional[np.ndarray], result: np.ndarray) -> np.ndarray:
-    """`result` as float32: rounded into `out` when one is given, else
-    converted (not copied when it already is float32)."""
-    if out is None:
-        return result.astype(F32, copy=False)
-    _out(out, result.shape)[...] = result
+def _into(out: Optional[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """The float32 array x copied into `out`, or x itself when there is no
+    `out` or `out` is x."""
+    if out is None or out is x:
+        return x
+    _out(out, x.shape)[...] = x
     return out
 
 
@@ -199,7 +203,7 @@ def _select(take: np.ndarray, a: np.ndarray, b: np.ndarray,
             out: np.ndarray) -> np.ndarray:
     """out = a where take else b, bit for bit, with no data-dependent branch.
     a, b and out are float32 (any strides; b may broadcast), take is bool;
-    out may be b."""
+    out may be a or b."""
     bits = np.bitwise_xor(a.view(np.int32), b.view(np.int32))
     bits &= -take.view(np.int8)
     np.bitwise_xor(bits, b.view(np.int32), out=out.view(np.int32))
@@ -475,18 +479,34 @@ def batchnorm_infer(x: np.ndarray, p: BnParams,
 
 def prelu(x: np.ndarray, slopes: np.ndarray,
           out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Per-channel parametric ReLU: x if x >= 0 else slope[c] * x."""
+    """Per-channel parametric ReLU: x if x >= 0 else slope[c] * x.
+
+    For a slope s in (0, 1], x >= 0 gives x*s <= x and x < 0 gives
+    x*s >= x, so the result is max(x, x*s).  np.maximum returns the first
+    operand on a tie or a NaN, which gives np.where's bits for every float32
+    but a signalling NaN; arithmetic never makes one, and execute refuses NaN
+    inputs and weights.  Other slopes take the select: at s = 0 an infinite x
+    makes x*s NaN, which the select drops but the maximum would keep."""
     x = _chw(x)
     if slopes.ndim != 1 or slopes.shape[0] != x.shape[0]:
         raise ShapeError(
             f"prelu needs one slope per channel ({x.shape[0]}), got {slopes.shape}"
         )
-    s = np.ascontiguousarray(slopes, dtype=F32)[:, None, None]
+    s = np.ascontiguousarray(slopes, dtype=F32)
+    unit = (s > 0) & (s <= 1)
+    s = s[:, None, None]
     out = _out(out, x.shape)
-    for c in _strips(*x.shape):
-        xs, ys = x[c], out[c]
-        np.multiply(xs, s[c], out=ys)
-        _select(xs >= 0, xs, ys, ys)
+    strips = _strips(*x.shape)
+    tmp = np.empty(x[strips[0]].shape if strips else x.shape, dtype=F32)
+    with np.errstate(invalid="ignore"):  # inf * 0 is NaN; the select drops it
+        for c in strips:
+            xs = x[c]
+            t = tmp[:len(xs)]
+            np.multiply(xs, s[c], out=t)  # not into out, which may be x
+            if unit[c].all():
+                np.maximum(xs, t, out=out[c])
+            else:
+                _select(xs >= 0, xs, t, out[c])
     return out
 
 

@@ -3,18 +3,24 @@ and latency measurement.
 
 Planning packs intermediate values into one float32 buffer by byte offset.
 Values and maxpool window codes (kept outside the buffer) share one liveness
-map: each is live from its producer's position to its last reader's.  Values
-are placed largest first, each into the smallest gap left by the
-already-placed values whose lifetimes overlap its own (greedy by size,
-Pisarchyk & Lee, arXiv 2001.03288).  A node's lifetime overlaps its inputs',
-so no kernel writes over what it reads.  The plan alone decides where a value
-lives; the output node's producer and every value it reads get no offset.
-Every kernel writes through its `out` argument: into its view of the buffer
-when it has an offset, else into a fresh array, so without a plan the same
-loop runs with no offsets.  The buffer is dropped before the producer runs,
-with nothing to copy out, so it is never held beside the output.  Planned
-and unplanned runs are bitwise identical, so a planning bug shows up as
-corrupted values (or poisoned NaNs in debug mode) instead of silent reuse.
+map: each is live from its producer's position to its last reader's.  A
+PReLU, add, batch norm or spatial dropout node gives an output of its input's
+shape, so it joins the slot of an input that dies at it (either addend of an
+add) and writes over that input's bytes.  A slot is a chain of such values;
+it lives from its first member's producer to its last member's last reader.
+Slots are placed largest first, each into the smallest gap left by the
+already-placed slots whose lifetimes overlap its own (greedy by size,
+Pisarchyk & Lee, arXiv 2001.03288), so every other node's bytes stay apart
+from what it reads.  The plan alone decides where a value lives; the output
+node's producer and every value it reads get no offset, and neither does
+the graph input, so nothing writes over them.  Every kernel writes through
+its `out` argument: over its input's array when the node is on that input's
+slot, into its view of the buffer when it has an offset of its own, else
+into a fresh array, so without a plan the same loop runs out of place with
+no offsets.  The buffer is dropped before the producer runs, with nothing to
+copy out, so it is never held beside the output.  Planned and unplanned runs
+are bitwise identical, so a planning bug shows up as corrupted values (or
+poisoned NaNs in debug mode) instead of silent reuse.
 
 `execute` validates the graph against its weight store on every call,
 before any kernel reads a weight; there is no unchecked mode, so
@@ -53,14 +59,18 @@ from .tensor import Shape
 
 _BYTES_F32 = 4
 _ALIGN = 64  # planned offsets are multiples of one cache line, in bytes
+# kinds whose output may take the slot of an input that dies at them
+_IN_PLACE = frozenset({NodeKind.PRELU, NodeKind.ADD, NodeKind.BATCHNORM,
+                       NodeKind.DROPOUT})
 
 
 @dataclass(frozen=True)
 class ExecutionPlan:
     """Byte offset of every intermediate value in one float32 buffer.
 
+    Values on one slot (see the module docstring) share its offset.
     peak_bytes is the buffer size; live_bytes is the largest total size of
-    the values live at any one node, a lower bound for any packing;
+    the slots live at any one node, a lower bound for any packing of them;
     no_reuse_bytes is what holding every planned value alive would cost.
     The output node's producer and the values it reads have no offset: they
     are fresh arrays, and the producer's is the one `execute` returns.
@@ -92,26 +102,38 @@ def _last_uses(g: Graph) -> dict[int, int]:
 
 
 def plan_buffers(g: Graph) -> ExecutionPlan:
-    """Greedy-by-size offset assignment over liveness intervals."""
+    """Greedy-by-size offset assignment over the liveness intervals of
+    slots."""
     shapes = infer_shapes(g)
     last_use = _last_uses(g)
     producer = g.node(g.output_node.inputs[0])
     unplaced = {producer.id, *producer.inputs}
 
-    values = []  # (bytes, first, last, id); first and last positions inclusive
-    live = [0] * len(g.nodes)
+    slot_of: dict[int, int] = {}  # placed value id -> index into slots
+    slots: list[list[int]] = []  # [bytes, first, last]; positions inclusive
     for i, n in enumerate(g.nodes):
         if n.kind in (NodeKind.INPUT, NodeKind.OUTPUT) or n.id in unplaced:
             continue
         size = shapes[n.id].count * _BYTES_F32
         last = last_use.get(n.id, i)
-        values.append((size, i, last, n.id))
-        for p in range(i, last + 1):
+        hosts = [src for src in n.inputs if src in slot_of and last_use[src] == i
+                 and slots[slot_of[src]][0] == size] if n.kind in _IN_PLACE else []
+        if hosts:
+            slot_of[n.id] = slot_of[hosts[0]]
+            slots[slot_of[n.id]][2] = last
+        else:
+            slot_of[n.id] = len(slots)
+            slots.append([size, i, last])
+
+    live = [0] * len(g.nodes)
+    for size, first, last in slots:
+        for p in range(first, last + 1):
             live[p] += size
 
-    offset_of: dict[int, int] = {}
+    slot_offset = [0] * len(slots)
     placed: list[tuple[int, int, int, int]] = []  # (offset, end, first, last)
-    for size, first, last, nid in sorted(values, key=lambda v: (-v[0], v[1])):
+    for k in sorted(range(len(slots)), key=lambda k: (-slots[k][0], slots[k][1])):
+        size, first, last = slots[k]
         need = -(-size // _ALIGN) * _ALIGN
         best, best_gap, top = -1, 0, 0
         for off, end, other_first, other_last in placed:  # ascending offset
@@ -120,13 +142,15 @@ def plan_buffers(g: Graph) -> ExecutionPlan:
             if off - top >= need and (best < 0 or off - top < best_gap):
                 best, best_gap = top, off - top
             top = max(top, end)
-        offset_of[nid] = top if best < 0 else best
-        insort(placed, (offset_of[nid], offset_of[nid] + need, first, last))
+        slot_offset[k] = top if best < 0 else best
+        insort(placed, (slot_offset[k], slot_offset[k] + need, first, last))
 
-    return ExecutionPlan(graph=g, offset_of=offset_of,
+    return ExecutionPlan(graph=g,
+                         offset_of={nid: slot_offset[k] for nid, k in slot_of.items()},
                          peak_bytes=max((end for _, end, _, _ in placed), default=0),
                          live_bytes=max(live, default=0),
-                         no_reuse_bytes=sum(v[0] for v in values),
+                         no_reuse_bytes=sum(shapes[nid].count * _BYTES_F32
+                                            for nid in slot_of),
                          retained=frozenset(~k for k in last_use if k < 0))
 
 
@@ -177,13 +201,17 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
     NaN or an infinity is refused with ExecutionError too.
 
     With a plan, a node the plan gives an offset writes into its view of one
-    buffer allocated for this call, and every other node into a fresh array;
-    without one, every node writes into a fresh array.  The buffer is dropped
-    before the output node's producer runs; the plan keeps that node and what
-    it reads out of the buffer, so nothing is copied.  poison=True fills the
-    buffer and every fresh array with NaN before use, overwrites each
-    buffered value with NaN once its last reader has run and the whole
-    buffer when it is dropped, so any liveness bug turns into a loud
+    buffer allocated for this call, or, when it is a PReLU, add, batch norm
+    or dropout on the offset of an input it reads, over that input's array;
+    every other node writes into a fresh array.  Without a plan, every node
+    writes into a fresh array, so `plan=None` is the out-of-place reference.
+    The buffer is dropped before the output node's producer runs; the plan
+    keeps that node and what it reads out of the buffer, so nothing is
+    copied.  poison=True fills the buffer and every fresh array with NaN
+    before use, overwrites each buffered value with NaN once its last reader
+    has run, unless that reader wrote its output over it (the slot is
+    poisoned when its last member's last reader has run), and fills the
+    whole buffer when it is dropped, so any liveness bug turns into a loud
     failure.  Poison covers values only: pooling window codes live outside
     the buffer, under the same liveness as the values, so a reader after
     their last unpool finds them missing and raises ExecutionError.
@@ -234,8 +262,14 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
                 arena = None
             shape = tuple(shapes[n.id])
             if n.id in offset_of:
-                start = offset_of[n.id] // _BYTES_F32
-                out = arena[start: start + shapes[n.id].count].reshape(shape)
+                off = offset_of[n.id]
+                held = [src for src in n.inputs if offset_of.get(src) == off
+                        ] if n.kind in _IN_PLACE else []
+                if held:  # on its input's slot: write over that input
+                    out = vals[held[0]]
+                else:
+                    start = off // _BYTES_F32
+                    out = arena[start: start + shapes[n.id].count].reshape(shape)
             else:
                 out = np.empty(shape, dtype=np.float32)
                 if poison:
@@ -245,11 +279,12 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
             except EnetError as e:
                 raise type(e)(f"node {n.name}: {e}") from e
 
-        # drop what this node read last, and a pool's codes no unpool reads
+        # drop what this node read last, and a pool's codes no unpool reads;
+        # poison no value whose array this node wrote its output over
         done = (*_reads(n), ~n.id) if n.kind is NodeKind.MAXPOOL else _reads(n)
         for key in set(done):
             if last_use.get(key, i) == i:
-                if poison and key in offset_of:
+                if poison and key in offset_of and vals[key] is not vals[n.id]:
                     vals[key][...] = np.nan
                 del vals[key]
 

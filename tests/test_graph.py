@@ -285,6 +285,17 @@ def test_graph_rejects_negative_ids():
         Graph(nodes=(n0,), input_shape=Shape(1, 2, 2))
 
 
+def test_graph_input_and_output_nodes_are_found_once_and_missing_ones_named():
+    g = build_enet(4, 32, 32)
+    assert g.input_node is g.nodes[0] and g.output_node is g.nodes[-1]
+    assert g.input_node.kind is NodeKind.INPUT and g.output_node.kind is NodeKind.OUTPUT
+    lone = Graph(nodes=(NodeSpec(id=0, kind=NodeKind.INPUT, name="input", inputs=()),),
+                 input_shape=Shape(1, 2, 2))
+    assert lone.input_node is lone.nodes[0]
+    with pytest.raises(ValidationError, match="no output node"):
+        lone.output_node
+
+
 # ---------------------------------------------------------------------------
 # shape inference failure paths
 

@@ -2,6 +2,7 @@
 instances, and algebraic invariants (adjointness, linearity, tie-breaking)."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -840,6 +841,54 @@ def test_prelu_bitwise_equals_where_across_channel_strips(shape):
                                   want.view(np.int32))
 
 
+def _prelu_probe(rng):
+    """2^15 float32 values: random bit patterns (NaNs made quiet, as
+    arithmetic makes them) followed by signed zeros, infinities, a NaN, the
+    smallest denormals and values near the float32 limit."""
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-45, -1e-45,
+                         3e38, -3e38], dtype=F32)
+    bits = rng.integers(0, 2**32, 2**15 - len(specials), dtype=np.uint32)
+    nan = (bits & 0x7F800000 == 0x7F800000) & (bits & 0x007FFFFF != 0)
+    bits[nan] |= 0x00400000
+    return np.concatenate([bits.view(F32), specials])
+
+
+@pytest.mark.parametrize("slopes", [
+    [1.0, 1e-45, 0.25, 0.999],  # all in (0, 1]: np.maximum on every strip
+    [0.0, -0.0],  # inf * 0 is NaN, so no maximum
+    [-0.5, -1.0, -1e-45, -3.0],
+    [1.0000001, 2.0, 1e38],
+    [0.5, 0.0, 0.25, -1.0, 1.5, 1.0],  # both forms inside one strip
+], ids=["unit", "zero", "negative", "above-1", "mixed"])
+def test_prelu_is_exact_on_every_bit_pattern_in_and_out_of_place(slopes):
+    # 2^15 elements a channel make strips of two channels, so the mixed set
+    # puts slopes of both forms in each strip; the result must be np.where's
+    # bits, with a fresh out and with out = x
+    assert kernels._STRIP // 2**15 == 2
+    probe = _prelu_probe(np.random.default_rng(len(slopes)))
+    s = np.array(slopes, dtype=F32)
+    x = np.broadcast_to(probe.reshape(1, 128, 256), (len(s), 128, 256)).copy()
+    # a product past the float32 range is inf on both sides
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.where(x >= 0, x, x * s[:, None, None]).view(np.int32)
+    with np.errstate(over="ignore"):
+        fresh = prelu(x, s)
+        got = prelu(x, s, out=x)
+    np.testing.assert_array_equal(fresh.view(np.int32), want)
+    assert got is x
+    np.testing.assert_array_equal(x.view(np.int32), want)
+
+
+def test_prelu_at_slope_zero_on_infinities_does_not_warn():
+    x = np.array([[[np.inf, -np.inf, -2.0, 0.0]]], dtype=F32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = prelu(x, np.zeros(1, dtype=F32))
+    with np.errstate(invalid="ignore"):
+        want = np.where(x >= 0, x, x * F32(0))
+    np.testing.assert_array_equal(got.view(np.int32), want.view(np.int32))
+
+
 def test_prelu_rejects_slope_length_mismatch():
     with pytest.raises(ShapeError):
         prelu(np.ones((3, 2, 2), dtype=F32), np.ones(2, dtype=F32))
@@ -884,6 +933,41 @@ def test_spatial_dropout_infer_is_identity_and_idempotent():
     once = spatial_dropout_infer(x)
     np.testing.assert_array_equal(once, x)
     np.testing.assert_array_equal(spatial_dropout_infer(once), x)
+
+
+def _in_place_cases():
+    """(name, call(x, out=None)) for every kernel whose out may be its
+    input, and pad_channels' identity case, on operands that span several
+    channel strips."""
+    rng = np.random.default_rng(81)
+    other = rand_input(rng, 40, 45, 80)
+    bn = BnParams(gamma=rng.random(40, dtype=F32) + 0.5, beta=rand_bias(rng, 40),
+                  mean=rand_bias(rng, 40), var=rng.random(40, dtype=F32) + 0.5,
+                  eps=1e-3)
+    slopes = (rng.random(40, dtype=F32) * 3 - 1.5).astype(F32)
+    return [
+        ("prelu", lambda x, out=None: prelu(x, slopes, out=out)),
+        ("add-over-a", lambda x, out=None: add(x, other, out=out)),
+        ("add-over-b", lambda x, out=None: add(other, x, out=out)),
+        ("add-twice", lambda x, out=None: add(x, x, out=out)),
+        ("batchnorm_infer", lambda x, out=None: batchnorm_infer(x, bn, out=out)),
+        ("spatial_dropout_infer",
+         lambda x, out=None: spatial_dropout_infer(x, out=out)),
+        ("pad_channels_identity", lambda x, out=None: pad_channels(x, 40, out=out)),
+    ]
+
+
+IN_PLACE_CASES = _in_place_cases()
+
+
+@pytest.mark.parametrize("name, call", IN_PLACE_CASES,
+                         ids=[n for n, _ in IN_PLACE_CASES])
+def test_elementwise_kernel_over_its_input_gives_the_bits_of_a_fresh_out(name, call):
+    x = rand_input(np.random.default_rng(82), 40, 45, 80)
+    fresh = call(x, out=np.empty_like(x))
+    got = call(x, out=x)
+    assert got is x, name
+    np.testing.assert_array_equal(x.view(np.int32), fresh.view(np.int32))
 
 
 # ---------------------------------------------------------------------------
