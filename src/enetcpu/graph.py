@@ -8,7 +8,11 @@ a plain dict keyed by "<node name>.<role>" strings.  A node is never given
 its keys: they are derived when it is made, from its kind, which names the
 roles it binds (a convolution binds "bias" only when its params say so), and
 its name.  This module is the one place that says which weights a node has
-and how they are laid out.
+and how they are laid out, and what a batch norm's weights mean: bn_affine
+turns them into the one per-channel float64 scale and shift, with the
+constant BN_EPS, that both the unfused kernel and the fold apply.  Nodes
+hold structure only; spatial dropout, the identity at inference, has no
+rate.
 """
 
 from __future__ import annotations
@@ -21,10 +25,10 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import BuildError, ShapeError, ValidationError
-from .kernels import BnParams, ConvParams
+from .kernels import ConvParams
 from .tensor import Shape, check_shape
 
-BN_EPS = 1e-5
+BN_EPS = 1e-5  # the epsilon of every batch norm's sqrt(var + eps)
 PRELU_INIT = 0.25
 
 
@@ -81,8 +85,6 @@ class NodeSpec:
     name: str
     inputs: tuple[int, ...]
     conv: Optional[ConvParams] = None
-    bn_eps: Optional[float] = None
-    dropout_rate: Optional[float] = None
     target_channels: Optional[int] = None
     index_link: Optional[int] = None  # MAX_UNPOOL -> id of the source MAXPOOL
 
@@ -214,8 +216,8 @@ class GraphBuilder:
         return self._append(NodeKind.MAX_UNPOOL, name, (src,),
                             index_link=index_source)
 
-    def batchnorm(self, name: str, src: int, eps: float = BN_EPS) -> int:
-        return self._append(NodeKind.BATCHNORM, name, (src,), bn_eps=eps)
+    def batchnorm(self, name: str, src: int) -> int:
+        return self._append(NodeKind.BATCHNORM, name, (src,))
 
     def prelu(self, name: str, src: int) -> int:
         return self._append(NodeKind.PRELU, name, (src,))
@@ -230,10 +232,8 @@ class GraphBuilder:
         return self._append(NodeKind.PAD_CHANNELS, name, (src,),
                             target_channels=target_channels)
 
-    def dropout(self, name: str, src: int, rate: float) -> int:
-        if not 0.0 <= rate < 1.0:
-            raise BuildError(f"dropout rate must be in [0, 1), got {rate}")
-        return self._append(NodeKind.DROPOUT, name, (src,), dropout_rate=rate)
+    def dropout(self, name: str, src: int) -> int:
+        return self._append(NodeKind.DROPOUT, name, (src,))
 
     def find(self, name: str) -> int:
         for n in self._nodes:
@@ -268,7 +268,6 @@ def build_initial_block(b: GraphBuilder) -> int:
 
 def build_bottleneck(b: GraphBuilder, kind: BottleneckKind, in_ch: int,
                      out_ch: int, src: int, *, name: str, dilation: int = 1,
-                     dropout_rate: float = 0.1,
                      unpool_source: Optional[int] = None) -> int:
     """Residual bottleneck: 1x1 projection, main convolution, 1x1 expansion
     on the extension branch; identity / pool+pad / conv+unpool on the main
@@ -317,11 +316,13 @@ def build_bottleneck(b: GraphBuilder, kind: BottleneckKind, in_ch: int,
     ext = b.batchnorm(f"{name}.ext.conv_bn", ext)
     ext = b.prelu(f"{name}.ext.conv_prelu", ext)
 
-    # extension branch: expansion, then regularizer
+    # extension branch: expansion, then regularizer.  Spatial dropout (rate
+    # 0.01 in stage 1, 0.1 after it, in the paper) only acts in training; at
+    # inference it is the identity, so the node carries no rate
     ext = b.conv(f"{name}.ext.expand", ext,
                  ConvParams(out_channels=out_ch, kernel_h=1, kernel_w=1))
     ext = b.batchnorm(f"{name}.ext.expand_bn", ext)
-    ext = b.dropout(f"{name}.ext.dropout", ext, dropout_rate)
+    ext = b.dropout(f"{name}.ext.dropout", ext)
 
     # main branch
     if kind is BottleneckKind.DOWNSAMPLING:
@@ -352,10 +353,10 @@ def build_enet(num_classes: int, input_h: int, input_w: int) -> Graph:
 
     # stage 1: downsample to 64 channels, then 4 regular blocks
     x = build_bottleneck(b, BottleneckKind.DOWNSAMPLING, 16, 64, x,
-                         name="bottleneck1.0", dropout_rate=0.01)
+                         name="bottleneck1.0")
     for i in range(1, 5):
         x = build_bottleneck(b, BottleneckKind.REGULAR, 64, 64, x,
-                             name=f"bottleneck1.{i}", dropout_rate=0.01)
+                             name=f"bottleneck1.{i}")
 
     # stages 2 and 3 share one sequence; stage 3 skips the downsampler
     seq = [
@@ -365,28 +366,25 @@ def build_enet(num_classes: int, input_h: int, input_w: int) -> Graph:
         (BottleneckKind.ASYMMETRIC5, 1), (BottleneckKind.DILATED, 16),
     ]
     x = build_bottleneck(b, BottleneckKind.DOWNSAMPLING, 64, 128, x,
-                         name="bottleneck2.0", dropout_rate=0.1)
+                         name="bottleneck2.0")
     for i, (kind, rate) in enumerate(seq, start=1):
         x = build_bottleneck(b, kind, 128, 128, x, name=f"bottleneck2.{i}",
-                             dilation=rate if kind is BottleneckKind.DILATED else 1,
-                             dropout_rate=0.1)
+                             dilation=rate if kind is BottleneckKind.DILATED else 1)
     for i, (kind, rate) in enumerate(seq, start=1):
         x = build_bottleneck(b, kind, 128, 128, x, name=f"bottleneck3.{i}",
-                             dilation=rate if kind is BottleneckKind.DILATED else 1,
-                             dropout_rate=0.1)
+                             dilation=rate if kind is BottleneckKind.DILATED else 1)
 
     # decoder: unpool with the encoder's pooling indices
     x = build_bottleneck(b, BottleneckKind.UPSAMPLING, 128, 64, x,
-                         name="bottleneck4.0", dropout_rate=0.1,
+                         name="bottleneck4.0",
                          unpool_source=b.find("bottleneck2.0.main.pool"))
     for i in (1, 2):
         x = build_bottleneck(b, BottleneckKind.REGULAR, 64, 64, x,
-                             name=f"bottleneck4.{i}", dropout_rate=0.1)
+                             name=f"bottleneck4.{i}")
     x = build_bottleneck(b, BottleneckKind.UPSAMPLING, 64, 16, x,
-                         name="bottleneck5.0", dropout_rate=0.1,
+                         name="bottleneck5.0",
                          unpool_source=b.find("bottleneck1.0.main.pool"))
-    x = build_bottleneck(b, BottleneckKind.REGULAR, 16, 16, x,
-                         name="bottleneck5.1", dropout_rate=0.1)
+    x = build_bottleneck(b, BottleneckKind.REGULAR, 16, 16, x, name="bottleneck5.1")
 
     # bare full convolution to class scores; the only biased layer
     x = b.conv_transpose("fullconv", x,
@@ -496,10 +494,17 @@ def expected_weight_shapes(g: Graph) -> dict[str, tuple[int, ...]]:
     return out
 
 
-def bn_params(n: NodeSpec, weights: dict[str, np.ndarray]) -> BnParams:
-    """A BATCHNORM node's statistics, read from the weight store by role."""
-    return BnParams(**{role: weights[key] for role, key in n.weight_refs},
-                    eps=n.bn_eps)
+def bn_affine(n: NodeSpec, weights: dict[str, np.ndarray]
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """A BATCHNORM node as the per-channel float64 map x*scale + shift, with
+    scale = gamma / sqrt(var + BN_EPS) and shift = beta - mean*scale (Ioffe
+    & Szegedy, 2015, section 3.1).  The unfused kernel applies this pair and
+    the fold writes it into a convolution.  The statistics are not checked
+    here: passes.validate refuses bad ones before either path runs."""
+    gamma, beta, mean, var = (weights[key].astype(np.float64)
+                              for _, key in n.weight_refs)
+    scale = gamma / np.sqrt(var + BN_EPS)
+    return scale, beta - mean * scale
 
 
 def init_weights(g: Graph, seed: int = 0) -> dict[str, np.ndarray]:

@@ -27,6 +27,11 @@ prelu, batchnorm_infer, maxpool2x2 and max_unpool2x2 run over strips of
 whole channels, each about _STRIP elements of their input (of the pooled
 plane for the two pooling kernels), so their temporaries stay in L2.
 
+batchnorm_infer takes a batch norm as the per-channel float64 scale and
+shift that graph.bn_affine derives from its statistics, the same pair the
+fold writes into a convolution; no kernel checks weight values, which
+passes.validate does once for both paths.
+
 Convolutions are lowered to float64 GEMM (Chellapilla et al., 2006) and take
 their geometry from ConvParams, as shape inference does.  conv2d fills a
 contiguous (C*kh*kw, rows*ow) im2col matrix with one strided copy per kernel
@@ -39,8 +44,9 @@ each band's im2col plus its accumulator holds at most _BAND float64 elements
 next band is built.  A convolution whose scratch fits runs as one band.  A
 bias is the GEMM's last K term, a float64 column of the weight matrix times a
 last im2col row of 1.0, so no separate pass adds it to the accumulator.  BLAS
-sums each output's K terms in order, so each sum ends with s + bias*1.0
-rounded once, the bits a separate float64 add gives;
+sums each output's K terms in order (tests/test_gemm_order.py checks this
+for every GEMM shape of the network at 3x360x640), so each sum ends with
+s + bias*1.0 rounded once, the bits a separate float64 add gives;
 tests/test_conv_lowering.py checks this on every network convolution (K up to
 289).  Each output element stays one dot product over the same K terms in the
 same order whatever the band, so its bits do not depend on the band height
@@ -61,7 +67,7 @@ dropped, so its float32 output is reproduced bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -138,40 +144,6 @@ class PoolResult(NamedTuple):
 
     values: np.ndarray
     codes: np.ndarray
-
-
-@dataclass(frozen=True)
-class BnParams:
-    """Inference-time batch normalization statistics for one layer."""
-
-    gamma: np.ndarray
-    beta: np.ndarray
-    mean: np.ndarray
-    var: np.ndarray
-    eps: float
-
-    def __post_init__(self):
-        n = len(self.gamma)
-        for name in _BN_STATS[1:]:
-            if len(getattr(self, name)) != n:
-                raise ShapeError(f"batchnorm {name} length != gamma length {n}")
-        if self.eps < 0:
-            raise ShapeError(f"batchnorm eps must be >= 0, got {self.eps}")
-        for name in _BN_STATS:
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ShapeError(f"batchnorm {name} is not finite")
-        if np.any(np.asarray(self.var) < 0):
-            raise ShapeError("batchnorm variance must be non-negative")
-        if np.any(np.asarray(self.var, dtype=np.float64) + self.eps <= 0):
-            raise ShapeError("batchnorm var + eps must be positive")
-
-    def scale(self) -> np.ndarray:
-        """Per-channel float64 gamma / sqrt(var + eps)."""
-        return np.asarray(self.gamma, dtype=np.float64) / np.sqrt(
-            np.asarray(self.var, dtype=np.float64) + self.eps)
-
-
-_BN_STATS = tuple(f.name for f in fields(BnParams) if f.name != "eps")
 
 
 def _chw(x: np.ndarray, what: str = "input") -> np.ndarray:
@@ -455,14 +427,15 @@ def max_unpool2x2(values: np.ndarray, codes: np.ndarray,
     return out
 
 
-def batchnorm_infer(x: np.ndarray, p: BnParams,
+def batchnorm_infer(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
                     out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Frozen-statistics batch normalization: gamma*(x-mean)/sqrt(var+eps)+beta."""
+    """Frozen-statistics batch normalization as its per-channel float64
+    affine map (graph.bn_affine gives the pair): x*scale[c] + shift[c],
+    rounded to float32 once."""
     x = _chw(x)
-    if x.shape[0] != len(p.gamma):
-        raise ShapeError(f"batchnorm has {len(p.gamma)} channels, input {x.shape[0]}")
-    scale = p.scale()
-    shift = np.asarray(p.beta, dtype=np.float64) - np.asarray(p.mean, dtype=np.float64) * scale
+    if len(scale) != x.shape[0] or len(shift) != x.shape[0]:
+        raise ShapeError(f"batchnorm has {len(scale)} scales and {len(shift)} "
+                         f"shifts, input {x.shape[0]} channels")
     scale, shift = scale[:, None, None], shift[:, None, None]
     out = _out(out, x.shape)
     strips = _strips(*x.shape)

@@ -3,8 +3,9 @@
 Both passes are semantics-preserving at inference time: batch-norm folding
 rewrites conv weights so the normalization vanishes, and dropout elision
 removes identity nodes.  Node ids of surviving nodes never change.
-`validate` is the one gate on a graph and its weight store: `optimize` runs
-it before any fold reads a weight, and `execute` before any kernel does.
+`validate` is the one gate on a graph and its weight store, and the only
+value check on batch-norm statistics: `optimize` runs it before any fold
+reads a weight, and `execute` before any kernel does.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import FoldError, ShapeError, ValidationError
+from .errors import FoldError, ValidationError
 from .graph import (
     CONV_KINDS,
     Graph,
     NodeKind,
     NodeSpec,
-    bn_params,
+    bn_affine,
     expected_weight_shapes,
     out_axis,
 )
@@ -60,11 +61,18 @@ def fold_batchnorm(g: Graph, weights: dict[str, np.ndarray]) -> tuple[
     """Fold every BatchNorm that directly follows a single-consumer conv into
     that conv's weights; the conv gains a bias if it had none.
 
+    The fold takes the BN's scale and shift from graph.bn_affine, the pair
+    the unfused kernel applies: the kernel applied last is multiplied by the
+    scale along its output-channel axis, and the bias becomes
+    bias*scale + shift, with a bias of 0 for a conv that had none.
     BatchNorms that do not sit on such a conv (the entry block's, which
-    follows a concat) are left in place, with a note in the report.  A
-    BatchNorm whose statistics BnParams rejects raises FoldError, so the
-    fused path refuses exactly what the unfused one does, and so does a
-    fold whose folded weight or bias is not finite in float32.
+    follows a concat) are left in place, with a note in the report.
+
+    `validate`, which `optimize` runs first, is the one value check on the
+    statistics.  A fold whose folded weight or bias is not finite in float32
+    raises FoldError naming the BN, with no numpy warning; so does a NaN,
+    a negative variance or an infinite gamma, beta or mean given straight
+    to this pass.
     """
     consumers = g.consumers()
     new_store = dict(weights)
@@ -87,26 +95,20 @@ def fold_batchnorm(g: Graph, weights: dict[str, np.ndarray]) -> tuple[
                          f"corrupt the others")
             continue
 
-        try:
-            bn = bn_params(n, weights)
-        except ShapeError as e:
-            raise FoldError(f"cannot fold {n.name}: {e}") from e
-        scale = bn.scale()
-
         # the scale goes on the kernel applied last; roles list them in order
         wkey = [key for role, key in src.weight_refs if role != "bias"][-1]
-        shape_bcast = [1, 1, 1, 1]
-        shape_bcast[out_axis(src.kind)] = len(scale)
-        w_old = new_store[wkey].astype(np.float64)
         new_src = replace(src, conv=replace(src.conv, has_bias=True))
         bias_key = new_src.ref("bias")
-        b_old = (new_store[bias_key].astype(np.float64) if src.conv.has_bias
-                 else np.zeros(len(scale), dtype=np.float64))
-        # an overflow to inf is refused just below, with the BN's name
-        with np.errstate(over="ignore"):
-            new_store[wkey] = (w_old * scale.reshape(shape_bcast)).astype(np.float32)
-            new_store[bias_key] = ((b_old - bn.mean) * scale
-                                   + bn.beta).astype(np.float32)
+        # a non-finite result is refused just below, with the BN's name
+        with np.errstate(all="ignore"):
+            scale, shift = bn_affine(n, weights)
+            shape_bcast = [1, 1, 1, 1]
+            shape_bcast[out_axis(src.kind)] = len(scale)
+            new_store[wkey] = (new_store[wkey].astype(np.float64)
+                               * scale.reshape(shape_bcast)).astype(np.float32)
+            b_old = (new_store[bias_key].astype(np.float64) if src.conv.has_bias
+                     else np.zeros(len(scale)))
+            new_store[bias_key] = (b_old * scale + shift).astype(np.float32)
         for key in (wkey, bias_key):
             if not np.isfinite(new_store[key]).all():
                 raise FoldError(f"cannot fold {n.name}: folded {key!r} is not finite")
@@ -208,17 +210,13 @@ def validate(g: Graph, weights: dict[str, np.ndarray]) -> list[str]:
             diags.append(f"weight {key!r} is not finite")
         else:
             sound.add(key)
-    # the statistics BnParams refuses, refused here too, before any kernel
-    # runs on the unfused path and before any fold on the fused one
+    # the one value check on BN statistics, before any kernel runs on the
+    # unfused path and before any fold on the fused one: finite (above) and
+    # a variance of at least 0, so var + BN_EPS > 0
     for n in g.nodes:
-        if n.kind is not NodeKind.BATCHNORM or n.ref("var") not in sound:
-            continue
-        key = n.ref("var")
-        var = weights[key].astype(np.float64)
-        if (var < 0).any():
+        key = n.ref("var") if n.kind is NodeKind.BATCHNORM else None
+        if key in sound and (weights[key] < 0).any():
             diags.append(f"weight {key!r} holds a negative batchnorm variance")
-        elif (var + n.bn_eps <= 0).any():
-            diags.append(f"weight {key!r} plus eps {n.bn_eps} is not positive")
     for key in weights:
         if key not in want:
             diags.append(f"weight {key!r} is not referenced by any node")

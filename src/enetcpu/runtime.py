@@ -20,7 +20,9 @@ into a fresh array, so without a plan the same loop runs out of place with
 no offsets.  The buffer is dropped before the producer runs, with nothing to
 copy out, so it is never held beside the output.  Planned and unplanned runs
 are bitwise identical, so a planning bug shows up as corrupted values (or
-poisoned NaNs in debug mode) instead of silent reuse.
+poisoned NaNs in debug mode) instead of silent reuse.  `execute` runs only
+the plan that plan_buffers makes for its graph, so no plan edited by hand,
+whose live values might share bytes, is ever trusted.
 
 `execute` validates the graph against its weight store on every call,
 before any kernel reads a weight; there is no unchecked mode, so
@@ -37,8 +39,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import EnetError, ExecutionError, ShapeError
-# bn_params is called through the module: perfbench times every function
-# imported here by name as a span of its own, and bn_params is not a kernel
+# bn_affine is called through the module: perfbench times every function
+# imported here by name as a span of its own, and bn_affine is not a kernel
 from . import graph
 from .graph import CONV_KINDS, Graph, NodeKind, infer_shapes
 from .kernels import (
@@ -76,7 +78,9 @@ class ExecutionPlan:
     are fresh arrays, and the producer's is the one `execute` returns.
     `retained` names the pools whose window codes some unpool reads; the
     codes of the others are dropped as soon as they exist.  `graph` is the
-    graph the plan was made for; `execute` refuses any other.
+    graph the plan was made for.  `execute` runs a plan only when it equals
+    the one plan_buffers makes for the graph it is given, so a plan made
+    for another graph, or edited by hand, is refused rather than trusted.
     """
 
     graph: Graph
@@ -175,7 +179,7 @@ def _node_value(n, weights, vals, out):
                 f"pooling indices of node {n.index_link} are not available")
         return max_unpool2x2(a, vals[~n.index_link], out=out)
     if n.kind is NodeKind.BATCHNORM:
-        return batchnorm_infer(a, graph.bn_params(n, weights), out=out)
+        return batchnorm_infer(a, *graph.bn_affine(n, weights), out=out)
     if n.kind is NodeKind.PRELU:
         return prelu(a, weights[n.ref("slopes")], out=out)
     if n.kind is NodeKind.ADD:
@@ -200,11 +204,13 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
     not contribute to the output and is refused there.  An input holding a
     NaN or an infinity is refused with ExecutionError too.
 
-    With a plan, a node the plan gives an offset writes into its view of one
-    buffer allocated for this call, or, when it is a PReLU, add, batch norm
-    or dropout on the offset of an input it reads, over that input's array;
-    every other node writes into a fresh array.  Without a plan, every node
-    writes into a fresh array, so `plan=None` is the out-of-place reference.
+    A plan must equal plan_buffers(g), or ExecutionError is raised before
+    any kernel runs.  With it, a node the plan gives an offset writes into
+    its view of one buffer allocated for this call, or, when it is a PReLU,
+    add, batch norm or dropout on the offset of an input it reads, over that
+    input's array; every other node writes into a fresh array.  Without a
+    plan, every node writes into a fresh array, so `plan=None` is the
+    out-of-place reference.
     The buffer is dropped before the output node's producer runs; the plan
     keeps that node and what it reads out of the buffer, so nothing is
     copied.  poison=True fills the buffer and every fresh array with NaN
@@ -236,12 +242,9 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
     offset_of: dict[int, int] = {}
     arena = None
     if plan is not None:
-        if plan.graph != g or any(
-                i == producer_id or i not in shapes or off < 0
-                or off + shapes[i].count * _BYTES_F32 > plan.peak_bytes
-                for i, off in plan.offset_of.items()):
-            raise ExecutionError("plan was made for another graph: its graph "
-                                 "or offsets do not fit this one")
+        if plan != plan_buffers(g):
+            raise ExecutionError("plan was made for another graph: it is not "
+                                 "the plan plan_buffers makes for this one")
         offset_of = plan.offset_of
         arena = np.empty(plan.peak_bytes // _BYTES_F32, dtype=np.float32)
         if poison:

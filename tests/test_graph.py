@@ -218,14 +218,6 @@ def test_enet_dilation_schedule():
             assert g.find(f"bottleneck{stage}.{idx}.ext.conv").conv.dilation == 1
 
 
-def test_enet_dropout_rates_by_stage():
-    g = build_enet(19, 512, 512)
-    for n in g.nodes:
-        if n.kind is NodeKind.DROPOUT:
-            want = 0.01 if n.stage == "bottleneck1" else 0.1
-            assert n.dropout_rate == want, n.name
-
-
 def test_enet_unpool_index_wiring():
     g = build_enet(19, 512, 512)
     assert (g.find("bottleneck4.0.main.unpool").index_link

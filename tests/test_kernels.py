@@ -10,8 +10,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from enetcpu import kernels
 from enetcpu.errors import CorruptIndicesError, ShapeError
+from enetcpu.graph import BN_EPS
 from enetcpu.kernels import (
-    BnParams,
     ConvParams,
     add,
     batchnorm_infer,
@@ -727,29 +727,31 @@ def test_unpool_rejects_mismatched_geometry():
 # ---------------------------------------------------------------------------
 # batchnorm_infer / prelu
 
+def _bn_pair(gamma, beta, mean, var):
+    """A batch norm's float64 scale and shift, as graph.bn_affine gives them."""
+    scale = gamma.astype(np.float64) / np.sqrt(var.astype(np.float64) + BN_EPS)
+    return scale, beta.astype(np.float64) - mean.astype(np.float64) * scale
+
+
+def _rand_bn_pair(rng, c):
+    return _bn_pair((rng.random(c, dtype=F32) + 0.5).astype(F32),
+                    rand_bias(rng, c), rand_bias(rng, c),
+                    (rng.random(c, dtype=F32) + 0.1).astype(F32))
+
+
 def test_batchnorm_scalar_example():
+    # gamma=2, beta=0.5, mean=1, var=1 with eps folded in: scale 2, shift -1.5
     x = np.full((1, 1, 1), 3.0, dtype=F32)
-    p = BnParams(gamma=np.array([2.0], dtype=F32), beta=np.array([0.5], dtype=F32),
-                 mean=np.array([1.0], dtype=F32), var=np.array([1.0], dtype=F32),
-                 eps=0.0)
-    out = batchnorm_infer(x, p)
-    np.testing.assert_allclose(out, [[[4.5]]], atol=1e-7)
+    out = batchnorm_infer(x, np.array([2.0]), np.array([-1.5]))
+    np.testing.assert_array_equal(out, [[[4.5]]])
 
 
-def test_batchnorm_validates_params():
-    with pytest.raises(ShapeError):
-        BnParams(gamma=np.ones(2, dtype=F32), beta=np.ones(2, dtype=F32),
-                 mean=np.ones(2, dtype=F32), var=-np.ones(2, dtype=F32), eps=1e-5)
-    with pytest.raises(ShapeError):
-        BnParams(gamma=np.ones(2, dtype=F32), beta=np.ones(2, dtype=F32),
-                 mean=np.ones(2, dtype=F32), var=np.ones(2, dtype=F32), eps=-1e-5)
-    with pytest.raises(ShapeError):
-        BnParams(gamma=np.ones(2, dtype=F32), beta=np.ones(3, dtype=F32),
-                 mean=np.ones(2, dtype=F32), var=np.ones(2, dtype=F32), eps=1e-5)
-    p = BnParams(gamma=np.ones(2, dtype=F32), beta=np.zeros(2, dtype=F32),
-                 mean=np.zeros(2, dtype=F32), var=np.ones(2, dtype=F32), eps=1e-5)
-    with pytest.raises(ShapeError):
-        batchnorm_infer(np.ones((3, 2, 2), dtype=F32), p)
+def test_batchnorm_rejects_a_scale_or_shift_of_the_wrong_length():
+    x = np.ones((3, 2, 2), dtype=F32)
+    for scale, shift in ((np.ones(2), np.zeros(3)), (np.ones(3), np.zeros(2)),
+                         (np.ones(2), np.zeros(2))):
+        with pytest.raises(ShapeError, match="batchnorm"):
+            batchnorm_infer(x, scale, shift)
 
 
 def test_batchnorm_matches_reference_on_randomized_instances():
@@ -760,15 +762,11 @@ def test_batchnorm_matches_reference_on_randomized_instances():
         h = int(rng.integers(1, 10))
         w = int(rng.integers(1, 10))
         x = rand_input(rng, c, h, w)
-        p = BnParams(
-            gamma=(rng.random(c, dtype=F32) + 0.5).astype(F32),
-            beta=rand_bias(rng, c),
-            mean=rand_bias(rng, c),
-            var=(rng.random(c, dtype=F32) + 0.1).astype(F32),
-            eps=1e-5,
-        )
-        got = batchnorm_infer(x, p)
-        want = ref_batchnorm(x, p.gamma, p.beta, p.mean, p.var, p.eps)
+        gamma = (rng.random(c, dtype=F32) + 0.5).astype(F32)
+        beta, mean = rand_bias(rng, c), rand_bias(rng, c)
+        var = (rng.random(c, dtype=F32) + 0.1).astype(F32)
+        got = batchnorm_infer(x, *_bn_pair(gamma, beta, mean, var))
+        want = ref_batchnorm(x, gamma, beta, mean, var, BN_EPS)
         worst = max(worst, float(np.max(np.abs(got.astype(np.float64) - want))))
     assert worst <= 1e-6, f"worst batchnorm deviation {worst}"
 
@@ -779,15 +777,10 @@ def test_batchnorm_bitwise_equals_whole_tensor_formula_across_strips(shape):
     # one and with many channels per strip
     rng = np.random.default_rng(69)
     x = rand_input(rng, *shape)
-    c = shape[0]
-    p = BnParams(gamma=(rng.random(c, dtype=F32) + 0.5).astype(F32),
-                 beta=rand_bias(rng, c), mean=rand_bias(rng, c),
-                 var=(rng.random(c, dtype=F32) + 0.1).astype(F32), eps=1e-3)
-    scale = p.scale()
-    shift = p.beta.astype(np.float64) - p.mean.astype(np.float64) * scale
+    scale, shift = _rand_bn_pair(rng, shape[0])
     want = (x.astype(np.float64) * scale[:, None, None]
             + shift[:, None, None]).astype(F32)
-    assert _bitwise_equal(batchnorm_infer(x, p), want)
+    assert _bitwise_equal(batchnorm_infer(x, scale, shift), want)
 
 
 def test_prelu_negative_scaling():
@@ -941,16 +934,14 @@ def _in_place_cases():
     channel strips."""
     rng = np.random.default_rng(81)
     other = rand_input(rng, 40, 45, 80)
-    bn = BnParams(gamma=rng.random(40, dtype=F32) + 0.5, beta=rand_bias(rng, 40),
-                  mean=rand_bias(rng, 40), var=rng.random(40, dtype=F32) + 0.5,
-                  eps=1e-3)
+    bn = _rand_bn_pair(rng, 40)
     slopes = (rng.random(40, dtype=F32) * 3 - 1.5).astype(F32)
     return [
         ("prelu", lambda x, out=None: prelu(x, slopes, out=out)),
         ("add-over-a", lambda x, out=None: add(x, other, out=out)),
         ("add-over-b", lambda x, out=None: add(other, x, out=out)),
         ("add-twice", lambda x, out=None: add(x, x, out=out)),
-        ("batchnorm_infer", lambda x, out=None: batchnorm_infer(x, bn, out=out)),
+        ("batchnorm_infer", lambda x, out=None: batchnorm_infer(x, *bn, out=out)),
         ("spatial_dropout_infer",
          lambda x, out=None: spatial_dropout_infer(x, out=out)),
         ("pad_channels_identity", lambda x, out=None: pad_channels(x, 40, out=out)),
@@ -984,9 +975,7 @@ def _out_cases():
                     pad_h=1, pad_w=1, out_pad=1, has_bias=True)
     wt, b3 = rand_tconv_weight(rng, 4, 3, 3, 3), rand_bias(rng, 3)
     pool = maxpool2x2(x)
-    bn = BnParams(gamma=rng.random(4, dtype=F32) + 0.5,
-                  beta=rand_bias(rng, 4), mean=rand_bias(rng, 4),
-                  var=rng.random(4, dtype=F32) + 0.5, eps=1e-3)
+    bn = _rand_bn_pair(rng, 4)
     slopes = (rng.random(4, dtype=F32) * 2 - 1).astype(F32)
     w5x1, w1x5 = rand_conv_weight(rng, 3, 4, 5, 1), rand_conv_weight(rng, 2, 3, 1, 5)
     return [
@@ -998,7 +987,7 @@ def _out_cases():
         ("maxpool2x2", lambda out=None: maxpool2x2(x, out=out).values),
         ("max_unpool2x2", lambda out=None: max_unpool2x2(
             pool.values, pool.codes, out=out)),
-        ("batchnorm_infer", lambda out=None: batchnorm_infer(x, bn, out=out)),
+        ("batchnorm_infer", lambda out=None: batchnorm_infer(x, *bn, out=out)),
         ("prelu", lambda out=None: prelu(x, slopes, out=out)),
         ("add", lambda out=None: add(x, x[::-1].copy(), out=out)),
         ("concat_channels",

@@ -1,6 +1,7 @@
 """Optimization passes: batch-norm folding math, dropout elision, pass
 composition, and structural validation diagnostics."""
 
+import math
 import re
 import warnings
 from dataclasses import replace
@@ -11,9 +12,11 @@ import pytest
 from enetcpu.analyzer import count_flops, count_params
 from enetcpu.errors import EnetError, ExecutionError, FoldError
 from enetcpu.graph import (
+    BN_EPS,
     Graph,
     GraphBuilder,
     NodeKind,
+    bn_affine,
     build_enet,
     init_weights,
 )
@@ -44,10 +47,11 @@ def _perturb_bn_stats(store, seed):
 # fold_batchnorm
 
 def test_fold_scalar_math():
-    # gamma=2, beta=0.5, mean=1, var=1, eps=0 over weight w: W'=2w, b'=-1.5
+    # gamma=2, beta=0.5, mean=1, var=1 over weight 3: with s = 2/sqrt(1 + eps),
+    # W' = 3s and b' = 0.5 - s, each rounded to float32 once
     b = GraphBuilder(Shape(1, 4, 4))
     c = b.conv("c", b.input_id, ConvParams(out_channels=1, kernel_h=1, kernel_w=1))
-    bn = b.batchnorm("n", c, eps=0.0)
+    bn = b.batchnorm("n", c)
     g = b.build(bn)
     w = {
         "c.weight": np.full((1, 1, 1, 1), 3.0, dtype=F32),
@@ -58,12 +62,58 @@ def test_fold_scalar_math():
     }
     g2, w2, report = fold_batchnorm(g, w)
     assert report.removed == ("n",)
-    assert w2["c.weight"][0, 0, 0, 0] == pytest.approx(6.0)
-    assert w2["c.bias"][0] == pytest.approx(-1.5)
+    s = 2.0 / math.sqrt(1.0 + BN_EPS)
+    assert w2["c.weight"][0, 0, 0, 0] == F32(3.0 * s)
+    assert w2["c.bias"][0] == F32(0.5 - s)
     assert not any(k.startswith("n.") for k in w2)
     conv = g2.find("c")
     assert conv.conv.has_bias
     assert validate(g2, w2) == []
+
+
+def _conv_graph(kind, with_bn):
+    """input -> one conv of `kind` (-> batch norm "n") -> output."""
+    b = GraphBuilder(Shape(4, 6, 6))
+    if kind == "conv":
+        c = b.conv("c", b.input_id, ConvParams(out_channels=5, kernel_h=3,
+                                               kernel_w=3, pad_h=1, pad_w=1))
+    elif kind == "conv_transpose":
+        c = b.conv_transpose("c", b.input_id, ConvParams(out_channels=5, kernel_h=2,
+                                                         kernel_w=2, stride=2))
+    else:
+        c = b.asym_conv5("c", b.input_id, 4)
+    return b.build(b.batchnorm("n", c) if with_bn else c)
+
+
+@pytest.mark.parametrize("kind", ["conv", "conv_transpose", "asym_conv5"])
+def test_unfused_bn_and_its_fold_both_apply_the_one_affine_pair(kind):
+    # bn_affine's float64 (scale, shift) is the whole of a batch norm: the
+    # unfused node's output is x*scale + shift of its input, and the fold
+    # multiplies the kernel applied last by scale along its output-channel
+    # axis and sets the bias to 0*scale + shift, each rounded once
+    g = _conv_graph(kind, with_bn=True)
+    w = _perturb_bn_stats(init_weights(g, seed=12), seed=13)
+    scale, shift = bn_affine(g.find("n"), w)
+    x = np.random.default_rng(14).random((4, 6, 6), dtype=F32) - 0.5
+
+    pre_bn = execute(_conv_graph(kind, with_bn=False),
+                     {k: v for k, v in w.items() if k.startswith("c.")}, x)
+    want = (pre_bn.astype(np.float64) * scale[:, None, None]
+            + shift[:, None, None]).astype(F32)
+    np.testing.assert_array_equal(execute(g, w, x).view(np.int32),
+                                  want.view(np.int32))
+
+    _, w2, _ = fold_batchnorm(g, w)
+    wkey = "c.weight_1x5" if kind == "asym_conv5" else "c.weight"
+    axis = 1 if kind == "conv_transpose" else 0
+    bcast = [1, 1, 1, 1]
+    bcast[axis] = len(scale)
+    np.testing.assert_array_equal(
+        w2[wkey].view(np.int32),
+        (w[wkey].astype(np.float64) * scale.reshape(bcast)).astype(F32).view(np.int32))
+    np.testing.assert_array_equal(
+        w2["c.bias"].view(np.int32),
+        (0.0 * scale + shift).astype(F32).view(np.int32))
 
 
 def test_fold_preserves_outputs_on_mixed_conv_kinds():
@@ -235,8 +285,8 @@ def test_elide_dropout_preserves_execution_bitwise():
     b = GraphBuilder(Shape(4, 8, 8))
     x = b.conv("c", b.input_id, ConvParams(out_channels=4, kernel_h=3,
                                            kernel_w=3, pad_h=1, pad_w=1))
-    x = b.dropout("d1", x, 0.1)
-    x = b.dropout("d2", x, 0.01)  # chained dropouts must redirect through
+    x = b.dropout("d1", x)
+    x = b.dropout("d2", x)  # chained dropouts must redirect through
     x = b.prelu("act", x)
     g = b.build(x)
     w = init_weights(g, seed=4)

@@ -212,10 +212,11 @@ def test_execute_planned_equals_unplanned_bitwise_on_random_graphs():
         assert np.all(np.isfinite(plain))
 
 
-def test_poison_catches_a_value_moved_onto_a_live_inputs_bytes():
+def test_poison_catches_a_value_moved_onto_a_live_inputs_bytes(monkeypatch):
     # a planner mutant: one value placed on the bytes of an input that a
     # later node still reads; poison mode must turn that into a wrong or
-    # non-finite output
+    # non-finite output.  execute runs only what plan_buffers makes, so the
+    # mutant stands in for it
     g = build_enet(5, 64, 64)
     w = init_weights(g, seed=1)
     x = np.random.default_rng(2).random((3, 64, 64), dtype=F32)
@@ -233,12 +234,14 @@ def test_poison_catches_a_value_moved_onto_a_live_inputs_bytes():
         and shapes[n.id].count <= shapes[src].count)
     mutant = dataclasses.replace(
         plan, offset_of={**plan.offset_of, node.id: plan.offset_of[src]})
+    monkeypatch.setattr(runtime, "plan_buffers", lambda _: mutant)
     got = execute(g, w, x, mutant, poison=True)
     assert not np.array_equal(got, plain) or not np.all(np.isfinite(got)), \
         f"{node.name} written over live {g.node(src).name} went unnoticed"
 
 
-def test_poison_catches_an_elementwise_node_written_over_an_input_read_later():
+def test_poison_catches_an_elementwise_node_written_over_an_input_read_later(
+        monkeypatch):
     # a planner mutant: a PReLU, add or batch norm put on the bytes of an
     # input that a later node still reads; it writes over that input, which
     # must show as a wrong or non-finite output
@@ -261,15 +264,17 @@ def test_poison_catches_an_elementwise_node_written_over_an_input_read_later():
         assert plan.offset_of[nid] != plan.offset_of[c0]
         mutant = dataclasses.replace(
             plan, offset_of={**plan.offset_of, nid: plan.offset_of[c0]})
+        monkeypatch.setattr(runtime, "plan_buffers", lambda _: mutant)
         got = execute(g, w, x, mutant, poison=True)
         assert not np.array_equal(got, plain) or not np.all(np.isfinite(got)), \
             f"{node} written over live c0 went unnoticed"
 
 
-def test_poison_catches_the_output_producers_input_placed_in_the_buffer():
-    # a plan mutant: fullconv's input given bytes of its own past the end of
-    # the buffer; the buffer is dropped before fullconv runs, so under poison
-    # fullconv must read NaN
+def test_poison_catches_the_output_producers_input_placed_in_the_buffer(
+        monkeypatch):
+    # a planner mutant: fullconv's input given bytes of its own past the end
+    # of the buffer; the buffer is dropped before fullconv runs, so under
+    # poison fullconv must read NaN
     g = build_enet(5, 64, 64)
     w = init_weights(g, seed=1)
     x = np.random.default_rng(2).random((3, 64, 64), dtype=F32)
@@ -279,6 +284,7 @@ def test_poison_catches_the_output_producers_input_placed_in_the_buffer():
     mutant = dataclasses.replace(
         plan, offset_of={**plan.offset_of, src: plan.peak_bytes},
         peak_bytes=plan.peak_bytes + infer_shapes(g)[src].count * 4)
+    monkeypatch.setattr(runtime, "plan_buffers", lambda _: mutant)
     got = execute(g, w, x, mutant, poison=True)
     assert not np.array_equal(got, plain) or not np.all(np.isfinite(got))
 
@@ -583,6 +589,22 @@ def test_execute_refuses_a_plan_that_places_the_output_producer():
         plan, offset_of={**plan.offset_of, g.find("c2").id: 0})
     with pytest.raises(ExecutionError, match="another graph"):
         execute(g, w, np.zeros((4, 8, 8), dtype=F32), mutant)
+
+
+def test_execute_refuses_a_plan_whose_live_values_share_bytes():
+    # a hand-made plan that moves the first stage-1 expansion onto the bytes
+    # of the entry block's PReLU, which its bottleneck's add still reads;
+    # trusted, it returned finite logits that were wrong, with no error
+    g, w, _ = optimize(build_enet(5, 32, 32),
+                       init_weights(build_enet(5, 32, 32), seed=0))
+    plan = plan_buffers(g)
+    moved, host = g.find("bottleneck1.0.ext.expand").id, g.find("initial.prelu").id
+    assert plan.offset_of[moved] != plan.offset_of[host]
+    mutant = dataclasses.replace(
+        plan, offset_of={**plan.offset_of, moved: plan.offset_of[host]})
+    x = np.random.default_rng(7).random((3, 32, 32), dtype=F32)
+    with pytest.raises(ExecutionError, match="another graph"):
+        execute(g, w, x, mutant)
 
 
 @pytest.mark.parametrize("planned", [False, True], ids=["unplanned", "planned"])
