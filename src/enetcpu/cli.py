@@ -201,6 +201,8 @@ def _cmd_bench(args) -> int:
           f"{res.fps:.1f} fps")
     print(f"arena {res.plan.peak_bytes / 1e6:.2f} MB  "
           f"live-set bound {res.plan.live_bytes / 1e6:.2f} MB")
+    print(f"frame peak {res.plan.frame_peak_bytes / 1e6:.2f} MB "
+          f"(values, window codes and convolution bands)")
     return 0
 
 

@@ -39,9 +39,12 @@ tap, a (C, rows, ow) view of the unpadded input whose rows land contiguously,
 and writes 0.0 over the rows and columns of the tap that fall in the padding,
 so no padded copy of the input is made.  It multiplies the (oc, C*kh*kw)
 weight matrix into that matrix over bands of output rows of equal height:
-each band's im2col plus its accumulator holds at most _BAND float64 elements
-(2 MiB, sized to one core's L2 cache, or one row), and is freed before the
-next band is built.  A convolution whose scratch fits runs as one band.  A
+each band's im2col plus its accumulator holds at most `band` float64
+elements (or one row), and is freed before the next band is built.  A
+planned execute passes each convolution the budget its plan gives it, the
+headroom under the frame's peak (see runtime); a call without one reads
+_BAND at call time (2 MiB, sized to one core's L2 cache).  A convolution
+whose scratch fits runs as one band.  A
 bias is the GEMM's last K term, a float64 column of the weight matrix times a
 last im2col row of 1.0, so no separate pass adds it to the accumulator.  BLAS
 sums each output's K terms in order (tests/test_gemm_order.py checks this
@@ -76,7 +79,7 @@ from .errors import CorruptIndicesError, ShapeError
 
 F32 = np.float32
 _STRIP = 1 << 16  # elements per strip of the strip-wise kernels: temporaries fit in L2
-_BAND = 1 << 18  # float64 elements of im2col plus accumulator per conv band (2 MiB)
+_BAND = 1 << 18  # default float64 elements of im2col plus accumulator per conv band (2 MiB)
 
 
 @dataclass(frozen=True)
@@ -258,14 +261,14 @@ def _conv_operands(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray],
 
 
 def _conv_gemm(x: np.ndarray, top: int, left: int, kh: int, kw: int,
-               stride: int, dilation: int, gemms: list, bias: Optional[np.ndarray]
-               ) -> None:
+               stride: int, dilation: int, gemms: list, bias: Optional[np.ndarray],
+               band: Optional[int] = None) -> None:
     """For each (wmat, dst) of `gemms`: dst = wmat @ im2col(x) (+ bias),
     rounded into dst, a float32 (oc, oh, ow) view, every dst of one shape.
     It runs over bands of equal height of the dsts' rows: each band's im2col
     (see _im2col for top and left) is built once and serves every GEMM in
     turn, and it (its ones row included) plus one accumulator holds at most
-    _BAND float64 elements (or one row).
+    `band` float64 elements, _BAND when None (or one row).
 
     A bias is the GEMM's last K term: wmat gains it as a float64 column and
     im2col a row of 1.0, so each sum ends with + bias*1.0, rounded once."""
@@ -273,7 +276,8 @@ def _conv_gemm(x: np.ndarray, top: int, left: int, kh: int, kw: int,
     if bias is not None:
         b64 = bias.astype(np.float64)[:, None]
         gemms = [(np.concatenate([wmat, b64], axis=1), dst) for wmat, dst in gemms]
-    rows = max(1, _BAND // ((gemms[0][0].shape[1] + oc) * ow))
+    rows = max(1, (_BAND if band is None else band)
+               // ((gemms[0][0].shape[1] + oc) * ow))
     height = -(-oh // -(-oh // rows))  # ceil(oh / number of bands)
     for y0 in range(0, oh, height):
         y1 = min(y0 + height, oh)
@@ -288,15 +292,17 @@ def _conv_gemm(x: np.ndarray, top: int, left: int, kh: int, kw: int,
 
 def conv2d(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray],
            params: ConvParams,
-           out: Optional[np.ndarray] = None) -> np.ndarray:
-    """2D convolution with zero padding, optional dilation and bias."""
+           out: Optional[np.ndarray] = None, *,
+           band: Optional[int] = None) -> np.ndarray:
+    """2D convolution with zero padding, optional dilation and bias; `band`
+    is the float64 scratch budget of each band (see _conv_gemm)."""
     x = _conv_operands(x, w, bias, params, transposed=False)
     oc, _, kh, kw = w.shape
     oh, ow = params.conv_out_hw(x.shape[1], x.shape[2])  # raises if kernel does not fit
     wmat = np.asarray(w, dtype=F32).reshape(oc, -1).astype(np.float64)
     out = _out(out, (oc, oh, ow))
     _conv_gemm(x, params.pad_h, params.pad_w, kh, kw, params.stride,
-               params.dilation, [(wmat, out)], bias)
+               params.dilation, [(wmat, out)], bias, band)
     return out
 
 
@@ -316,13 +322,14 @@ def _phases(n_out: int, k: int, stride: int, pad: int):
 
 def conv_transpose2d(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray],
                      params: ConvParams,
-                     out: Optional[np.ndarray] = None) -> np.ndarray:
+                     out: Optional[np.ndarray] = None, *,
+                     band: Optional[int] = None) -> np.ndarray:
     """Transposed convolution (the adjoint of conv2d with the same weights).
 
     Weight layout is (in_channels, out_channels, kh, kw).  Geometry comes
     from params: per-axis padding, and out_pad, which grows the bottom/right
     edge by up to stride-1 rows/cols so even output sizes are reachable at
-    stride 2 with odd kernels.
+    stride 2 with odd kernels.  `band` is as conv2d's.
     """
     x = _conv_operands(x, w, bias, params, transposed=True)
     _, oc, kh, kw = w.shape
@@ -347,17 +354,19 @@ def conv_transpose2d(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray],
             wmat = sub.transpose(1, 0, 2, 3).reshape(oc, -1).astype(np.float64)
             windows.setdefault((by, ty, ny, bx, tx, nx), []).append((wmat, phase))
     for (by, ty, _, bx, tx, _), gemms in windows.items():
-        _conv_gemm(x, -by, -bx, ty, tx, 1, 1, gemms, bias)
+        _conv_gemm(x, -by, -bx, ty, tx, 1, 1, gemms, bias, band)
     return out
 
 
 def conv_asymmetric5(x: np.ndarray, w5x1: np.ndarray, w1x5: np.ndarray,
                      bias: Optional[np.ndarray],
-                     out: Optional[np.ndarray] = None) -> np.ndarray:
+                     out: Optional[np.ndarray] = None, *,
+                     band: Optional[int] = None) -> np.ndarray:
     """Separable 5x5 convolution: a 5x1 pass then a 1x5 pass, one bias.
 
     Padding is fixed at (2,0) and (0,2) so spatial dims are preserved; the
-    optional bias lands after the second pass.
+    optional bias lands after the second pass.  Both passes band their
+    scratch to `band`, as conv2d does.
     """
     # the params are read off the kernels, whose every other dimension
     # conv2d checks on each pass
@@ -367,7 +376,8 @@ def conv_asymmetric5(x: np.ndarray, w5x1: np.ndarray, w1x5: np.ndarray,
                     pad_h=2, pad_w=0)
     p2 = ConvParams(out_channels=w1x5.shape[0], kernel_h=1, kernel_w=5,
                     pad_h=0, pad_w=2, has_bias=bias is not None)
-    return conv2d(conv2d(x, w5x1, None, p1), w1x5, bias, p2, out)
+    return conv2d(conv2d(x, w5x1, None, p1, band=band), w1x5, bias, p2, out,
+                  band=band)
 
 
 def _earlier_max(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None
@@ -455,11 +465,15 @@ def prelu(x: np.ndarray, slopes: np.ndarray,
     """Per-channel parametric ReLU: x if x >= 0 else slope[c] * x.
 
     For a slope s in (0, 1], x >= 0 gives x*s <= x and x < 0 gives
-    x*s >= x, so the result is max(x, x*s).  np.maximum returns the first
-    operand on a tie or a NaN, which gives np.where's bits for every float32
-    but a signalling NaN; arithmetic never makes one, and execute refuses NaN
-    inputs and weights.  Other slopes take the select: at s = 0 an infinite x
-    makes x*s NaN, which the select drops but the maximum would keep."""
+    x*s >= x, so the result is max(x, x*s).  Which operand np.maximum
+    returns on a tie does not matter, because a tie carries equal bits:
+    s > 0 keeps x's sign, so x*s == x only for x = +-0 with x's own sign, or
+    for an equal nonzero value (s = 1, or a product that rounds back to x).
+    A NaN x gives a NaN product with its payload, so either operand gives
+    np.where's bits for every float32 but a signalling NaN; arithmetic never
+    makes one, and execute refuses NaN inputs and weights.  Other slopes take
+    the select: at s = 0 an infinite x makes x*s NaN, which the select drops
+    but the maximum would keep."""
     x = _chw(x)
     if slopes.ndim != 1 or slopes.shape[0] != x.shape[0]:
         raise ShapeError(

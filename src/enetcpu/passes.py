@@ -68,11 +68,13 @@ def fold_batchnorm(g: Graph, weights: dict[str, np.ndarray]) -> tuple[
     BatchNorms that do not sit on such a conv (the entry block's, which
     follows a concat) are left in place, with a note in the report.
 
-    `validate`, which `optimize` runs first, is the one value check on the
-    statistics.  A fold whose folded weight or bias is not finite in float32
-    raises FoldError naming the BN, with no numpy warning; so does a NaN,
-    a negative variance or an infinite gamma, beta or mean given straight
-    to this pass.
+    `validate`, which `optimize` runs first, is the one gate on weight
+    values.  The fold checks its own result: a folded weight or bias that
+    is not finite in float32, or a non-finite statistic of the BN it came
+    from, raises FoldError naming the BN, with no numpy warning.  So a NaN,
+    a negative variance or any infinite statistic given straight to this
+    pass is refused; an infinite variance would otherwise fold into a zero
+    kernel channel.
     """
     consumers = g.consumers()
     new_store = dict(weights)
@@ -112,6 +114,9 @@ def fold_batchnorm(g: Graph, weights: dict[str, np.ndarray]) -> tuple[
         for key in (wkey, bias_key):
             if not np.isfinite(new_store[key]).all():
                 raise FoldError(f"cannot fold {n.name}: folded {key!r} is not finite")
+        for _, key in n.weight_refs:
+            if not np.isfinite(weights[key]).all():
+                raise FoldError(f"cannot fold {n.name}: {key!r} is not finite")
 
         for _, key in n.weight_refs:
             del new_store[key]

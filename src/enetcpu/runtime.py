@@ -24,6 +24,17 @@ poisoned NaNs in debug mode) instead of silent reuse.  `execute` runs only
 the plan that plan_buffers makes for its graph, so no plan edited by hand,
 whose live values might share bytes, is ever trusted.
 
+The plan also sizes convolution scratch.  It totals the bytes a planned
+`execute` holds while each node runs: the buffer until it is dropped, the
+fresh arrays, each pool's window codes until its last unpool, and an
+asymmetric conv's 5x1 intermediate.  The largest total is the frame's value
+peak, and each convolution bands its im2col scratch (ones row and one
+accumulator included) to the headroom under that peak, at least
+_BAND_FLOOR float64 elements, so the scratch fills memory the frame holds
+anyway instead of adding to its peak (im2col scratch is the memory cost of
+GEMM convolution: Anderson et al., arXiv 1709.03395).  Band height does not
+change a convolution's bits.
+
 `execute` validates the graph against its weight store on every call,
 before any kernel reads a weight; there is no unchecked mode, so
 `benchmark` times the same call that inference makes.
@@ -34,7 +45,9 @@ from __future__ import annotations
 import time
 from bisect import insort
 from dataclasses import dataclass
-from typing import Optional
+from itertools import accumulate
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -60,7 +73,9 @@ from .passes import validate
 from .tensor import Shape
 
 _BYTES_F32 = 4
+_BYTES_F64 = 8
 _ALIGN = 64  # planned offsets are multiples of one cache line, in bytes
+_BAND_FLOOR = 1 << 15  # least planned band budget, float64 elements (256 KiB)
 # kinds whose output may take the slot of an input that dies at them
 _IN_PLACE = frozenset({NodeKind.PRELU, NodeKind.ADD, NodeKind.BATCHNORM,
                        NodeKind.DROPOUT})
@@ -77,7 +92,11 @@ class ExecutionPlan:
     The output node's producer and the values it reads have no offset: they
     are fresh arrays, and the producer's is the one `execute` returns.
     `retained` names the pools whose window codes some unpool reads; the
-    codes of the others are dropped as soon as they exist.  `graph` is the
+    codes of the others are dropped as soon as they exist.  `band_of` maps
+    each convolution node's id to its band budget in float64 elements, and
+    frame_peak_bytes is the most bytes of values, window codes and band
+    budget held while any one node runs (see the module docstring); strip
+    temporaries and weight casts are left out.  `graph` is the
     graph the plan was made for.  `execute` runs a plan only when it equals
     the one plan_buffers makes for the graph it is given, so a plan made
     for another graph, or edited by hand, is refused rather than trusted.
@@ -89,6 +108,8 @@ class ExecutionPlan:
     live_bytes: int
     no_reuse_bytes: int
     retained: frozenset[int]
+    band_of: Mapping[int, int]
+    frame_peak_bytes: int
 
 
 def _reads(n) -> tuple[int, ...]:
@@ -105,9 +126,20 @@ def _last_uses(g: Graph) -> dict[int, int]:
     return {key: i for i, n in enumerate(g.nodes) for key in _reads(n)}
 
 
+def _totals(spans, n: int) -> list[int]:
+    """For each position 0..n-1, the sum of the sizes of the (size, first,
+    last) spans that cover it, first and last inclusive."""
+    step = [0] * (n + 1)
+    for size, first, last in spans:
+        step[first] += size
+        step[last + 1] -= size
+    return list(accumulate(step[:n]))
+
+
 def plan_buffers(g: Graph) -> ExecutionPlan:
     """Greedy-by-size offset assignment over the liveness intervals of
-    slots."""
+    slots, and a band budget for each convolution from the headroom under
+    the frame's value peak."""
     shapes = infer_shapes(g)
     last_use = _last_uses(g)
     producer = g.node(g.output_node.inputs[0])
@@ -115,11 +147,28 @@ def plan_buffers(g: Graph) -> ExecutionPlan:
 
     slot_of: dict[int, int] = {}  # placed value id -> index into slots
     slots: list[list[int]] = []  # [bytes, first, last]; positions inclusive
+    # (bytes, first, last) held outside the buffer while a node runs, its
+    # output included: the fresh arrays, each pool's window codes until its
+    # last unpool, and an asymmetric conv's 5x1 intermediate
+    spans: list[tuple[int, int, int]] = []
+    convs: list[tuple[int, int]] = []  # (position, id) of each convolution
+    drop = 0  # the producer's position: the buffer is dropped before it
     for i, n in enumerate(g.nodes):
-        if n.kind in (NodeKind.INPUT, NodeKind.OUTPUT) or n.id in unplaced:
+        if n.kind in (NodeKind.INPUT, NodeKind.OUTPUT):
             continue
         size = shapes[n.id].count * _BYTES_F32
         last = last_use.get(n.id, i)
+        if n.kind is NodeKind.MAXPOOL:
+            spans.append((size // _BYTES_F32, i, last_use.get(~n.id, i)))
+        elif n.kind in CONV_KINDS:
+            convs.append((i, n.id))
+            if n.kind is NodeKind.ASYM_CONV5:
+                spans.append((size, i, i))
+        if n.id in unplaced:
+            spans.append((size, i, last))
+            if n.id == producer.id:
+                drop = i
+            continue
         hosts = [src for src in n.inputs if src in slot_of and last_use[src] == i
                  and slots[slot_of[src]][0] == size] if n.kind in _IN_PLACE else []
         if hosts:
@@ -128,11 +177,6 @@ def plan_buffers(g: Graph) -> ExecutionPlan:
         else:
             slot_of[n.id] = len(slots)
             slots.append([size, i, last])
-
-    live = [0] * len(g.nodes)
-    for size, first, last in slots:
-        for p in range(first, last + 1):
-            live[p] += size
 
     slot_offset = [0] * len(slots)
     placed: list[tuple[int, int, int, int]] = []  # (offset, end, first, last)
@@ -149,26 +193,39 @@ def plan_buffers(g: Graph) -> ExecutionPlan:
         slot_offset[k] = top if best < 0 else best
         insort(placed, (slot_offset[k], slot_offset[k] + need, first, last))
 
+    peak_bytes = max((end for _, end, _, _ in placed), default=0)
+    held = _totals([*spans, (peak_bytes, 0, drop - 1)], len(g.nodes))
+    value_peak = max(held, default=0)
+    band_of = {nid: max(_BAND_FLOOR, (value_peak - held[i]) // _BYTES_F64)
+               for i, nid in convs}
+
     return ExecutionPlan(graph=g,
                          offset_of={nid: slot_offset[k] for nid, k in slot_of.items()},
-                         peak_bytes=max((end for _, end, _, _ in placed), default=0),
-                         live_bytes=max(live, default=0),
+                         peak_bytes=peak_bytes,
+                         live_bytes=max(_totals(slots, len(g.nodes)), default=0),
                          no_reuse_bytes=sum(shapes[nid].count * _BYTES_F32
                                             for nid in slot_of),
-                         retained=frozenset(~k for k in last_use if k < 0))
+                         retained=frozenset(~k for k in last_use if k < 0),
+                         band_of=MappingProxyType(band_of),
+                         frame_peak_bytes=max(
+                             [value_peak] + [held[i] + _BYTES_F64 * band_of[nid]
+                                             for i, nid in convs]))
 
 
-def _node_value(n, weights, vals, out):
+def _node_value(n, weights, vals, out, band):
     """Run one node's kernel into `out` and return its output array; a
-    maxpool also stores its window codes in vals, under the key ~n.id."""
+    maxpool also stores its window codes in vals, under the key ~n.id.  A
+    convolution bands its scratch to `band` float64 elements (None: the
+    kernels' default)."""
     a = vals[n.inputs[0]] if n.inputs else None
     if n.kind in CONV_KINDS:
         bias = weights[n.ref("bias")] if n.conv.has_bias else None
         if n.kind is NodeKind.ASYM_CONV5:
             return conv_asymmetric5(a, weights[n.ref("weight_5x1")],
-                                    weights[n.ref("weight_1x5")], bias, out=out)
+                                    weights[n.ref("weight_1x5")], bias, out=out,
+                                    band=band)
         conv = conv2d if n.kind is NodeKind.CONV else conv_transpose2d
-        return conv(a, weights[n.ref("weight")], bias, n.conv, out=out)
+        return conv(a, weights[n.ref("weight")], bias, n.conv, out=out, band=band)
     if n.kind is NodeKind.MAXPOOL:
         res = maxpool2x2(a, out=out)
         vals[~n.id] = res.codes
@@ -208,9 +265,10 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
     any kernel runs.  With it, a node the plan gives an offset writes into
     its view of one buffer allocated for this call, or, when it is a PReLU,
     add, batch norm or dropout on the offset of an input it reads, over that
-    input's array; every other node writes into a fresh array.  Without a
-    plan, every node writes into a fresh array, so `plan=None` is the
-    out-of-place reference.
+    input's array; every other node writes into a fresh array, and a
+    convolution bands its scratch to its budget in plan.band_of.  Without a
+    plan, every node writes into a fresh array and every convolution takes
+    the kernels' fixed band, so `plan=None` is the out-of-place reference.
     The buffer is dropped before the output node's producer runs; the plan
     keeps that node and what it reads out of the buffer, so nothing is
     copied.  poison=True fills the buffer and every fresh array with NaN
@@ -240,12 +298,13 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
     producer_id = g.output_node.inputs[0]
 
     offset_of: dict[int, int] = {}
+    band_of: Mapping[int, int] = {}
     arena = None
     if plan is not None:
         if plan != plan_buffers(g):
             raise ExecutionError("plan was made for another graph: it is not "
                                  "the plan plan_buffers makes for this one")
-        offset_of = plan.offset_of
+        offset_of, band_of = plan.offset_of, plan.band_of
         arena = np.empty(plan.peak_bytes // _BYTES_F32, dtype=np.float32)
         if poison:
             arena.fill(np.nan)
@@ -278,7 +337,8 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
                 if poison:
                     out.fill(np.nan)
             try:
-                vals[n.id] = _node_value(n, weights, vals, out)
+                vals[n.id] = _node_value(n, weights, vals, out,
+                                         band_of.get(n.id))
             except EnetError as e:
                 raise type(e)(f"node {n.name}: {e}") from e
 

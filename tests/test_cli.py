@@ -192,6 +192,26 @@ def test_bench_plans_the_graph_once(tmp_path, capsys, monkeypatch):
                      out, re.M), out
 
 
+def test_bench_prints_the_plan_frame_peak(tmp_path, capsys, monkeypatch):
+    plans = []
+
+    def recording_plan_buffers(g, real=runtime.plan_buffers):
+        plans.append(real(g))
+        return plans[-1]
+
+    # the first plan is the one the timed passes ran on
+    monkeypatch.setattr(runtime, "plan_buffers", recording_plan_buffers)
+    model = tmp_path / "m.enwt"
+    run(capsys, "build", "--classes", 5, "--out", model)
+    code, out, err = run(capsys, "bench", "--model", model, "--height", 32,
+                         "--width", 32, "--warmup", 0, "--iters", 1)
+    assert code == 0 and err == ""
+    line = re.search(r"^frame peak (\d+\.\d\d) MB \(values, window codes and "
+                     r"convolution bands\)$", out, re.M)
+    assert line, out
+    assert line.group(1) == f"{plans[0].frame_peak_bytes / 1e6:.2f}"
+
+
 def test_data_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.enwt"
     bad.write_bytes(b"JUNKJUNKJUNK")

@@ -10,8 +10,10 @@ unfused build_enet(19, 64, 128) graphs, with seeded non-trivial weights, is
 run by the engine and again with those oracles swapped in, on the node's
 real input; the float32 outputs must agree bit for bit.  fullconv's four
 phases, which share one im2col in the engine, are each checked against
-their own.  The engine runs at each of BUDGETS: the current band, the
-former one, and one so small that every network conv runs in many bands.
+their own.  The engine runs at each of BUDGETS: the kernels' default
+band, the former one, and one so small that every network conv runs in
+many bands.  Each budget reaches the kernels the way a plan's budgets do,
+as the band execute hands each conv node, in place of the plan's own.
 The check runs in a fresh interpreter per BLAS thread count, because
 OpenBLAS reads OPENBLAS_NUM_THREADS once at load time.
 
@@ -53,9 +55,16 @@ def _graphs():
     return {"fused": (fg, fw), "unfused": (g, weights)}
 
 
-# the current band, the former one (reference.SLIDING_BAND), and a budget
-# that splits every network conv into bands of a few rows
+# the kernels' default band, the former one (reference.SLIDING_BAND), and a
+# budget that splits every network conv into bands of a few rows
 BUDGETS = (kernels._BAND, 1 << 19, 1 << 12)
+
+
+def _bandless(fn):
+    """A former kernel that takes, and ignores, the engine's band keyword."""
+    def former(*args, band=None, **kwargs):
+        return fn(*args, **kwargs)
+    return former
 
 
 def oracle_report():
@@ -63,9 +72,10 @@ def oracle_report():
     whose output differs from the former kernels'."""
     x = np.random.default_rng(5).random((3, 64, 128), dtype=np.float32)
     node_value = runtime._node_value
-    former = {(runtime, "conv2d"): padded_conv2d,
-              (runtime, "conv_transpose2d"): padded_conv_transpose2d,
-              (kernels, "conv2d"): padded_conv2d}  # conv_asymmetric5's passes
+    former = {(runtime, "conv2d"): _bandless(padded_conv2d),
+              (runtime, "conv_transpose2d"): _bandless(padded_conv_transpose2d),
+              # conv_asymmetric5's passes
+              (kernels, "conv2d"): _bandless(padded_conv2d)}
     engine = {key: getattr(*key) for key in former}
     report = {}
     for budget in BUDGETS:
@@ -73,13 +83,14 @@ def oracle_report():
         for name, (g, weights) in _graphs().items():
             checked, differ = [], []
 
-            def checked_node_value(n, weights, vals, out):
-                got = node_value(n, weights, vals, out)
+            def checked_node_value(n, weights, vals, out, band):
+                got = node_value(n, weights, vals, out,
+                                 budget if n.kind in CONV_KINDS else band)
                 if n.kind in CONV_KINDS:
                     for (module, attr), fn in former.items():
                         setattr(module, attr, fn)
                     try:
-                        want = node_value(n, weights, vals, None)
+                        want = node_value(n, weights, vals, None, None)
                     finally:
                         for (module, attr), fn in engine.items():
                             setattr(module, attr, fn)
@@ -88,13 +99,11 @@ def oracle_report():
                         differ.append(n.name)
                 return got
 
-            band, kernels._BAND = kernels._BAND, budget
             runtime._node_value = checked_node_value
             try:
                 execute(g, weights, x, plan_buffers(g))
             finally:
                 runtime._node_value = node_value
-                kernels._BAND = band
             report[budget][name] = {"checked": checked, "differ": differ}
     return report
 
@@ -163,6 +172,64 @@ def test_band_scratch_with_bias_row_stays_within_the_budget(monkeypatch, case):
     for taps, (k, n) in bands:
         assert k == taps + 1  # the ones row that takes the bias
         assert (k + oc) * n <= budget, (k, oc, n, budget)
+
+
+def _bands_of_execute(monkeypatch, g, weights, plan):
+    """Run execute and return, for each im2col band a convolution built,
+    (node, the band execute gave it, GEMM rows, im2col shape, output rows)."""
+    running, gemm_rows, bands = [], [], []
+    node_value = runtime._node_value
+    conv_gemm, im2col = kernels._conv_gemm, kernels._im2col
+
+    def recording_node_value(n, weights, vals, out, band):
+        running.append((n, band))
+        return node_value(n, weights, vals, out, band)
+
+    def recording_conv_gemm(x, top, left, kh, kw, stride, dilation, gemms, bias,
+                            band=None):
+        gemm_rows.append(gemms[0][1].shape[0])
+        return conv_gemm(x, top, left, kh, kw, stride, dilation, gemms, bias, band)
+
+    def recording_im2col(x, top, left, kh, kw, stride, dilation, y0, oh, ow, ones):
+        cols = im2col(x, top, left, kh, kw, stride, dilation, y0, oh, ow, ones)
+        bands.append((*running[-1], gemm_rows[-1], cols.shape, oh))
+        return cols
+
+    monkeypatch.setattr(runtime, "_node_value", recording_node_value)
+    monkeypatch.setattr(kernels, "_conv_gemm", recording_conv_gemm)
+    monkeypatch.setattr(kernels, "_im2col", recording_im2col)
+    x = np.random.default_rng(5).random(tuple(g.input_shape), dtype=np.float32)
+    execute(g, weights, x, plan)
+    return bands
+
+
+@pytest.mark.parametrize("name", ["fused", "unfused"])
+def test_planned_execute_bands_each_conv_to_its_plan_budget(monkeypatch, name):
+    g, weights = _graphs()[name]
+    plan = plan_buffers(g)
+    convs = {n.id for n in g.nodes if n.kind in CONV_KINDS}
+    assert set(plan.band_of) == convs
+    with pytest.raises(TypeError):  # the plan's budgets are read-only
+        plan.band_of[min(convs)] = 1
+    fullconv = g.node(g.output_node.inputs[0])
+    assert fullconv.name == "fullconv"
+    assert plan.band_of[fullconv.id] == runtime._BAND_FLOOR  # no headroom there
+    bands = _bands_of_execute(monkeypatch, g, weights, plan)
+    assert {n.id for n, *_ in bands} == convs
+    for n, band, oc, (k, cols), oh in bands:
+        assert band == plan.band_of[n.id], n.name
+        assert (k + oc) * cols <= band or oh == 1, (n.name, k, oc, cols, band)
+
+
+def test_unplanned_execute_bands_to_the_kernels_default(monkeypatch):
+    # plan=None hands no budget down, so every conv reads _BAND at call time
+    g, weights = _graphs()["unfused"]
+    monkeypatch.setattr(kernels, "_BAND", 1 << 13)
+    bands = _bands_of_execute(monkeypatch, g, weights, None)
+    assert {n.kind for n, *_ in bands} == set(CONV_KINDS)
+    for n, band, oc, (k, cols), oh in bands:
+        assert band is None, n.name
+        assert (k + oc) * cols <= 1 << 13 or oh == 1, (n.name, k, oc, cols)
 
 
 def test_phases_that_read_one_window_share_its_im2col(monkeypatch):

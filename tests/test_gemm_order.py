@@ -4,7 +4,8 @@ does.  Bitwise outputs, band-height invariance and determinism across BLAS
 thread counts all rest on it (see the kernels docstring).
 
 Every (M, K, N) GEMM that the convolutions of the fused and unfused 19-class
-graphs run at 3x360x640 (N is the width of one band) is checked on operands
+graphs run at 3x360x640, planned and unplanned (N is the width of one band,
+whose budget a plan sets per node), is checked on operands
 whose in-order sum is known exactly and which the other orders a BLAS might
 use change at every output.  The K products of output (i, j) are, in order, +2^60, K-3
 terms of 100, -2^60, and a_i*b_j with a_i and b_j in 1..7.  In order, each
@@ -36,7 +37,7 @@ import pytest
 from enetcpu import kernels
 from enetcpu.graph import build_enet, init_weights
 from enetcpu.passes import optimize
-from enetcpu.runtime import execute
+from enetcpu.runtime import execute, plan_buffers
 
 BIG = 2.0 ** 30  # a float32 value; BIG * BIG is the 2^60 of every output
 UNIT = 10.0  # UNIT * UNIT = 100, under half the spacing of doubles at 2^60
@@ -58,16 +59,18 @@ def ordered_operands(m: int, k: int, n: int):
 @functools.lru_cache(maxsize=None)
 def network_gemm_shapes() -> tuple[tuple[int, int, int], ...]:
     """(M, K, N) of every GEMM the convolutions of the fused and unfused
-    build_enet(19, 360, 640) run, recorded from the engine itself: M from
-    the output channels of each _conv_gemm call, K (with any bias row) and N
-    from each im2col band it builds."""
+    build_enet(19, 360, 640) run, planned and unplanned, recorded from the
+    engine itself: M from the output channels of each _conv_gemm call, K
+    (with any bias row) and N from each im2col band it builds."""
     seen, rows = set(), []
     conv_gemm, im2col = kernels._conv_gemm, kernels._im2col
 
-    def recording_conv_gemm(x, top, left, kh, kw, stride, dilation, gemms, bias):
+    def recording_conv_gemm(x, top, left, kh, kw, stride, dilation, gemms, bias,
+                            band=None):
         rows.append(gemms[0][1].shape[0])
         try:
-            return conv_gemm(x, top, left, kh, kw, stride, dilation, gemms, bias)
+            return conv_gemm(x, top, left, kh, kw, stride, dilation, gemms, bias,
+                             band)
         finally:
             rows.pop()
 
@@ -83,6 +86,7 @@ def network_gemm_shapes() -> tuple[tuple[int, int, int], ...]:
     try:
         for graph, weights in ((g, w), optimize(g, w)[:2]):
             execute(graph, weights, x)
+            execute(graph, weights, x, plan_buffers(graph))
     finally:
         kernels._conv_gemm, kernels._im2col = conv_gemm, im2col
     return tuple(sorted(seen))

@@ -195,6 +195,20 @@ def test_fold_rejects_bad_bn_statistics_naming_the_node(role, value):
         fold_batchnorm(g, w)
 
 
+def test_fold_refuses_an_infinite_variance_rather_than_zero_a_channel():
+    # gamma / sqrt(inf + eps) is 0, so the folded kernel and bias are finite
+    # and channel 3 of the kernel would be all zero; the fold's own check
+    # refuses the statistic, naming the BN and the key, with no numpy warning
+    g = build_enet(19, 32, 32)
+    w = init_weights(g, seed=0)
+    w["bottleneck1.1.ext.conv_bn.var"][3] = np.inf
+    with warnings.catch_warnings(), pytest.raises(FoldError, match=re.escape(
+            "cannot fold bottleneck1.1.ext.conv_bn: "
+            "'bottleneck1.1.ext.conv_bn.var' is not finite")):
+        warnings.simplefilter("error")
+        fold_batchnorm(g, w)
+
+
 def test_fold_refuses_a_folded_weight_that_overflows_float32():
     # a huge but finite gamma folds into a kernel float32 cannot hold; the
     # fold must say so rather than leave an inf for `execute` to blame on a

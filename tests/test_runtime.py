@@ -335,7 +335,9 @@ def test_planned_execute_peak_is_the_arena_the_output_and_scratch():
 def test_planned_execute_peak_is_at_most_the_unplanned_peak(fused, h, w):
     # the buffer is dropped before fullconv runs, so while it runs only its
     # input (a fresh array, never in the buffer), the logits and one band of
-    # convolution scratch are held, as without a plan
+    # convolution scratch are held; fullconv has no headroom under that
+    # value peak, so its band is the floor budget, with numpy's cast buffers
+    # on top.  Every earlier band fills the headroom under the same peak
     g = build_enet(19, h, w)
     weights = init_weights(g, seed=0)
     if fused:
@@ -354,8 +356,31 @@ def test_planned_execute_peak_is_at_most_the_unplanned_peak(fused, h, w):
     assert producer.name == "fullconv"
     fullconv_input = infer_shapes(g)[producer.inputs[0]].count * 4
     assert peaks["planned"] <= 1.01 * peaks["unplanned"], peaks
+    assert plan.band_of[producer.id] == runtime._BAND_FLOOR
     assert peaks["planned"] <= (logits.nbytes + fullconv_input
-                                + kernels._BAND * 8 + 2**20), peaks
+                                + runtime._BAND_FLOOR * 8 + 2**17), peaks
+
+
+@pytest.mark.parametrize("fused,h,w", [(True, 360, 640), (False, 128, 256)],
+                         ids=["fused-360x640", "unfused-128x256"])
+def test_plan_frame_peak_is_the_measured_execute_peak(fused, h, w):
+    # the plan's figure counts values, window codes and band budgets; what it
+    # leaves out (strip temporaries, weight casts, numpy's cast buffers) and
+    # bands smaller than their budget keep it within 5% of tracemalloc's peak
+    g = build_enet(19, h, w)
+    weights = init_weights(g, seed=0)
+    if fused:
+        g, weights, _ = optimize(g, weights)
+    plan = plan_buffers(g)
+    x = np.random.default_rng(4).random((3, h, w), dtype=F32)
+    tracemalloc.start()
+    try:
+        execute(g, weights, x, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(plan.frame_peak_bytes - peak) <= 0.05 * peak, (
+        plan.frame_peak_bytes / 1e6, peak / 1e6)
 
 
 def test_execute_through_pool_unpool_with_retained_indices():
@@ -375,6 +400,26 @@ def test_execute_through_pool_unpool_with_retained_indices():
         plain = execute(g, w, x)
         planned = execute(g, w, x, plan_buffers(g))
         np.testing.assert_array_equal(plain, planned)
+
+
+def test_plan_frame_peak_counts_window_codes_and_the_asymmetric_intermediate():
+    # values of 4x8x8 (1 KiB) and 4x4x4 (256 B) float32; the pool's uint8
+    # codes (64 B) live until the unpool, and the 5x1 pass's 4x4x4 output is
+    # held while the 1x5 pass runs.  No node has headroom above the floor,
+    # so the figure is the most held at a conv plus one floor band: the
+    # buffer, the codes and the intermediate, at `mid`
+    b = GraphBuilder(Shape(4, 8, 8))
+    pre = b.conv("pre", b.input_id,
+                 ConvParams(out_channels=4, kernel_h=1, kernel_w=1))
+    pool = b.maxpool("pool", pre)
+    mid = b.asym_conv5("mid", pool, 4)
+    up = b.max_unpool("up", mid, pool)
+    g = b.build(b.prelu("out", b.add("merge", pre, up)))
+    plan = plan_buffers(g)
+    assert set(plan.band_of) == {pre, mid}
+    assert set(plan.band_of.values()) == {runtime._BAND_FLOOR}
+    assert plan.frame_peak_bytes == (plan.peak_bytes + 64 + 256
+                                     + 8 * runtime._BAND_FLOOR)
 
 
 def test_window_codes_live_until_the_last_unpool_that_reads_them():
