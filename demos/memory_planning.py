@@ -60,7 +60,7 @@ def main():
           f"(tracemalloc over one execute; the buffer is dropped before "
           f"the output's producer runs, with nothing to copy out)")
     print(f"unplanned peak         : {plain_peak / 1e6:8.2f} MB "
-          f"(every value a fresh array, every conv band at the fixed 2 MiB)")
+          f"(every value a fresh array, banded by the same plan budgets)")
     poisoned = execute(g, store, x, plan, poison=True)
     same = (np.array_equal(plain, planned)
             and np.array_equal(plain, poisoned))

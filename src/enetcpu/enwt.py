@@ -47,7 +47,8 @@ class EnwtFile:
 def save_weights(weights: dict[str, np.ndarray], path,
                  dtype: DType = DType.F32) -> int:
     """Serialize a weight store; returns bytes written.  F16 halves the
-    payload at the cost of one rounding per element."""
+    payload at the cost of one rounding per element.  A finite value the
+    dtype cannot hold raises FormatError before any file is written."""
     chunks = [MAGIC, struct.pack("<II", VERSION, len(weights))]
     for name, arr in weights.items():
         name_b = name.encode("utf-8")
@@ -55,7 +56,12 @@ def save_weights(weights: dict[str, np.ndarray], path,
             raise FormatError(f"record name length {len(name_b)} out of range")
         if arr.ndim > _MAX_RANK:
             raise FormatError(f"record {name!r} has rank {arr.ndim} > {_MAX_RANK}")
-        payload = np.ascontiguousarray(arr, dtype=dtype.np_dtype)
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            payload = np.ascontiguousarray(arr, dtype=dtype.np_dtype)
+        grown = int(np.isinf(payload).sum() - np.isinf(arr).sum())
+        if grown:
+            raise FormatError(f"record {name!r}: {grown} finite value(s) "
+                              f"beyond the {dtype.name} range")
         chunks.append(struct.pack("<H", len(name_b)))
         chunks.append(name_b)
         chunks.append(struct.pack("<BB", dtype.value, arr.ndim))

@@ -40,12 +40,10 @@ and writes 0.0 over the rows and columns of the tap that fall in the padding,
 so no padded copy of the input is made.  It multiplies the (oc, C*kh*kw)
 weight matrix into that matrix over bands of output rows of equal height:
 each band's im2col plus its accumulator holds at most `band` float64
-elements (or one row), and is freed before the next band is built.  A
-planned execute passes each convolution the budget its plan gives it, the
-headroom under the frame's peak (see runtime); a call without one reads
-_BAND at call time (2 MiB, sized to one core's L2 cache).  A convolution
-whose scratch fits runs as one band.  A
-bias is the GEMM's last K term, a float64 column of the weight matrix times a
+elements (or one row), and is freed before the next band is built.  execute
+passes each convolution the budget its plan gives it, the headroom under the
+frame's peak (see runtime); a call without one runs as one band.  A bias is
+the GEMM's last K term, a float64 column of the weight matrix times a
 last im2col row of 1.0, so no separate pass adds it to the accumulator.  BLAS
 sums each output's K terms in order (tests/test_gemm_order.py checks this
 for every GEMM shape of the network at 3x360x640), so each sum ends with
@@ -79,7 +77,6 @@ from .errors import CorruptIndicesError, ShapeError
 
 F32 = np.float32
 _STRIP = 1 << 16  # elements per strip of the strip-wise kernels: temporaries fit in L2
-_BAND = 1 << 18  # default float64 elements of im2col plus accumulator per conv band (2 MiB)
 
 
 @dataclass(frozen=True)
@@ -268,7 +265,7 @@ def _conv_gemm(x: np.ndarray, top: int, left: int, kh: int, kw: int,
     It runs over bands of equal height of the dsts' rows: each band's im2col
     (see _im2col for top and left) is built once and serves every GEMM in
     turn, and it (its ones row included) plus one accumulator holds at most
-    `band` float64 elements, _BAND when None (or one row).
+    `band` float64 elements (or one row); with None, all rows are one band.
 
     A bias is the GEMM's last K term: wmat gains it as a float64 column and
     im2col a row of 1.0, so each sum ends with + bias*1.0, rounded once."""
@@ -276,8 +273,7 @@ def _conv_gemm(x: np.ndarray, top: int, left: int, kh: int, kw: int,
     if bias is not None:
         b64 = bias.astype(np.float64)[:, None]
         gemms = [(np.concatenate([wmat, b64], axis=1), dst) for wmat, dst in gemms]
-    rows = max(1, (_BAND if band is None else band)
-               // ((gemms[0][0].shape[1] + oc) * ow))
+    rows = oh if band is None else max(1, band // ((gemms[0][0].shape[1] + oc) * ow))
     height = -(-oh // -(-oh // rows))  # ceil(oh / number of bands)
     for y0 in range(0, oh, height):
         y1 = min(y0 + height, oh)

@@ -20,9 +20,9 @@ into a fresh array, so without a plan the same loop runs out of place with
 no offsets.  The buffer is dropped before the producer runs, with nothing to
 copy out, so it is never held beside the output.  Planned and unplanned runs
 are bitwise identical, so a planning bug shows up as corrupted values (or
-poisoned NaNs in debug mode) instead of silent reuse.  `execute` runs only
-the plan that plan_buffers makes for its graph, so no plan edited by hand,
-whose live values might share bytes, is ever trusted.
+poisoned NaNs in debug mode) instead of silent reuse.  `execute` derives the
+plan once per call and runs a given plan only when it equals that one, so no
+plan edited by hand, whose live values might share bytes, is ever trusted.
 
 The plan also sizes convolution scratch.  It totals the bytes a planned
 `execute` holds while each node runs: the buffer until it is dropped, the
@@ -32,8 +32,8 @@ peak, and each convolution bands its im2col scratch (ones row and one
 accumulator included) to the headroom under that peak, at least
 _BAND_FLOOR float64 elements, so the scratch fills memory the frame holds
 anyway instead of adding to its peak (im2col scratch is the memory cost of
-GEMM convolution: Anderson et al., arXiv 1709.03395).  Band height does not
-change a convolution's bits.
+GEMM convolution: Anderson et al., arXiv 1709.03395).  Unplanned runs band
+by the same budgets, and band height does not change a convolution's bits.
 
 `execute` validates the graph against its weight store on every call,
 before any kernel reads a weight; there is no unchecked mode, so
@@ -96,13 +96,10 @@ class ExecutionPlan:
     each convolution node's id to its band budget in float64 elements, and
     frame_peak_bytes is the most bytes of values, window codes and band
     budget held while any one node runs (see the module docstring); strip
-    temporaries and weight casts are left out.  `graph` is the
-    graph the plan was made for.  `execute` runs a plan only when it equals
-    the one plan_buffers makes for the graph it is given, so a plan made
-    for another graph, or edited by hand, is refused rather than trusted.
+    temporaries and weight casts are left out.  `execute` refuses a plan
+    unequal to the one it derives for its graph, rather than trust it.
     """
 
-    graph: Graph
     offset_of: dict[int, int]
     peak_bytes: int
     live_bytes: int
@@ -140,8 +137,11 @@ def plan_buffers(g: Graph) -> ExecutionPlan:
     """Greedy-by-size offset assignment over the liveness intervals of
     slots, and a band budget for each convolution from the headroom under
     the frame's value peak."""
-    shapes = infer_shapes(g)
-    last_use = _last_uses(g)
+    return _plan(g, infer_shapes(g), _last_uses(g))
+
+
+def _plan(g: Graph, shapes, last_use) -> ExecutionPlan:
+    """plan_buffers over infer_shapes(g) and _last_uses(g), given."""
     producer = g.node(g.output_node.inputs[0])
     unplaced = {producer.id, *producer.inputs}
 
@@ -199,8 +199,7 @@ def plan_buffers(g: Graph) -> ExecutionPlan:
     band_of = {nid: max(_BAND_FLOOR, (value_peak - held[i]) // _BYTES_F64)
                for i, nid in convs}
 
-    return ExecutionPlan(graph=g,
-                         offset_of={nid: slot_offset[k] for nid, k in slot_of.items()},
+    return ExecutionPlan(offset_of={nid: slot_offset[k] for nid, k in slot_of.items()},
                          peak_bytes=peak_bytes,
                          live_bytes=max(_totals(slots, len(g.nodes)), default=0),
                          no_reuse_bytes=sum(shapes[nid].count * _BYTES_F32
@@ -215,8 +214,7 @@ def plan_buffers(g: Graph) -> ExecutionPlan:
 def _node_value(n, weights, vals, out, band):
     """Run one node's kernel into `out` and return its output array; a
     maxpool also stores its window codes in vals, under the key ~n.id.  A
-    convolution bands its scratch to `band` float64 elements (None: the
-    kernels' default)."""
+    convolution bands its scratch to `band` float64 elements."""
     a = vals[n.inputs[0]] if n.inputs else None
     if n.kind in CONV_KINDS:
         bias = weights[n.ref("bias")] if n.conv.has_bias else None
@@ -261,24 +259,24 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
     not contribute to the output and is refused there.  An input holding a
     NaN or an infinity is refused with ExecutionError too.
 
-    A plan must equal plan_buffers(g), or ExecutionError is raised before
-    any kernel runs.  With it, a node the plan gives an offset writes into
-    its view of one buffer allocated for this call, or, when it is a PReLU,
-    add, batch norm or dropout on the offset of an input it reads, over that
-    input's array; every other node writes into a fresh array, and a
-    convolution bands its scratch to its budget in plan.band_of.  Without a
-    plan, every node writes into a fresh array and every convolution takes
-    the kernels' fixed band, so `plan=None` is the out-of-place reference.
-    The buffer is dropped before the output node's producer runs; the plan
-    keeps that node and what it reads out of the buffer, so nothing is
-    copied.  poison=True fills the buffer and every fresh array with NaN
-    before use, overwrites each buffered value with NaN once its last reader
-    has run, unless that reader wrote its output over it (the slot is
-    poisoned when its last member's last reader has run), and fills the
-    whole buffer when it is dropped, so any liveness bug turns into a loud
-    failure.  Poison covers values only: pooling window codes live outside
-    the buffer, under the same liveness as the values, so a reader after
-    their last unpool finds them missing and raises ExecutionError.
+    Every call derives the plan once, as plan_buffers(g) would, and each
+    convolution bands its scratch to its budget in that plan's band_of.  A
+    given plan must equal the derived one, or ExecutionError is raised
+    before any kernel runs.  With it, a node the plan gives an offset writes
+    into its view of one buffer allocated for this call, or, when it is a
+    PReLU, add, batch norm or dropout on the offset of an input it reads,
+    over that input's array; every other node writes into a fresh array, as
+    every node does without a plan, the out-of-place reference.  The buffer
+    is dropped before the output node's producer runs; the plan keeps that
+    node and what it reads out of the buffer, so nothing is copied.
+    poison=True fills the buffer and every fresh array with NaN before use,
+    overwrites each buffered value with NaN once its last reader has run,
+    unless that reader wrote its output over it (the slot is poisoned when
+    its last member's last reader has run), and fills the whole buffer when
+    it is dropped, so any liveness bug turns into a loud failure.  Poison
+    covers values only: pooling window codes live outside the buffer, under
+    the same liveness as the values, so a reader after their last unpool
+    finds them missing and raises ExecutionError.
     """
     diags = validate(g, weights)
     if diags:
@@ -297,17 +295,18 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
     last_use = _last_uses(g)
     producer_id = g.output_node.inputs[0]
 
-    offset_of: dict[int, int] = {}
-    band_of: Mapping[int, int] = {}
-    arena = None
-    if plan is not None:
-        if plan != plan_buffers(g):
-            raise ExecutionError("plan was made for another graph: it is not "
-                                 "the plan plan_buffers makes for this one")
-        offset_of, band_of = plan.offset_of, plan.band_of
-        arena = np.empty(plan.peak_bytes // _BYTES_F32, dtype=np.float32)
-        if poison:
-            arena.fill(np.nan)
+    derived = _plan(g, shapes, last_use)
+    if plan is not None and plan != derived:
+        raise ExecutionError("plan was made for another graph: it is not "
+                             "the plan plan_buffers makes for this one")
+    # unplanned: the derived plan's band budgets, and none of its offsets
+    offset_of = {} if plan is None else plan.offset_of
+    band_of = (derived if plan is None else plan).band_of
+    del derived
+    arena = None if plan is None else np.empty(plan.peak_bytes // _BYTES_F32,
+                                               dtype=np.float32)
+    if poison and arena is not None:
+        arena.fill(np.nan)
 
     vals: dict[int, np.ndarray] = {}  # live values and window codes, by key
 
@@ -337,8 +336,7 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
                 if poison:
                     out.fill(np.nan)
             try:
-                vals[n.id] = _node_value(n, weights, vals, out,
-                                         band_of.get(n.id))
+                vals[n.id] = _node_value(n, weights, vals, out, band_of.get(n.id))
             except EnetError as e:
                 raise type(e)(f"node {n.name}: {e}") from e
 
@@ -360,7 +358,7 @@ def argmax_labels(logits: np.ndarray) -> np.ndarray:
         raise ShapeError(f"logits must be CHW, got ndim={logits.ndim}")
     if logits.shape[0] < 2:
         raise ShapeError(f"need at least 2 class maps, got {logits.shape[0]}")
-    return np.argmax(logits, axis=0).astype(np.int64)
+    return np.argmax(logits, axis=0).astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)

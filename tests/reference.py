@@ -148,7 +148,8 @@ def sliding_conv_gemm(xp: np.ndarray, wmat: np.ndarray, bias: Optional[np.ndarra
 
     dst = wmat @ im2col(xp) (+ bias), rounded into dst, a float32
     (oc, oh, ow) view, over bands of equal height of dst's rows, each band's
-    im2col plus accumulator at most _BAND float64 elements (or one row)."""
+    im2col plus accumulator at most SLIDING_BAND float64 elements (or one
+    row)."""
     oc, oh, ow = dst.shape
     eff_kh = dilation * (kh - 1) + 1
     rows = max(1, SLIDING_BAND // ((wmat.shape[1] + oc) * ow))

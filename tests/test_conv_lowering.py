@@ -10,10 +10,11 @@ unfused build_enet(19, 64, 128) graphs, with seeded non-trivial weights, is
 run by the engine and again with those oracles swapped in, on the node's
 real input; the float32 outputs must agree bit for bit.  fullconv's four
 phases, which share one im2col in the engine, are each checked against
-their own.  The engine runs at each of BUDGETS: the kernels' default
-band, the former one, and one so small that every network conv runs in
-many bands.  Each budget reaches the kernels the way a plan's budgets do,
-as the band execute hands each conv node, in place of the plan's own.
+their own.  The engine runs at each of BUDGETS: the band the kernels
+once took by default, the one before it, and one so small that every
+network conv runs in many bands.  Each budget reaches the kernels the way
+a plan's budgets do, as the band execute hands each conv node, in place of
+the plan's own.
 The check runs in a fresh interpreter per BLAS thread count, because
 OpenBLAS reads OPENBLAS_NUM_THREADS once at load time.
 
@@ -55,9 +56,9 @@ def _graphs():
     return {"fused": (fg, fw), "unfused": (g, weights)}
 
 
-# the kernels' default band, the former one (reference.SLIDING_BAND), and a
-# budget that splits every network conv into bands of a few rows
-BUDGETS = (kernels._BAND, 1 << 19, 1 << 12)
+# the kernels' former default bands, 2 MiB and 4 MiB (reference.SLIDING_BAND),
+# and a budget that splits every network conv into bands of a few rows
+BUDGETS = (1 << 18, 1 << 19, 1 << 12)
 
 
 def _bandless(fn):
@@ -129,13 +130,13 @@ def test_every_network_conv_matches_the_former_lowering(threads):
 
 
 # (transposed, ic, oc, kh, kw, stride, pad, h, w, budget): the largest
-# biased network shapes at the default budget, and small ones whose rows
-# fit a small budget a few at a time
+# biased network shapes at a 2 MiB budget, and small ones whose rows fit a
+# small budget a few at a time
 SCRATCH_CASES = [
-    (False, 32, 32, 3, 3, 1, 1, 45, 80, None),   # stage 2/3 3x3, K = 288 + 1
-    (False, 32, 128, 1, 1, 1, 0, 45, 80, None),  # stage 2/3 1x1 expansion
-    (False, 3, 13, 3, 3, 2, 1, 360, 640, None),  # the initial conv
-    (True, 16, 19, 2, 2, 2, 0, 180, 320, None),  # fullconv
+    (False, 32, 32, 3, 3, 1, 1, 45, 80, 1 << 18),   # stage 2/3 3x3, K = 288 + 1
+    (False, 32, 128, 1, 1, 1, 0, 45, 80, 1 << 18),  # stage 2/3 1x1 expansion
+    (False, 3, 13, 3, 3, 2, 1, 360, 640, 1 << 18),  # the initial conv
+    (True, 16, 19, 2, 2, 2, 0, 180, 320, 1 << 18),  # fullconv
     (False, 16, 16, 3, 3, 1, 1, 20, 30, 20000),
     (True, 16, 19, 2, 2, 2, 0, 24, 40, 5000),
     (True, 8, 6, 3, 3, 2, 1, 11, 13, 2000),
@@ -146,9 +147,6 @@ SCRATCH_CASES = [
                          ids=[str(i) for i in range(len(SCRATCH_CASES))])
 def test_band_scratch_with_bias_row_stays_within_the_budget(monkeypatch, case):
     tr, ic, oc, kh, kw, s, pad, h, w, budget = case
-    if budget is not None:
-        monkeypatch.setattr(kernels, "_BAND", budget)
-    budget = kernels._BAND
     bands = []
     im2col = kernels._im2col
 
@@ -165,9 +163,10 @@ def test_band_scratch_with_bias_row_stays_within_the_budget(monkeypatch, case):
                    pad_h=pad, pad_w=pad, out_pad=int(tr and pad > 0),
                    has_bias=True)
     if tr:
-        conv_transpose2d(x, rand_tconv_weight(rng, ic, oc, kh, kw), bias, p)
+        conv_transpose2d(x, rand_tconv_weight(rng, ic, oc, kh, kw), bias, p,
+                         band=budget)
     else:
-        conv2d(x, rand_conv_weight(rng, oc, ic, kh, kw), bias, p)
+        conv2d(x, rand_conv_weight(rng, oc, ic, kh, kw), bias, p, band=budget)
     assert len(bands) > (s * s if tr else 1)  # some window ran in several bands
     for taps, (k, n) in bands:
         assert k == taps + 1  # the ones row that takes the bias
@@ -203,8 +202,10 @@ def _bands_of_execute(monkeypatch, g, weights, plan):
     return bands
 
 
+@pytest.mark.parametrize("planned", [True, False], ids=["planned", "unplanned"])
 @pytest.mark.parametrize("name", ["fused", "unfused"])
-def test_planned_execute_bands_each_conv_to_its_plan_budget(monkeypatch, name):
+def test_execute_bands_each_conv_to_its_plan_budget(monkeypatch, name, planned):
+    # with a plan or without one, execute bands by the plan it derives
     g, weights = _graphs()[name]
     plan = plan_buffers(g)
     convs = {n.id for n in g.nodes if n.kind in CONV_KINDS}
@@ -214,29 +215,18 @@ def test_planned_execute_bands_each_conv_to_its_plan_budget(monkeypatch, name):
     fullconv = g.node(g.output_node.inputs[0])
     assert fullconv.name == "fullconv"
     assert plan.band_of[fullconv.id] == runtime._BAND_FLOOR  # no headroom there
-    bands = _bands_of_execute(monkeypatch, g, weights, plan)
+    bands = _bands_of_execute(monkeypatch, g, weights,
+                              plan if planned else None)
     assert {n.id for n, *_ in bands} == convs
     for n, band, oc, (k, cols), oh in bands:
         assert band == plan.band_of[n.id], n.name
         assert (k + oc) * cols <= band or oh == 1, (n.name, k, oc, cols, band)
 
 
-def test_unplanned_execute_bands_to_the_kernels_default(monkeypatch):
-    # plan=None hands no budget down, so every conv reads _BAND at call time
-    g, weights = _graphs()["unfused"]
-    monkeypatch.setattr(kernels, "_BAND", 1 << 13)
-    bands = _bands_of_execute(monkeypatch, g, weights, None)
-    assert {n.kind for n, *_ in bands} == set(CONV_KINDS)
-    for n, band, oc, (k, cols), oh in bands:
-        assert band is None, n.name
-        assert (k + oc) * cols <= 1 << 13 or oh == 1, (n.name, k, oc, cols)
-
-
 def test_phases_that_read_one_window_share_its_im2col(monkeypatch):
     # fullconv's four phases (2x2, stride 2) all read the input itself: each
     # band's im2col is built once, for the four GEMMs, and the bands tile
     # the phases' rows once
-    monkeypatch.setattr(kernels, "_BAND", 5000)
     bands = []
     im2col = kernels._im2col
 
@@ -250,7 +240,7 @@ def test_phases_that_read_one_window_share_its_im2col(monkeypatch):
     wt, bias = rand_tconv_weight(rng, 16, 19, 2, 2), rand_bias(rng, 19)
     p = ConvParams(out_channels=19, kernel_h=2, kernel_w=2, stride=2,
                    has_bias=True)
-    got = conv_transpose2d(x, wt, bias, p)
+    got = conv_transpose2d(x, wt, bias, p, band=5000)
     assert len(bands) > 1
     assert [y0 for y0, _ in bands] == sorted({y0 for y0, _ in bands})
     assert sum(oh for _, oh in bands) == 24

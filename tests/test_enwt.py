@@ -105,6 +105,23 @@ def test_save_rejects_bad_records(tmp_path):
         save_weights({"x": np.zeros((1,) * 9, np.float32)}, path)
 
 
+@pytest.mark.parametrize("dtype,store", [
+    (DType.F16, {"a.weight": np.float32([1.0, 65504.0]),
+                 "b.weight": np.float32([[0.5, -7e4], [np.inf, 1e5]])}),
+    (DType.F32, {"a.weight": np.float32([1.0]),
+                 "b.weight": np.array([-np.inf, 1e39, 1e300])}),
+], ids=["f16", "f32"])
+def test_save_refuses_a_finite_value_the_dtype_cannot_hold(tmp_path, dtype,
+                                                          store):
+    # a cast to inf would load back as inf and fail every execute far from
+    # the cause; an infinity already in the store is not counted
+    path = tmp_path / "w.enwt"
+    with pytest.raises(FormatError, match=r"'b\.weight': 2 finite value\(s\) "
+                                          rf"beyond the {dtype.name} range"):
+        save_weights(store, path, dtype=dtype)
+    assert not path.exists()
+
+
 def _valid_bytes(store=None):
     import tempfile
     import os

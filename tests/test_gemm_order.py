@@ -5,7 +5,7 @@ thread counts all rest on it (see the kernels docstring).
 
 Every (M, K, N) GEMM that the convolutions of the fused and unfused 19-class
 graphs run at 3x360x640, planned and unplanned (N is the width of one band,
-whose budget a plan sets per node), is checked on operands
+whose budget the plan sets per node on both paths), is checked on operands
 whose in-order sum is known exactly and which the other orders a BLAS might
 use change at every output.  The K products of output (i, j) are, in order, +2^60, K-3
 terms of 100, -2^60, and a_i*b_j with a_i and b_j in 1..7.  In order, each

@@ -1,9 +1,9 @@
 """Golden-hash gate: the SHA-256 of the full network's logits is pinned.
 
 Any refactor of the kernels, passes or runtime must leave these bytes
-unchanged.  The weights are init_weights with batch-norm statistics, biases
-and PReLU slopes drawn away from their identity values, so folding and every
-bias path do real work.  Each hash is checked in a fresh interpreter per BLAS
+unchanged, planned and unplanned.  The weights are init_weights with
+batch-norm statistics, biases and PReLU slopes drawn away from their identity
+values, so folding and every bias path do real work.  Each hash is checked in a fresh interpreter per BLAS
 thread count, because OpenBLAS reads OPENBLAS_NUM_THREADS once at load time.
 
 Run this file directly to print the current hashes as JSON.
@@ -45,16 +45,19 @@ def _perturbed_weights(g, seed):
 
 
 def golden_hashes():
-    """SHA-256 of the fused and unfused planned logits at 19x3x128x256."""
+    """SHA-256 of the fused and unfused logits at 19x3x128x256, planned and
+    (under "<name> unplanned") with plan=None."""
     g = build_enet(num_classes=19, input_h=128, input_w=256)
     weights = _perturbed_weights(g, seed=0)
     x = np.random.default_rng(2).random((3, 128, 256), dtype=np.float32)
     fg, fw, _ = optimize(g, weights)
     out = {}
     for name, graph, store in (("fused", fg, fw), ("unfused", g, weights)):
-        logits = execute(graph, store, x, plan_buffers(graph))
-        assert np.all(np.isfinite(logits))
-        out[name] = hashlib.sha256(logits.tobytes()).hexdigest()
+        for key, plan in ((name, plan_buffers(graph)),
+                          (f"{name} unplanned", None)):
+            logits = execute(graph, store, x, plan)
+            assert np.all(np.isfinite(logits))
+            out[key] = hashlib.sha256(logits.tobytes()).hexdigest()
     return out
 
 
@@ -67,7 +70,8 @@ def test_logits_match_golden_hashes(threads):
     proc = subprocess.run([sys.executable, __file__], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == GOLDEN
+    want = {**GOLDEN, **{f"{name} unplanned": h for name, h in GOLDEN.items()}}
+    assert json.loads(proc.stdout.splitlines()[-1]) == want
 
 
 if __name__ == "__main__":

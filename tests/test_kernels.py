@@ -402,9 +402,9 @@ BAND_CASES = [  # (transposed, kh, kw, stride, pad_h, pad_w, dilation, out_pad, 
 
 @pytest.mark.parametrize("budget", [1, 700], ids=["one_row", "few_rows"])
 @pytest.mark.parametrize("case", BAND_CASES, ids=[str(i) for i in range(len(BAND_CASES))])
-def test_conv_bands_give_the_bits_of_one_band(monkeypatch, case, budget):
-    # a budget of 1 element gives one output row per band; every case here
-    # fits one band at the default budget
+def test_conv_bands_give_the_bits_of_one_band(case, budget):
+    # a budget of 1 element gives one output row per band; with no budget,
+    # every case runs as one band
     tr, kh, kw, s, ph, pw, d, op, ic, oc, h, w = case
     rng = np.random.default_rng(sum(case[1:]))
     x = rand_input(rng, ic, h, w)
@@ -412,15 +412,14 @@ def test_conv_bands_give_the_bits_of_one_band(monkeypatch, case, budget):
     p = ConvParams(out_channels=oc, kernel_h=kh, kernel_w=kw, stride=s, pad_h=ph,
                    pad_w=pw, dilation=d, out_pad=op, has_bias=True)
     if tr:
-        wt = rand_tconv_weight(rng, ic, oc, kh, kw)
-        run = lambda: conv_transpose2d(x, wt, bias, p)  # noqa: E731
+        conv, wt = conv_transpose2d, rand_tconv_weight(rng, ic, oc, kh, kw)
     else:
-        wt = rand_conv_weight(rng, oc, ic, kh, kw)
-        run = lambda: conv2d(x, wt, bias, p)  # noqa: E731
-    whole = run()
-    monkeypatch.setattr(kernels, "_BAND", budget)
-    assert _bitwise_equal(run(), whole)
+        conv, wt = conv2d, rand_conv_weight(rng, oc, ic, kh, kw)
+    assert _bitwise_equal(conv(x, wt, bias, p, band=budget),
+                          conv(x, wt, bias, p))
 
+
+SCRATCH_BAND = 1 << 18  # float64 elements of one band (2 MiB)
 
 # (transposed, ic, oc, kh, kw, stride, pad, dilation, bias, h, w): a 3x3
 # 16->16 conv at 90x160 and the 2x2/2 16->19 fullconv at 180x320, the two
@@ -446,20 +445,18 @@ def test_conv_scratch_stays_within_the_band_budget(case):
     p = ConvParams(out_channels=oc, kernel_h=kh, kernel_w=kw, stride=s,
                    pad_h=pad, pad_w=pad, dilation=d, has_bias=has_bias)
     if tr:
-        wt = rand_tconv_weight(rng, ic, oc, kh, kw)
+        conv, wt = conv_transpose2d, rand_tconv_weight(rng, ic, oc, kh, kw)
         out = np.empty((oc, *p.tconv_out_hw(h, w)), dtype=F32)
-        run = lambda: conv_transpose2d(x, wt, bias, p, out=out)  # noqa: E731
     else:
-        wt = rand_conv_weight(rng, oc, ic, kh, kw)
+        conv, wt = conv2d, rand_conv_weight(rng, oc, ic, kh, kw)
         out = np.empty((oc, *p.conv_out_hw(h, w)), dtype=F32)
-        run = lambda: conv2d(x, wt, bias, p, out=out)  # noqa: E731
     tracemalloc.start()
     try:
-        run()
+        conv(x, wt, bias, p, out=out, band=SCRATCH_BAND)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= kernels._BAND * 8 + 128 * 1024, peak / 1e6
+    assert peak <= SCRATCH_BAND * 8 + 128 * 1024, peak / 1e6
 
 
 def test_conv_and_transpose_are_adjoint():

@@ -181,27 +181,44 @@ def test_plan_enet_reuse_beats_no_reuse():
 # execution
 
 def test_execute_planned_equals_unplanned_bitwise_on_random_graphs():
+    # every motif returns to 4x8x8, so any two drawn values can be added;
+    # the 50 graphs hold every node kind GraphBuilder makes
+    one = ConvParams(out_channels=4, kernel_h=1, kernel_w=1)
+    three = ConvParams(out_channels=4, kernel_h=3, kernel_w=3, pad_h=1, pad_w=1)
+    drawn = set()
     for seed in range(50):
         rng = np.random.default_rng(seed)
         b = GraphBuilder(Shape(4, 8, 8))
-        vals = [b.conv("c0", b.input_id,
-                       ConvParams(out_channels=4, kernel_h=1, kernel_w=1))]
+        vals = [b.conv("c0", b.input_id, one)]
         for i in range(int(rng.integers(3, 12))):
-            choice = rng.integers(0, 4)
+            choice = rng.integers(0, 10)
             src = vals[-1]
+            other = vals[int(rng.integers(0, len(vals)))]
             if choice == 0:
-                nid = b.conv(f"conv{i}", src,
-                             ConvParams(out_channels=4, kernel_h=3, kernel_w=3,
-                                        pad_h=1, pad_w=1))
+                nid = b.conv(f"conv{i}", src, three)
             elif choice == 1:
                 nid = b.prelu(f"act{i}", src)
             elif choice == 2:
                 nid = b.batchnorm(f"bn{i}", src)
-            else:
-                other = vals[int(rng.integers(0, len(vals)))]
+            elif choice == 3:
                 nid = b.add(f"add{i}", src, other)
+            elif choice == 4:
+                nid = b.dropout(f"drop{i}", src)
+            elif choice == 5:
+                nid = b.conv(f"merge{i}", b.concat(f"cat{i}", src, other), one)
+            elif choice == 6:
+                nid = b.conv(f"narrow{i}", b.pad_channels(f"pad{i}", src, 7), one)
+            elif choice == 7:
+                nid = b.asym_conv5(f"asym{i}", src, 4)
+            elif choice == 8:
+                nid = b.conv_transpose(f"tconv{i}", src, three)
+            else:
+                pool = b.maxpool(f"pool{i}", src)
+                up = b.max_unpool(f"up{i}", b.conv(f"mid{i}", pool, one), pool)
+                nid = b.add(f"skip{i}", up, src)
             vals.append(nid)
         g = b.build(vals[-1])
+        drawn |= {n.kind for n in g.nodes}
         w = init_weights(g, seed=seed)
         x = rng.random((4, 8, 8), dtype=F32)
         plain = execute(g, w, x)
@@ -210,12 +227,13 @@ def test_execute_planned_equals_unplanned_bitwise_on_random_graphs():
         np.testing.assert_array_equal(plain, planned)
         np.testing.assert_array_equal(plain, poisoned)
         assert np.all(np.isfinite(plain))
+    assert drawn == set(NodeKind)
 
 
 def test_poison_catches_a_value_moved_onto_a_live_inputs_bytes(monkeypatch):
     # a planner mutant: one value placed on the bytes of an input that a
     # later node still reads; poison mode must turn that into a wrong or
-    # non-finite output.  execute runs only what plan_buffers makes, so the
+    # non-finite output.  execute runs only the plan it derives, so the
     # mutant stands in for it
     g = build_enet(5, 64, 64)
     w = init_weights(g, seed=1)
@@ -234,7 +252,7 @@ def test_poison_catches_a_value_moved_onto_a_live_inputs_bytes(monkeypatch):
         and shapes[n.id].count <= shapes[src].count)
     mutant = dataclasses.replace(
         plan, offset_of={**plan.offset_of, node.id: plan.offset_of[src]})
-    monkeypatch.setattr(runtime, "plan_buffers", lambda _: mutant)
+    monkeypatch.setattr(runtime, "_plan", lambda *_: mutant)
     got = execute(g, w, x, mutant, poison=True)
     assert not np.array_equal(got, plain) or not np.all(np.isfinite(got)), \
         f"{node.name} written over live {g.node(src).name} went unnoticed"
@@ -264,7 +282,7 @@ def test_poison_catches_an_elementwise_node_written_over_an_input_read_later(
         assert plan.offset_of[nid] != plan.offset_of[c0]
         mutant = dataclasses.replace(
             plan, offset_of={**plan.offset_of, nid: plan.offset_of[c0]})
-        monkeypatch.setattr(runtime, "plan_buffers", lambda _: mutant)
+        monkeypatch.setattr(runtime, "_plan", lambda *_: mutant)
         got = execute(g, w, x, mutant, poison=True)
         assert not np.array_equal(got, plain) or not np.all(np.isfinite(got)), \
             f"{node} written over live c0 went unnoticed"
@@ -284,7 +302,7 @@ def test_poison_catches_the_output_producers_input_placed_in_the_buffer(
     mutant = dataclasses.replace(
         plan, offset_of={**plan.offset_of, src: plan.peak_bytes},
         peak_bytes=plan.peak_bytes + infer_shapes(g)[src].count * 4)
-    monkeypatch.setattr(runtime, "plan_buffers", lambda _: mutant)
+    monkeypatch.setattr(runtime, "_plan", lambda *_: mutant)
     got = execute(g, w, x, mutant, poison=True)
     assert not np.array_equal(got, plain) or not np.all(np.isfinite(got))
 
@@ -297,6 +315,24 @@ def test_execute_accepts_a_plan_made_for_an_equal_graph():
     assert twin is not g and twin == g
     np.testing.assert_array_equal(execute(g, w, x, plan_buffers(twin)),
                                   execute(g, w, x))
+
+
+@pytest.mark.parametrize("planned", [False, True], ids=["unplanned", "planned"])
+def test_execute_derives_shapes_liveness_and_plan_once(monkeypatch, planned):
+    # a given plan is checked against the one execute derives anyway, not
+    # against a second derivation; validate and infer_shapes stay runtime
+    # globals, where a tracer wrapping them times each once a frame
+    g = build_enet(5, 32, 32)
+    w = init_weights(g, seed=0)
+    plan = plan_buffers(g) if planned else None
+    calls = []
+    for name in ("validate", "infer_shapes", "_last_uses", "_plan"):
+        def counting(*args, real=getattr(runtime, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(runtime, name, counting)
+    execute(g, w, np.zeros((3, 32, 32), dtype=F32), plan)
+    assert sorted(calls) == ["_last_uses", "_plan", "infer_shapes", "validate"]
 
 
 def test_execute_returns_a_fresh_array_when_the_output_reads_the_input():
@@ -361,12 +397,14 @@ def test_planned_execute_peak_is_at_most_the_unplanned_peak(fused, h, w):
                                 + runtime._BAND_FLOOR * 8 + 2**17), peaks
 
 
+@pytest.mark.parametrize("planned", [True, False], ids=["planned", "unplanned"])
 @pytest.mark.parametrize("fused,h,w", [(True, 360, 640), (False, 128, 256)],
                          ids=["fused-360x640", "unfused-128x256"])
-def test_plan_frame_peak_is_the_measured_execute_peak(fused, h, w):
+def test_plan_frame_peak_is_the_measured_execute_peak(fused, h, w, planned):
     # the plan's figure counts values, window codes and band budgets; what it
     # leaves out (strip temporaries, weight casts, numpy's cast buffers) and
-    # bands smaller than their budget keep it within 5% of tracemalloc's peak
+    # bands smaller than their budget keep it within 5% of tracemalloc's peak.
+    # Unplanned, every value is a fresh array, banded by the same budgets
     g = build_enet(19, h, w)
     weights = init_weights(g, seed=0)
     if fused:
@@ -375,7 +413,7 @@ def test_plan_frame_peak_is_the_measured_execute_peak(fused, h, w):
     x = np.random.default_rng(4).random((3, h, w), dtype=F32)
     tracemalloc.start()
     try:
-        execute(g, weights, x, plan)
+        execute(g, weights, x, plan if planned else None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
