@@ -22,7 +22,7 @@ def main():
     g, store, _ = optimize(g, store)
 
     plan = plan_buffers(g)
-    # a value on the offset of an input it reads was written over that input
+    # a value on the offset of an input it reads is written over that input
     # (a PReLU, add, batch norm or dropout on its dying input's slot)
     off = plan.offset_of
     joined = sum(1 for n in g.nodes if n.id in off
@@ -57,8 +57,8 @@ def main():
     print(f"frame peak (plan)      : {plan.frame_peak_bytes / 1e6:8.2f} MB "
           f"(values, window codes and the band budget of the conv running)")
     print(f"planned peak           : {planned_peak / 1e6:8.2f} MB "
-          f"(tracemalloc over one execute; the buffer is dropped before "
-          f"the output's producer runs, with nothing to copy out)")
+          f"(tracemalloc over one execute; the buffer is freed when its "
+          f"last value dies, before the output's producer runs)")
     print(f"unplanned peak         : {plain_peak / 1e6:8.2f} MB "
           f"(every value a fresh array, banded by the same plan budgets)")
     poisoned = execute(g, store, x, plan, poison=True)

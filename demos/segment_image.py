@@ -69,8 +69,11 @@ def main():
     save_ppm(img, out / "scene.ppm")
 
     plan = plan_buffers(g)
-    print(f"planned activation memory: {plan.peak_bytes / 1e6:.1f} MB "
+    print(f"value buffer: {plan.peak_bytes / 1e6:.1f} MB "
           f"(vs {plan.no_reuse_bytes / 1e6:.1f} MB without reuse)")
+    print(f"frame peak (plan): {plan.frame_peak_bytes / 1e6:.1f} MB "
+          f"(values, window codes and convolution scratch held at once, "
+          f"the logits included)")
 
     logits = execute(g, store, img, plan)
     labels = argmax_labels(logits)

@@ -7,13 +7,13 @@ reference regardless of BLAS summation order.
 
 Every kernel takes an optional `out`: a C-contiguous float32 array of the
 result's shape.  For prelu, add, batchnorm_infer and spatial_dropout_infer,
-`out` may be exactly the first input (for add, either addend), so the result
-is written over it; otherwise it must not overlap any input.  Given one, the
-kernel writes its result there and returns it; without one it returns a
-fresh array.  The identity cases of pad_channels and spatial_dropout_infer
-return their input, uncopied, when `out` is None or is that input.  Float64
-accumulators are rounded in by assignment, which rounds exactly as
-astype(float32) does, so both forms give the same bits.
+`out` may cover exactly the first input's bytes (for add, either addend's),
+so the result is written over it; otherwise it must not overlap any input.
+Given one, the kernel writes its result there and returns it; without one it
+returns a fresh array, or, in the identity cases of pad_channels and
+spatial_dropout_infer, their input uncopied.  Float64 accumulators are
+rounded in by assignment, which rounds exactly as astype(float32) does, so
+both forms give the same bits.
 
 maxpool2x2, max_unpool2x2 and prelu choose between float32 values with
 _select, an integer select on their bits, b ^ ((a ^ b) & -mask), instead of
@@ -163,9 +163,8 @@ def _out(out: Optional[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _into(out: Optional[np.ndarray], x: np.ndarray) -> np.ndarray:
-    """The float32 array x copied into `out`, or x itself when there is no
-    `out` or `out` is x."""
-    if out is None or out is x:
+    """The float32 array x copied into `out`, or x itself without one."""
+    if out is None:
         return x
     _out(out, x.shape)[...] = x
     return out

@@ -59,9 +59,11 @@ def ordered_operands(m: int, k: int, n: int):
 @functools.lru_cache(maxsize=None)
 def network_gemm_shapes() -> tuple[tuple[int, int, int], ...]:
     """(M, K, N) of every GEMM the convolutions of the fused and unfused
-    build_enet(19, 360, 640) run, planned and unplanned, recorded from the
-    engine itself: M from the output channels of each _conv_gemm call, K
-    (with any bias row) and N from each im2col band it builds."""
+    build_enet(19, 360, 640) run, recorded from the engine itself: M from
+    the output channels of each _conv_gemm call, K (with any bias row) and
+    N from each im2col band it builds.  Only the planned run is recorded:
+    an unplanned one bands by the same plan budgets, so it runs the same
+    GEMM shapes."""
     seen, rows = set(), []
     conv_gemm, im2col = kernels._conv_gemm, kernels._im2col
 
@@ -85,7 +87,6 @@ def network_gemm_shapes() -> tuple[tuple[int, int, int], ...]:
     kernels._conv_gemm, kernels._im2col = recording_conv_gemm, recording_im2col
     try:
         for graph, weights in ((g, w), optimize(g, w)[:2]):
-            execute(graph, weights, x)
             execute(graph, weights, x, plan_buffers(graph))
     finally:
         kernels._conv_gemm, kernels._im2col = conv_gemm, im2col
