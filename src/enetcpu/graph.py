@@ -3,9 +3,14 @@ architecture, shape inference, and weight initialization.
 
 Nodes are immutable and stored in topological order.  Node ids are stable
 labels (optimization passes keep the ids of surviving nodes), so storage
-position and id may diverge after a pass.  Weights live outside the graph in
-a plain dict keyed by "<node name>.<role>" strings.  A node is never given
-its keys: they are derived when it is made, from its kind, which names the
+position and id may diverge after a pass.  A graph is checked once, when it
+is made: a node refuses an input count or a parameter its kind does not
+have, and a graph refuses duplicate or forward ids, any count of input or
+output nodes but one, a node the output does not read, and inconsistent
+geometry.  It stores every node's output shape as it checks them, so no
+later call infers shapes again.  Weights live outside the graph in a plain
+dict keyed by "<node name>.<role>" strings.  A node is never given its
+keys: they are derived when it is made, from its kind, which names the
 roles it binds (a convolution binds "bias" only when its params say so), and
 its name.  This module is the one place that says which weights a node has
 and how they are laid out, and what a batch norm's weights mean: bn_affine
@@ -20,7 +25,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -66,6 +72,9 @@ _WEIGHT_ROLES = {
     NodeKind.PRELU: ("slopes",),
 }
 
+# inputs a node of each kind reads; every kind not named reads one
+_ARITY = {NodeKind.INPUT: 0, NodeKind.ADD: 2, NodeKind.CONCAT: 2}
+
 # kinds that carry ConvParams; they bind "bias" only when conv.has_bias
 CONV_KINDS = (NodeKind.CONV, NodeKind.CONV_TRANSPOSE, NodeKind.ASYM_CONV5)
 
@@ -89,6 +98,15 @@ class NodeSpec:
     index_link: Optional[int] = None  # MAX_UNPOOL -> id of the source MAXPOOL
 
     def __post_init__(self):
+        what = f"node {self.id} ({self.name}) of kind {self.kind.value}"
+        arity = _ARITY.get(self.kind, 1)
+        if len(self.inputs) != arity:
+            raise ValidationError(f"{what} reads {arity} input(s), given "
+                                  f"{len(self.inputs)}")
+        if self.kind in CONV_KINDS and self.conv is None:
+            raise ValidationError(f"{what} has no ConvParams")
+        if self.kind is NodeKind.PAD_CHANNELS and self.target_channels is None:
+            raise ValidationError(f"{what} has no target_channels")
         # derived once per node, not a field: every execute looks weights up
         # by these keys, and a key string made anew is hashed anew
         roles = _WEIGHT_ROLES.get(self.kind, ())
@@ -117,7 +135,8 @@ class NodeSpec:
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable operator DAG with a single input and a single output."""
+    """Immutable operator DAG with a single input and a single output; it
+    cannot be made invalid (see the module docstring)."""
 
     nodes: tuple[NodeSpec, ...]
     input_shape: Shape
@@ -139,13 +158,29 @@ class Graph:
                     )
             seen_ids.add(n.id)
             seen_names.add(n.name)
-        by_id = {n.id: n for n in self.nodes}
-        by_name = {n.name: n for n in self.nodes}
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_by_name", by_name)
-        for attr, kind in (("_input", NodeKind.INPUT), ("_output", NodeKind.OUTPUT)):
-            object.__setattr__(self, attr, next(
-                (n for n in self.nodes if n.kind is kind), None))
+        object.__setattr__(self, "_by_id", {n.id: n for n in self.nodes})
+        object.__setattr__(self, "_by_name", {n.name: n for n in self.nodes})
+        # input_node and output_node: the one node of each kind
+        for kind in (NodeKind.INPUT, NodeKind.OUTPUT):
+            found = [n for n in self.nodes if n.kind is kind]
+            if len(found) != 1:
+                raise ValidationError(f"graph must have exactly 1 {kind.value} "
+                                      f"node, found {len(found)}")
+            object.__setattr__(self, f"{kind.value}_node", found[0])
+        # every node but the input reads a node stored before it, so every
+        # node is reachable from the input; one sweep back from the output
+        # finds the nodes it does not read, an unpool's link counting as a read
+        read = {self.output_node.id}
+        for n in reversed(self.nodes):
+            if n.id in read:
+                read.update(n.inputs)
+                if n.kind is NodeKind.MAX_UNPOOL:
+                    read.add(n.index_link)
+        for n in self.nodes:
+            if n.id not in read:
+                raise ValidationError(
+                    f"node {n.id} ({n.name}) does not contribute to the output")
+        object.__setattr__(self, "_shapes", MappingProxyType(_shape_walk(self)))
 
     def __iter__(self) -> Iterator[NodeSpec]:
         return iter(self.nodes)
@@ -155,20 +190,6 @@ class Graph:
 
     def find(self, name: str) -> NodeSpec:
         return self._by_name[name]
-
-    @property
-    def input_node(self) -> NodeSpec:
-        """The first INPUT node (validate refuses a graph with another count)."""
-        if self._input is None:
-            raise ValidationError("graph has no input node")
-        return self._input
-
-    @property
-    def output_node(self) -> NodeSpec:
-        """The first OUTPUT node (validate refuses a graph with another count)."""
-        if self._output is None:
-            raise ValidationError("graph has no output node")
-        return self._output
 
     def consumers(self) -> dict[int, tuple[int, ...]]:
         """Map node id -> ids of nodes that read it, in storage order."""
@@ -396,9 +417,16 @@ def build_enet(num_classes: int, input_h: int, input_w: int) -> Graph:
 # ---------------------------------------------------------------------------
 # shape inference
 
-def infer_shapes(g: Graph) -> dict[int, Shape]:
+def infer_shapes(g: Graph) -> Mapping[int, Shape]:
+    """Output shape of every node, by id: the read-only mapping the graph
+    stored when it was made, with no walk."""
+    return g._shapes
+
+
+def _shape_walk(g: Graph) -> dict[int, Shape]:
     """Propagate the input shape through every node; raises ValidationError
-    naming the first node whose geometry is inconsistent."""
+    naming the first node whose geometry is inconsistent.  Graph runs it
+    once, when it is made."""
     shapes: dict[int, Shape] = {}
 
     def fail(n: NodeSpec, why: str):
@@ -432,7 +460,7 @@ def infer_shapes(g: Graph) -> dict[int, Shape]:
                 out = Shape(c, h // 2, w // 2)
             elif n.kind is NodeKind.MAX_UNPOOL:
                 c, h, w = shapes[n.inputs[0]]
-                if n.index_link is None or n.index_link not in shapes:
+                if n.index_link not in shapes:
                     fail(n, "unpool has no resolvable index source")
                 link = g.node(n.index_link)
                 if link.kind is not NodeKind.MAXPOOL:

@@ -1,11 +1,12 @@
-"""Graph optimization passes and structural validation.
+"""Graph optimization passes and weight-store validation.
 
 Both passes are semantics-preserving at inference time: batch-norm folding
 rewrites conv weights so the normalization vanishes, and dropout elision
-removes identity nodes.  Node ids of surviving nodes never change.
-`validate` is the one gate on a graph and its weight store, and the only
-value check on batch-norm statistics: `optimize` runs it before any fold
-reads a weight, and `execute` before any kernel does.
+removes identity nodes.  Node ids of surviving nodes never change.  A graph
+is checked once, when it is made (see graph.Graph); `validate` is the one
+gate on a weight store against its graph, and the only value check on
+batch-norm statistics: `optimize` runs it before any fold reads a weight,
+and `execute` before any kernel does.
 """
 
 from __future__ import annotations
@@ -151,9 +152,9 @@ def optimize(g: Graph, weights: dict[str, np.ndarray]) -> tuple[
         Graph, dict[str, np.ndarray], tuple[PassReport, ...]]:
     """Standard inference pipeline: fold batch norms, then drop dropout.
 
-    The graph and store are first validated as `execute` validates them, and
-    a failure raises ValidationError with the same diagnostics, so the fused
-    path refuses every store the unfused one refuses."""
+    The store is first validated against the graph as `execute` validates
+    it, and a failure raises ValidationError with the same diagnostics, so
+    the fused path refuses every store the unfused one refuses."""
     diags = validate(g, weights)
     if diags:
         raise ValidationError("graph failed validation: " + "; ".join(diags[:5]))
@@ -163,55 +164,23 @@ def optimize(g: Graph, weights: dict[str, np.ndarray]) -> tuple[
 
 
 def validate(g: Graph, weights: dict[str, np.ndarray]) -> list[str]:
-    """Structural and binding checks; returns human-readable diagnostics,
-    empty when the graph is executable with this weight store."""
+    """Check the weight store against the graph, which was checked when it
+    was made; returns human-readable diagnostics, empty when the graph is
+    executable with this store."""
     diags: list[str] = []
-
-    n_inputs = sum(1 for n in g.nodes if n.kind is NodeKind.INPUT)
-    n_outputs = sum(1 for n in g.nodes if n.kind is NodeKind.OUTPUT)
-    if n_inputs != 1:
-        diags.append(f"graph must have exactly 1 input node, found {n_inputs}")
-    if n_outputs != 1:
-        diags.append(f"graph must have exactly 1 output node, found {n_outputs}")
-
-    # reachability in one sweep each way: every input is stored before its
-    # reader, so storage order is a topological order
-    if n_inputs == 1 and n_outputs == 1:
-        fwd = {g.input_node.id}
-        for n in g.nodes:
-            if any(src in fwd for src in n.inputs):
-                fwd.add(n.id)
-        bwd = {g.output_node.id}
-        for n in reversed(g.nodes):
-            if n.id in bwd:
-                bwd.update(n.inputs)
-                # a link that dangles or points forward is left for
-                # infer_shapes to report
-                if n.index_link is not None:
-                    bwd.add(n.index_link)
-        for n in g.nodes:
-            if n.id not in fwd:
-                diags.append(f"node {n.id} ({n.name}) is unreachable from the input")
-            elif n.id not in bwd:
-                diags.append(f"node {n.id} ({n.name}) does not contribute to the output")
-
-    try:
-        want = expected_weight_shapes(g)
-    except ValidationError as e:
-        diags.append(f"shape inference failed: {e}")
-        return diags
-
+    want = expected_weight_shapes(g)
     sound = set()  # keys whose weight passed every check below
     for key, shp in want.items():
+        w = weights.get(key)
         if key not in weights:
             diags.append(f"missing weight {key!r} (expected shape {shp})")
-        elif tuple(weights[key].shape) != tuple(shp):
-            diags.append(f"weight {key!r} has shape {tuple(weights[key].shape)}, "
-                         f"expected {shp}")
-        elif weights[key].dtype != np.float32:
-            diags.append(f"weight {key!r} has dtype {weights[key].dtype}, "
-                         f"expected float32")
-        elif not np.isfinite(weights[key]).all():
+        elif not isinstance(w, np.ndarray):
+            diags.append(f"weight {key!r} is a {type(w).__name__}, not a numpy array")
+        elif tuple(w.shape) != tuple(shp):
+            diags.append(f"weight {key!r} has shape {tuple(w.shape)}, expected {shp}")
+        elif w.dtype != np.float32:
+            diags.append(f"weight {key!r} has dtype {w.dtype}, expected float32")
+        elif not np.isfinite(w).all():
             diags.append(f"weight {key!r} is not finite")
         else:
             sound.add(key)

@@ -42,8 +42,9 @@ of adding to its peak (im2col scratch is the memory cost of GEMM
 convolution: Anderson et al., arXiv 1709.03395).  Unplanned runs band by the
 same budgets, and band height does not change a convolution's bits.
 
-`execute` validates the graph against its weight store on every call,
-before any kernel reads a weight; there is no unchecked mode, so
+A graph was checked, and its shapes inferred, when it was made (see
+graph.Graph).  `execute` validates the weight store against it on every
+call, before any kernel reads a weight; there is no unchecked mode, so
 `benchmark` times the same call that inference makes.
 """
 
@@ -258,11 +259,11 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
             ) -> np.ndarray:
     """Run the graph over one input tensor and return the output tensor.
 
-    Every call first validates the graph against the weight store (see
-    passes.validate) and raises ExecutionError with its diagnostics before
-    any kernel runs; a compute node stored after the output's producer does
-    not contribute to the output and is refused there.  An input holding a
-    NaN or an infinity is refused with ExecutionError too.
+    The graph was checked when it was made, so a node the output does not
+    read never gets here.  Every call validates the weight store against
+    the graph (see passes.validate) and raises ExecutionError with its
+    diagnostics before any kernel runs.  An input holding a NaN or an
+    infinity is refused with ExecutionError too.
 
     Every call derives the plan once, as plan_buffers(g) would, and each
     convolution bands its scratch to its budget in that plan's band_of.  A

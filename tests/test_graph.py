@@ -1,7 +1,10 @@
 """Graph construction and shape inference: stage topology, channel widths,
-unpool index wiring, weight initialization."""
+unpool index wiring, the refusals of a malformed node or graph, weight
+initialization."""
 
+import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -277,15 +280,69 @@ def test_graph_rejects_negative_ids():
         Graph(nodes=(n0,), input_shape=Shape(1, 2, 2))
 
 
+@pytest.mark.parametrize("kind,inputs,lacks", [
+    (NodeKind.CONV, (0,), "has no ConvParams"),
+    (NodeKind.CONV_TRANSPOSE, (0,), "has no ConvParams"),
+    (NodeKind.ASYM_CONV5, (0,), "has no ConvParams"),
+    (NodeKind.PAD_CHANNELS, (0,), "has no target_channels"),
+    (NodeKind.ADD, (0,), "reads 2 input(s), given 1"),
+    (NodeKind.OUTPUT, (), "reads 1 input(s), given 0"),
+    (NodeKind.PRELU, (0, 0), "reads 1 input(s), given 2"),
+])
+def test_a_malformed_node_is_refused_naming_its_kind_and_what_it_lacks(
+        kind, inputs, lacks):
+    want = f"node 1 (bad) of kind {kind.value} {lacks}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
+        NodeSpec(id=1, kind=kind, name="bad", inputs=inputs)
+
+
 def test_graph_input_and_output_nodes_are_found_once_and_missing_ones_named():
     g = build_enet(4, 32, 32)
     assert g.input_node is g.nodes[0] and g.output_node is g.nodes[-1]
     assert g.input_node.kind is NodeKind.INPUT and g.output_node.kind is NodeKind.OUTPUT
-    lone = Graph(nodes=(NodeSpec(id=0, kind=NodeKind.INPUT, name="input", inputs=()),),
-                 input_shape=Shape(1, 2, 2))
-    assert lone.input_node is lone.nodes[0]
-    with pytest.raises(ValidationError, match="no output node"):
-        lone.output_node
+    inp = NodeSpec(id=0, kind=NodeKind.INPUT, name="input", inputs=())
+    with pytest.raises(ValidationError,
+                       match="graph must have exactly 1 output node, found 0"):
+        Graph(nodes=(inp,), input_shape=Shape(1, 2, 2))
+    two = (inp, NodeSpec(id=1, kind=NodeKind.INPUT, name="input2", inputs=()),
+           NodeSpec(id=2, kind=NodeKind.OUTPUT, name="output", inputs=(0,)))
+    with pytest.raises(ValidationError,
+                       match="graph must have exactly 1 input node, found 2"):
+        Graph(nodes=two, input_shape=Shape(1, 2, 2))
+
+
+def test_graph_refuses_detached_nodes():
+    b = GraphBuilder(Shape(2, 4, 4))
+    main = b.prelu("act", b.input_id)
+    b.conv("orphan", b.input_id, ConvParams(out_channels=2, kernel_h=1, kernel_w=1))
+    with pytest.raises(ValidationError,
+                       match=r"^node 2 \(orphan\) does not contribute to the output$"):
+        b.build(main)
+    # only an unpool reads through its link: a stray one elsewhere reads nothing
+    nodes = (NodeSpec(0, NodeKind.INPUT, "input", ()),
+             NodeSpec(1, NodeKind.CONV, "orphan", (0,),
+                      conv=ConvParams(out_channels=2, kernel_h=1, kernel_w=1)),
+             NodeSpec(2, NodeKind.PRELU, "act", (0,), index_link=1),
+             NodeSpec(3, NodeKind.OUTPUT, "output", (2,)))
+    with pytest.raises(ValidationError,
+                       match=r"^node 1 \(orphan\) does not contribute to the output$"):
+        Graph(nodes=nodes, input_shape=Shape(2, 4, 4))
+
+
+def test_graph_refuses_a_bad_unpool_link():
+    b = GraphBuilder(Shape(2, 8, 8))
+    pool = b.maxpool("pool", b.input_id)
+    up = b.max_unpool("up", pool, pool)
+    g = b.build(up)
+    # corrupt the link: a non-pool node, a missing node, no node at all
+    for link, why in ((0, "unpool index source input is not a maxpool"),
+                      (99, "unpool has no resolvable index source"),
+                      (None, "unpool has no resolvable index source")):
+        bad_nodes = tuple(
+            replace(n, index_link=link) if n.name == "up" else n for n in g.nodes
+        )
+        with pytest.raises(ValidationError, match=rf"^node 2 \(up\): {why}$"):
+            Graph(nodes=bad_nodes, input_shape=g.input_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +353,22 @@ def test_infer_shapes_rejects_mismatched_add():
     left = b.conv("c1", b.input_id, ConvParams(out_channels=4, kernel_h=1, kernel_w=1))
     right = b.conv("c2", b.input_id, ConvParams(out_channels=8, kernel_h=1, kernel_w=1))
     bad = b.add("sum", left, right)
-    g = b.build(bad)
-    with pytest.raises(ValidationError, match="sum"):
-        infer_shapes(g)
+    with pytest.raises(ValidationError,
+                       match=r"^node 3 \(sum\): add inputs disagree: 4x8x8 vs 8x8x8$"):
+        b.build(bad)
+
+
+def test_shapes_are_inferred_once_when_the_graph_is_made():
+    b = GraphBuilder(Shape(2, 5, 5))
+    pool = b.maxpool("pool", b.input_id)  # odd dims cannot pool
+    with pytest.raises(ValidationError,
+                       match=r"^node 1 \(pool\): maxpool needs even dims, got 5x5$"):
+        b.build(pool)
+    g = build_enet(4, 32, 32)
+    shapes = infer_shapes(g)
+    assert infer_shapes(g) is shapes and shapes[g.output_node.id] == Shape(4, 32, 32)
+    with pytest.raises(TypeError):
+        shapes[0] = Shape(1, 1, 1)
 
 
 def test_infer_shapes_rejects_odd_pool_and_unfit_kernel():

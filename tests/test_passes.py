@@ -1,5 +1,5 @@
 """Optimization passes: batch-norm folding math, dropout elision, pass
-composition, and structural validation diagnostics."""
+composition, and weight-store validation diagnostics."""
 
 import math
 import re
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from enetcpu.analyzer import count_flops, count_params
-from enetcpu.errors import EnetError, ExecutionError, FoldError
+from enetcpu.errors import EnetError, ExecutionError, FoldError, ValidationError
 from enetcpu.graph import (
     BN_EPS,
     Graph,
@@ -377,6 +377,19 @@ def test_validate_reports_weight_problems():
     assert any("not referenced" in d for d in validate(g, extra))
 
 
+@pytest.mark.parametrize("value,type_name", [([0.25] * 16, "list"),
+                                              (None, "NoneType")])
+def test_a_weight_that_is_not_an_array_is_reported_by_key(value, type_name):
+    g = build_enet(5, 64, 64)
+    w = dict(init_weights(g, seed=0), **{"initial.prelu.slopes": value})
+    want = f"weight 'initial.prelu.slopes' is a {type_name}, not a numpy array"
+    assert validate(g, w) == [want]
+    with pytest.raises(ExecutionError, match=re.escape(want)):
+        execute(g, w, np.zeros((3, 64, 64), dtype=F32))
+    with pytest.raises(ValidationError, match=re.escape(want)):
+        optimize(g, w)
+
+
 def test_conv_whose_params_gain_a_bias_binds_one():
     g = build_enet(5, 64, 64)
     w = init_weights(g, seed=0)
@@ -391,37 +404,3 @@ def test_conv_whose_params_gain_a_bias_binds_one():
         execute(biased, w, np.zeros((3, 64, 64), dtype=F32))
     assert count_params(biased) == count_params(g) + 13
     assert count_flops(biased).total_macs == count_flops(g).total_macs
-
-
-def test_validate_reports_detached_nodes():
-    b = GraphBuilder(Shape(2, 4, 4))
-    main = b.prelu("act", b.input_id)
-    b.conv("orphan", b.input_id, ConvParams(out_channels=2, kernel_h=1, kernel_w=1))
-    g = b.build(main)
-    w = init_weights(g, seed=0)
-    diags = validate(g, w)
-    assert any("orphan" in d and "output" in d for d in diags)
-
-
-def test_validate_reports_bad_unpool_link():
-    b = GraphBuilder(Shape(2, 8, 8))
-    pool = b.maxpool("pool", b.input_id)
-    up = b.max_unpool("up", pool, pool)
-    g = b.build(up)
-    # corrupt the link: a non-pool node, a missing node, no node at all
-    for link, why in ((0, "not a maxpool"), (99, "no resolvable index source"),
-                      (None, "no resolvable index source")):
-        bad_nodes = tuple(
-            replace(n, index_link=link) if n.name == "up" else n for n in g.nodes
-        )
-        bad = Graph(nodes=bad_nodes, input_shape=g.input_shape)
-        diags = validate(bad, {})
-        assert len(diags) == 1 and "up" in diags[0] and why in diags[0], diags
-
-
-def test_validate_reports_shape_inference_failure():
-    b = GraphBuilder(Shape(2, 5, 5))
-    pool = b.maxpool("pool", b.input_id)  # odd dims cannot pool
-    g = b.build(pool)
-    diags = validate(g, {})
-    assert any("shape inference failed" in d for d in diags)

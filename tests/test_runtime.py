@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from enetcpu import kernels, passes, runtime
-from enetcpu.errors import ExecutionError, ShapeError
+from enetcpu import graph, kernels, passes, runtime
+from enetcpu.errors import ExecutionError, ShapeError, ValidationError
 from enetcpu.graph import (
     GraphBuilder,
     NodeKind,
@@ -347,6 +347,22 @@ def test_execute_derives_shapes_liveness_and_plan_once(monkeypatch, planned):
     assert sorted(calls) == ["_last_uses", "_plan", "infer_shapes", "validate"]
 
 
+def test_shapes_are_walked_once_per_graph_and_never_per_execute(monkeypatch):
+    walks = []
+    real = graph._shape_walk
+    monkeypatch.setattr(graph, "_shape_walk", lambda g: walks.append(g) or real(g))
+    g = build_enet(5, 32, 32)
+    assert len(walks) == 1
+    w = init_weights(g, seed=0)
+    fused, fw, _ = optimize(g, w)
+    assert len(walks) == 3  # fold_batchnorm and elide_dropout make one each
+    plan = plan_buffers(fused)
+    x = np.random.default_rng(3).random((3, 32, 32), dtype=F32)
+    for args in ((g, w, x), (fused, fw, x, plan), (fused, fw, x)):
+        execute(*args)
+    assert len(walks) == 3
+
+
 def test_execute_returns_a_fresh_array_when_the_output_reads_the_input():
     b = GraphBuilder(Shape(2, 4, 4))
     g = b.build(b.input_id)
@@ -593,25 +609,17 @@ def test_planned_equals_unplanned_when_the_output_producer_reads_the_buffer():
             NodeKind.PAD_CHANNELS, NodeKind.CONV_TRANSPOSE, NodeKind.ADD} <= kinds
 
 
-@pytest.mark.parametrize("mode", ["unplanned", "planned", "poisoned"])
-def test_a_node_stored_after_the_output_producer_is_refused(mode, monkeypatch):
+def test_a_node_stored_after_the_output_producer_is_refused():
     # `late` reads a value the output producer also reads, so a planned run
-    # would drop the buffer while it is still to run; validation refuses it
-    # before any kernel is called, planned, poisoned or not
+    # would drop the buffer while it is still to run; the graph refuses it
+    # when it is made, so no execute, planned, poisoned or not, ever sees it
     b = GraphBuilder(Shape(4, 8, 8))
     a = b.conv("a", b.input_id, ConvParams(out_channels=4, kernel_h=1, kernel_w=1))
     act = b.prelu("act", a)
     b.conv("late", a, ConvParams(out_channels=4, kernel_h=1, kernel_w=1))
-    g = b.build(act)
-    w = init_weights(g, seed=0)
-    x = np.random.default_rng(8).random((4, 8, 8), dtype=F32)
-    plan = None if mode == "unplanned" else plan_buffers(g)
-    calls = []
-    monkeypatch.setattr(runtime, "conv2d",
-                        lambda *args, **kw: calls.append(1) or kernels.conv2d(*args, **kw))
-    with pytest.raises(ExecutionError, match="late.*does not contribute"):
-        execute(g, w, x, plan, poison=mode == "poisoned")
-    assert calls == []
+    with pytest.raises(ValidationError,
+                       match=r"^node 3 \(late\) does not contribute to the output$"):
+        b.build(act)
 
 
 def test_transposed_conv_with_unequal_pads_has_the_inferred_shape():
