@@ -44,10 +44,10 @@ def main():
 
     # fusion shrinks both the node count and the arithmetic
     store = init_weights(g)
-    fused, _, reports = optimize(g, store)
+    fused, _, report = optimize(g, store)
     fused_rep = count_flops(fused, FlopConvention.FMA2)
     print(f"fusion: {len(g.nodes)} -> {len(fused.nodes)} nodes "
-          f"({', '.join(r.summary() for r in reports)})")
+          f"({report.summary()})")
     saved = rep.total_macs - fused_rep.total_macs
     print(f"fusion removes {saved:,} MACs/frame "
           f"({saved / rep.total_macs:.1%} of the unfused total)")

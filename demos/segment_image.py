@@ -61,9 +61,8 @@ def main():
     print(f"  {len(g.nodes)} graph nodes, "
           f"{sum(v.size for v in store.values()):,} parameters")
 
-    g, store, reports = optimize(g, store)
-    for r in reports:
-        print(f"  {r.summary()}")
+    g, store, report = optimize(g, store)
+    print(f"  optimize: {report.summary()}")
 
     img = synthetic_scene(args.size, args.size)
     save_ppm(img, out / "scene.ppm")

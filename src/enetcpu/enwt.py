@@ -47,15 +47,22 @@ class EnwtFile:
 def save_weights(weights: dict[str, np.ndarray], path,
                  dtype: DType = DType.F32) -> int:
     """Serialize a weight store; returns bytes written.  F16 halves the
-    payload at the cost of one rounding per element.  A finite value the
-    dtype cannot hold raises FormatError before any file is written."""
+    payload at the cost of one rounding per element.  A value that is not a
+    numpy array, a zero-sized dim (which load_weights refuses) or a finite
+    value the dtype cannot hold raises FormatError naming the record,
+    before any file is written."""
     chunks = [MAGIC, struct.pack("<II", VERSION, len(weights))]
     for name, arr in weights.items():
         name_b = name.encode("utf-8")
         if not name_b or len(name_b) > 0xFFFF:
             raise FormatError(f"record name length {len(name_b)} out of range")
+        if not isinstance(arr, np.ndarray):
+            raise FormatError(f"record {name!r} is a {type(arr).__name__}, "
+                              f"not a numpy array")
         if arr.ndim > _MAX_RANK:
             raise FormatError(f"record {name!r} has rank {arr.ndim} > {_MAX_RANK}")
+        if 0 in arr.shape:
+            raise FormatError(f"record {name!r} has a zero-sized dim in {arr.shape}")
         with np.errstate(over="ignore"):  # an overflow is refused below
             payload = np.ascontiguousarray(arr, dtype=dtype.np_dtype)
         grown = int(np.isinf(payload).sum() - np.isinf(arr).sum())
@@ -156,7 +163,9 @@ def _parse(path) -> tuple[EnwtFile, dict[str, np.ndarray]]:
         if name in store:
             raise FormatError(f"{path}: {ctx}: duplicate record name")
         arr = np.frombuffer(payload, dtype=dt.np_dtype).reshape(dims)
-        store[name] = np.ascontiguousarray(arr.astype(np.float32))
+        # a fresh, writable, contiguous copy that keeps rank 0, which
+        # np.ascontiguousarray would turn into shape (1,)
+        store[name] = arr.astype(np.float32)
         records.append(EnwtRecord(name=name, dtype=dt, shape=dims,
                                   offset=rec_offset))
     if r.pos != len(buf):

@@ -2,22 +2,22 @@
 architecture, shape inference, and weight initialization.
 
 Nodes are immutable and stored in topological order.  Node ids are stable
-labels (optimization passes keep the ids of surviving nodes), so storage
-position and id may diverge after a pass.  A graph is checked once, when it
-is made: a node refuses an input count or a parameter its kind does not
-have, and a graph refuses duplicate or forward ids, any count of input or
-output nodes but one, a node the output does not read, and inconsistent
-geometry.  It stores every node's output shape as it checks them, so no
-later call infers shapes again.  Weights live outside the graph in a plain
-dict keyed by "<node name>.<role>" strings.  A node is never given its
-keys: they are derived when it is made, from its kind, which names the
-roles it binds (a convolution binds "bias" only when its params say so), and
-its name.  This module is the one place that says which weights a node has
-and how they are laid out, and what a batch norm's weights mean: bn_affine
-turns them into the one per-channel float64 scale and shift, with the
-constant BN_EPS, that both the unfused kernel and the fold apply.  Nodes
-hold structure only; spatial dropout, the identity at inference, has no
-rate.
+labels (`optimize` keeps the ids of surviving nodes), so storage position
+and id may diverge after it.  A graph is checked once, when it is made: a
+node refuses an input count or a parameter its kind does not have, and a
+graph refuses duplicate or forward ids, any count of input or output nodes
+but one, a node the output does not read, and inconsistent geometry.  It
+stores every node's output shape as it checks them, and then the shape of
+every weight its nodes bind, so no later call derives either again.
+Weights live outside the graph in a plain dict keyed by "<node
+name>.<role>" strings.  A node is never given its keys: they are derived
+when it is made, from its kind, which names the roles it binds (a
+convolution binds "bias" only when its params say so), and its name.  This
+module is the one place that says which weights a node has and how they
+are laid out, and what a batch norm's weights mean: bn_affine turns them
+into the one per-channel float64 scale and shift, with the constant
+BN_EPS, that both the unfused kernel and the fold apply.  Nodes hold
+structure only; spatial dropout, the identity at inference, has no rate.
 """
 
 from __future__ import annotations
@@ -181,6 +181,8 @@ class Graph:
                 raise ValidationError(
                     f"node {n.id} ({n.name}) does not contribute to the output")
         object.__setattr__(self, "_shapes", MappingProxyType(_shape_walk(self)))
+        object.__setattr__(self, "_weight_shapes",
+                           MappingProxyType(_weight_shape_walk(self)))
 
     def __iter__(self) -> Iterator[NodeSpec]:
         return iter(self.nodes)
@@ -190,14 +192,6 @@ class Graph:
 
     def find(self, name: str) -> NodeSpec:
         return self._by_name[name]
-
-    def consumers(self) -> dict[int, tuple[int, ...]]:
-        """Map node id -> ids of nodes that read it, in storage order."""
-        out: dict[int, list[int]] = {n.id: [] for n in self.nodes}
-        for n in self.nodes:
-            for src in n.inputs:
-                out[src].append(n.id)
-        return {k: tuple(v) for k, v in out.items()}
 
 
 class GraphBuilder:
@@ -497,11 +491,17 @@ def _shape_walk(g: Graph) -> dict[int, Shape]:
 # ---------------------------------------------------------------------------
 # weight initialization
 
-def expected_weight_shapes(g: Graph) -> dict[str, tuple[int, ...]]:
-    """Shape every weight-store entry must have, derived from the graph.
+def expected_weight_shapes(g: Graph) -> Mapping[str, tuple[int, ...]]:
+    """Shape every weight-store entry must have, by key: the read-only
+    mapping the graph stored when it was made, with no walk."""
+    return g._weight_shapes
 
-    Kernels are 4-D (see out_axis); every other role (bias, BN statistics,
-    PReLU slopes) holds one value per output channel."""
+
+def _weight_shape_walk(g: Graph) -> dict[str, tuple[int, ...]]:
+    """Derive every weight key's shape from the node shapes.  Kernels are
+    4-D (see out_axis); every other role (bias, BN statistics, PReLU
+    slopes) holds one value per output channel.  Graph runs it once, when
+    it is made, after the shape walk."""
     shapes = infer_shapes(g)
     out: dict[str, tuple[int, ...]] = {}
     for n in g.nodes:

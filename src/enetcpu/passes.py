@@ -1,16 +1,18 @@
-"""Graph optimization passes and weight-store validation.
+"""The inference optimizer, and weight-store validation.
 
-Both passes are semantics-preserving at inference time: batch-norm folding
-rewrites conv weights so the normalization vanishes, and dropout elision
-removes identity nodes.  Node ids of surviving nodes never change.  A graph
-is checked once, when it is made (see graph.Graph); `validate` is the one
-gate on a weight store against its graph, and the only value check on
-batch-norm statistics: `optimize` runs it before any fold reads a weight,
-and `execute` before any kernel does.
+`optimize` rewrites a graph and its store for inference in one walk: each
+batch norm that directly follows a convolution read by nothing else is
+folded into that convolution's weights, and each spatial dropout, the
+identity at inference, is removed.  Both rewrites preserve outputs, and
+surviving nodes keep their ids.  A graph is checked once, when it is made
+(see graph.Graph); `validate` is the one gate on a weight store against its
+graph, and the only value check on batch-norm statistics: `optimize` runs it
+before any fold reads a weight, and `execute` before any kernel does.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,138 +31,100 @@ from .graph import (
 
 @dataclass(frozen=True)
 class PassReport:
-    """What a pass did: removed node names, rewritten node names, notes."""
+    """What `optimize` did: removed node names, rewritten node names, notes."""
 
-    pass_name: str
     removed: tuple[str, ...]
     changed: tuple[str, ...] = ()
     notes: tuple[str, ...] = ()
 
     def summary(self) -> str:
-        return (f"{self.pass_name}: removed {len(self.removed)} nodes, "
-                f"rewrote {len(self.changed)}")
-
-
-def _drop_nodes(g: Graph, dead: set[int], redirect: dict[int, int],
-                patched: dict[int, NodeSpec]) -> Graph:
-    """Rebuild the node tuple without `dead`, rewiring inputs through
-    `redirect` and substituting `patched` specs.  Ids are preserved."""
-    kept = []
-    for n in g.nodes:
-        if n.id in dead:
-            continue
-        n = patched.get(n.id, n)
-        new_inputs = tuple(redirect.get(i, i) for i in n.inputs)
-        if new_inputs != n.inputs:
-            n = replace(n, inputs=new_inputs)
-        kept.append(n)
-    return Graph(nodes=tuple(kept), input_shape=g.input_shape)
-
-
-def fold_batchnorm(g: Graph, weights: dict[str, np.ndarray]) -> tuple[
-        Graph, dict[str, np.ndarray], PassReport]:
-    """Fold every BatchNorm that directly follows a single-consumer conv into
-    that conv's weights; the conv gains a bias if it had none.
-
-    The fold takes the BN's scale and shift from graph.bn_affine, the pair
-    the unfused kernel applies: the kernel applied last is multiplied by the
-    scale along its output-channel axis, and the bias becomes
-    bias*scale + shift, with a bias of 0 for a conv that had none.
-    BatchNorms that do not sit on such a conv (the entry block's, which
-    follows a concat) are left in place, with a note in the report.
-
-    `validate`, which `optimize` runs first, is the one gate on weight
-    values.  The fold checks its own result: a folded weight or bias that
-    is not finite in float32, or a non-finite statistic of the BN it came
-    from, raises FoldError naming the BN, with no numpy warning.  So a NaN,
-    a negative variance or any infinite statistic given straight to this
-    pass is refused; an infinite variance would otherwise fold into a zero
-    kernel channel.
-    """
-    consumers = g.consumers()
-    new_store = dict(weights)
-    dead: set[int] = set()
-    redirect: dict[int, int] = {}
-    patched: dict[int, NodeSpec] = {}
-    removed, changed, notes = [], [], []
-
-    for n in g.nodes:
-        if n.kind is not NodeKind.BATCHNORM:
-            continue
-        src = g.node(n.inputs[0])
-        if src.kind not in CONV_KINDS:
-            notes.append(f"kept {n.name}: input {src.name} is a "
-                         f"{src.kind.value}, not a conv")
-            continue
-        if len(consumers[src.id]) != 1:
-            notes.append(f"kept {n.name}: conv {src.name} feeds "
-                         f"{len(consumers[src.id])} consumers, folding would "
-                         f"corrupt the others")
-            continue
-
-        # the scale goes on the kernel applied last; roles list them in order
-        wkey = [key for role, key in src.weight_refs if role != "bias"][-1]
-        new_src = replace(src, conv=replace(src.conv, has_bias=True))
-        bias_key = new_src.ref("bias")
-        # a non-finite result is refused just below, with the BN's name
-        with np.errstate(all="ignore"):
-            scale, shift = bn_affine(n, weights)
-            shape_bcast = [1, 1, 1, 1]
-            shape_bcast[out_axis(src.kind)] = len(scale)
-            new_store[wkey] = (new_store[wkey].astype(np.float64)
-                               * scale.reshape(shape_bcast)).astype(np.float32)
-            b_old = (new_store[bias_key].astype(np.float64) if src.conv.has_bias
-                     else np.zeros(len(scale)))
-            new_store[bias_key] = (b_old * scale + shift).astype(np.float32)
-        for key in (wkey, bias_key):
-            if not np.isfinite(new_store[key]).all():
-                raise FoldError(f"cannot fold {n.name}: folded {key!r} is not finite")
-        for _, key in n.weight_refs:
-            if not np.isfinite(weights[key]).all():
-                raise FoldError(f"cannot fold {n.name}: {key!r} is not finite")
-
-        for _, key in n.weight_refs:
-            del new_store[key]
-        patched[src.id] = new_src
-        dead.add(n.id)
-        redirect[n.id] = src.id
-        removed.append(n.name)
-        changed.append(src.name)
-
-    out = _drop_nodes(g, dead, redirect, patched)
-    report = PassReport(pass_name="fold_batchnorm", removed=tuple(removed),
-                        changed=tuple(changed), notes=tuple(notes))
-    return out, new_store, report
-
-
-def elide_dropout(g: Graph) -> tuple[Graph, PassReport]:
-    """Remove every Dropout node; inference-mode spatial dropout is identity."""
-    dead = {n.id for n in g.nodes if n.kind is NodeKind.DROPOUT}
-    redirect = {n.id: n.inputs[0] for n in g.nodes if n.id in dead}
-    # a dropout may feed another dropout; chase redirects to a live node
-    for k in list(redirect):
-        tgt = redirect[k]
-        while tgt in redirect:
-            tgt = redirect[tgt]
-        redirect[k] = tgt
-    removed = tuple(n.name for n in g.nodes if n.id in dead)
-    out = _drop_nodes(g, dead, redirect, {})
-    return out, PassReport(pass_name="elide_dropout", removed=removed)
+        return (f"removed {len(self.removed)} nodes, "
+                f"rewrote {len(self.changed)} convolutions")
 
 
 def optimize(g: Graph, weights: dict[str, np.ndarray]) -> tuple[
-        Graph, dict[str, np.ndarray], tuple[PassReport, ...]]:
-    """Standard inference pipeline: fold batch norms, then drop dropout.
+        Graph, dict[str, np.ndarray], PassReport]:
+    """Fold batch norms into convolutions and drop dropouts, in one walk
+    over the nodes in storage order that builds one Graph.
 
     The store is first validated against the graph as `execute` validates
     it, and a failure raises ValidationError with the same diagnostics, so
-    the fused path refuses every store the unfused one refuses."""
+    the fused path refuses every store the unfused one refuses.
+
+    A BatchNorm whose input in the given graph is a convolution read by
+    nothing else is folded.  Its scale and shift come from graph.bn_affine,
+    the pair the unfused kernel applies: the kernel applied last is
+    multiplied by the scale along its output-channel axis, and the bias
+    becomes bias*scale + shift, with a bias of 0 for a conv that had none,
+    so the conv gains a bias.  Any other BatchNorm (the entry block's, which
+    follows a concat, or one behind a dropout, whose input others may read)
+    is kept, with a note in the report.  A folded weight or bias that is not
+    finite in float32 raises FoldError naming the BN, with no numpy warning.
+
+    Every node's inputs are rewired through one map from each removed node
+    to the kept node that stands in for it: a folded BN to its conv, a
+    dropout to its own rewired input.
+    """
     diags = validate(g, weights)
     if diags:
         raise ValidationError("graph failed validation: " + "; ".join(diags[:5]))
-    g1, w1, rep1 = fold_batchnorm(g, weights)
-    g2, rep2 = elide_dropout(g1)
-    return g2, w1, (rep1, rep2)
+    readers = Counter(src for n in g.nodes for src in n.inputs)
+    store = dict(weights)
+    redirect: dict[int, int] = {}  # removed node id -> id of its stand-in
+    kept: dict[int, NodeSpec] = {}  # kept node id -> rewired node, in order
+    removed, changed, notes = [], [], []
+
+    for n in g.nodes:
+        inputs = tuple(redirect.get(src, src) for src in n.inputs)
+        if n.kind is NodeKind.DROPOUT:
+            redirect[n.id] = inputs[0]
+            removed.append(n.name)
+            continue
+        if n.kind is NodeKind.BATCHNORM:
+            src = g.node(n.inputs[0])
+            if src.kind not in CONV_KINDS:
+                notes.append(f"kept {n.name}: input {src.name} is a "
+                             f"{src.kind.value}, not a conv")
+            elif readers[src.id] != 1:
+                notes.append(f"kept {n.name}: conv {src.name} feeds "
+                             f"{readers[src.id]} readers, folding would "
+                             f"corrupt the others")
+            else:
+                kept[src.id] = _fold(n, kept[src.id], store)
+                redirect[n.id] = src.id
+                removed.append(n.name)
+                changed.append(src.name)
+                continue
+        kept[n.id] = replace(n, inputs=inputs) if inputs != n.inputs else n
+
+    out = Graph(nodes=tuple(kept.values()), input_shape=g.input_shape)
+    return out, store, PassReport(removed=tuple(removed), changed=tuple(changed),
+                                  notes=tuple(notes))
+
+
+def _fold(bn: NodeSpec, conv: NodeSpec, store: dict[str, np.ndarray]) -> NodeSpec:
+    """Write batch norm `bn` into `conv`'s kernel applied last and its bias
+    in `store`, deleting the BN's keys; returns the conv, now biased."""
+    # the scale goes on the kernel applied last; roles list them in order
+    wkey = [key for role, key in conv.weight_refs if role != "bias"][-1]
+    biased = replace(conv, conv=replace(conv.conv, has_bias=True))
+    bias_key = biased.ref("bias")
+    # a float32 overflow is refused just below, with the BN's name
+    with np.errstate(over="ignore"):
+        scale, shift = bn_affine(bn, store)
+        shape_bcast = [1, 1, 1, 1]
+        shape_bcast[out_axis(conv.kind)] = len(scale)
+        store[wkey] = (store[wkey].astype(np.float64)
+                       * scale.reshape(shape_bcast)).astype(np.float32)
+        b_old = (store[bias_key].astype(np.float64) if conv.conv.has_bias
+                 else np.zeros(len(scale)))
+        store[bias_key] = (b_old * scale + shift).astype(np.float32)
+    for key in (wkey, bias_key):
+        if not np.isfinite(store[key]).all():
+            raise FoldError(f"cannot fold {bn.name}: folded {key!r} is not finite")
+    for _, key in bn.weight_refs:
+        del store[key]
+    return biased
 
 
 def validate(g: Graph, weights: dict[str, np.ndarray]) -> list[str]:

@@ -192,10 +192,10 @@ def test_criterion_5_fusion_soundness():
                     np.float32)
         x = rand_input(rng, 3, 64, 64)
         base = execute(g, store, x)
-        g2, store2, reports = optimize(g, store)
+        g2, store2, report = optimize(g, store)
         fused = execute(g2, store2, x)
         assert len(g2.nodes) < len(g.nodes)
-        assert sum(len(r.removed) for r in reports) == len(g.nodes) - len(g2.nodes)
+        assert len(report.removed) == len(g.nodes) - len(g2.nodes)
         assert not any(n.name.endswith(".ext.dropout") for n in g2.nodes)
         np.testing.assert_allclose(fused, base, rtol=1e-4, atol=1e-4,
                                    equal_nan=False)

@@ -97,6 +97,32 @@ def test_empty_store_roundtrip(tmp_path):
     assert load_weights(path) == {}
 
 
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3, 1, 1)], ids=str)
+@pytest.mark.parametrize("dtype", [DType.F32, DType.F16])
+def test_roundtrip_keeps_the_declared_shape_read_index_reports(tmp_path, shape,
+                                                               dtype):
+    path = tmp_path / "w.enwt"
+    arr = (np.arange(1, 1 + np.prod(shape, dtype=int), dtype=np.float32)
+           / 4).reshape(shape)
+    save_weights({"x": arr}, path, dtype=dtype)
+    loaded = load_weights(path)["x"]
+    assert loaded.shape == shape == read_index(path).records[0].shape
+    assert loaded.dtype == np.float32 and loaded.flags.writeable
+    np.testing.assert_array_equal(loaded, arr)
+
+
+@pytest.mark.parametrize("value,why", [
+    (np.zeros((2, 0, 3), np.float32), r"'b' has a zero-sized dim in \(2, 0, 3\)"),
+    ([1.0, 2.0], "'b' is a list, not a numpy array"),
+    (np.float32(1.0), "'b' is a float32, not a numpy array"),
+], ids=["zero-dim", "list", "numpy-scalar"])
+def test_save_refuses_what_load_could_not_read_back(tmp_path, value, why):
+    path = tmp_path / "w.enwt"
+    with pytest.raises(FormatError, match=why):
+        save_weights({"a": np.float32([1.0]), "b": value}, path)
+    assert not path.exists()
+
+
 def test_save_rejects_bad_records(tmp_path):
     path = tmp_path / "w.enwt"
     with pytest.raises(FormatError, match="name length"):

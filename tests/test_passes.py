@@ -1,5 +1,5 @@
-"""Optimization passes: batch-norm folding math, dropout elision, pass
-composition, and weight-store validation diagnostics."""
+"""The optimizer's one walk: batch-norm folding math, dropout elision,
+what it keeps and why, and weight-store validation diagnostics."""
 
 import math
 import re
@@ -21,7 +21,7 @@ from enetcpu.graph import (
     init_weights,
 )
 from enetcpu.kernels import ConvParams
-from enetcpu.passes import elide_dropout, fold_batchnorm, optimize, validate
+from enetcpu.passes import PassReport, optimize, validate
 from enetcpu.runtime import execute, plan_buffers
 from enetcpu.tensor import Shape
 
@@ -44,7 +44,7 @@ def _perturb_bn_stats(store, seed):
 
 
 # ---------------------------------------------------------------------------
-# fold_batchnorm
+# batch-norm folding
 
 def test_fold_scalar_math():
     # gamma=2, beta=0.5, mean=1, var=1 over weight 3: with s = 2/sqrt(1 + eps),
@@ -60,8 +60,9 @@ def test_fold_scalar_math():
         "n.mean": np.array([1.0], dtype=F32),
         "n.var": np.array([1.0], dtype=F32),
     }
-    g2, w2, report = fold_batchnorm(g, w)
+    g2, w2, report = optimize(g, w)
     assert report.removed == ("n",)
+    assert report.changed == ("c",)
     s = 2.0 / math.sqrt(1.0 + BN_EPS)
     assert w2["c.weight"][0, 0, 0, 0] == F32(3.0 * s)
     assert w2["c.bias"][0] == F32(0.5 - s)
@@ -103,7 +104,7 @@ def test_unfused_bn_and_its_fold_both_apply_the_one_affine_pair(kind):
     np.testing.assert_array_equal(execute(g, w, x).view(np.int32),
                                   want.view(np.int32))
 
-    _, w2, _ = fold_batchnorm(g, w)
+    _, w2, _ = optimize(g, w)
     wkey = "c.weight_1x5" if kind == "asym_conv5" else "c.weight"
     axis = 1 if kind == "conv_transpose" else 0
     bcast = [1, 1, 1, 1]
@@ -132,8 +133,8 @@ def test_fold_preserves_outputs_on_mixed_conv_kinds():
     g = b.build(x)
     w = _perturb_bn_stats(init_weights(g, seed=1), seed=2)
 
-    g2, w2, report = fold_batchnorm(g, w)
-    assert set(report.removed) == {"c1_bn", "up_bn", "asym_bn"}
+    g2, w2, report = optimize(g, w)
+    assert report.removed == ("c1_bn", "up_bn", "asym_bn")
     assert len(g2.nodes) == len(g.nodes) - 3
     assert validate(g2, w2) == []
 
@@ -150,9 +151,9 @@ def test_fold_skips_bn_after_non_conv_by_default():
     bn = b.batchnorm("bn", p)
     g = b.build(bn)
     w = init_weights(g, seed=0)
-    g2, w2, report = fold_batchnorm(g, w)
+    g2, w2, report = optimize(g, w)
     assert report.removed == ()
-    assert any("bn" in note for note in report.notes)
+    assert report.notes == ("kept bn: input act is a prelu, not a conv",)
     assert [n.name for n in g2.nodes] == [n.name for n in g.nodes]
 
 
@@ -165,48 +166,56 @@ def test_fold_refuses_shared_conv_output():
     s = b.add("shortcut", c, bn)
     g = b.build(s)
     w = init_weights(g, seed=0)
-    g2, _, report = fold_batchnorm(g, w)
+    g2, _, report = optimize(g, w)
     assert report.removed == ()
-    assert any("shortcut" in note or "2 consumers" in note for note in report.notes)
+    assert report.notes == ("kept bn: conv c feeds 2 readers, folding would "
+                            "corrupt the others",)
+    assert g2.nodes == g.nodes
 
 
-def test_fold_enet_removes_all_but_the_post_concat_bn():
+def test_optimize_enet_folds_all_but_the_post_concat_bn_and_drops_every_dropout():
     g = build_enet(19, 64, 64)
     w = init_weights(g, seed=0)
-    g2, w2, report = fold_batchnorm(g, w)
-    assert len(report.removed) == 83
+    g2, w2, report = optimize(g, w)
+    assert isinstance(report, PassReport)
+    assert len(report.removed) == 110 and len(report.changed) == 83
+    dropouts = [n.name for n in g.nodes if n.kind is NodeKind.DROPOUT]
+    assert len(dropouts) == 27
+    assert all(name.endswith(".ext.dropout") for name in dropouts)
+    # removed in storage order, batch norms and dropouts alike
+    assert report.removed == tuple(n.name for n in g.nodes
+                                   if n.name in set(report.removed))
+    assert set(dropouts) < set(report.removed)
+    assert report.notes == ("kept initial.bn: input initial.concat is a "
+                            "concat, not a conv",)
     remaining = [n.name for n in g2.nodes if n.kind is NodeKind.BATCHNORM]
     assert remaining == ["initial.bn"]
-    assert len(g2.nodes) == 315 - 83
+    assert not any(n.kind is NodeKind.DROPOUT for n in g2.nodes)
+    assert len(g2.nodes) == 315 - 110
     assert validate(g2, w2) == []
-    # folding something twice is a no-op
-    g3, w3, report2 = fold_batchnorm(g2, w2)
-    assert report2.removed == ()
-    assert [n.name for n in g3.nodes] == [n.name for n in g2.nodes]
+    # a second run is a no-op
+    g3, w3, report2 = optimize(g2, w2)
+    assert report2.removed == report2.changed == ()
+    assert g3.nodes == g2.nodes
+    assert list(w3) == list(w2)
+    assert all(w3[k] is w2[k] for k in w2)
 
 
 @pytest.mark.parametrize("role,value", [("var", -1.0), ("var", np.nan),
-                                        ("gamma", np.inf), ("mean", np.nan)])
-def test_fold_rejects_bad_bn_statistics_naming_the_node(role, value):
+                                        ("gamma", np.inf), ("mean", np.nan),
+                                        ("var", np.inf)])
+def test_optimize_refuses_bad_bn_statistics_naming_the_key(role, value):
+    # validate is the one value check on the statistics, before any fold
+    # reads them; an infinite variance would fold into a zero kernel
+    # channel (gamma / sqrt(inf + eps) is 0), and no numpy warning is raised
     g = build_enet(19, 32, 32)
     w = init_weights(g, seed=0)
-    w["bottleneck1.1.ext.conv_bn." + role][3] = value
-    with pytest.raises(FoldError, match="bottleneck1.1.ext.conv_bn"):
-        fold_batchnorm(g, w)
-
-
-def test_fold_refuses_an_infinite_variance_rather_than_zero_a_channel():
-    # gamma / sqrt(inf + eps) is 0, so the folded kernel and bias are finite
-    # and channel 3 of the kernel would be all zero; the fold's own check
-    # refuses the statistic, naming the BN and the key, with no numpy warning
-    g = build_enet(19, 32, 32)
-    w = init_weights(g, seed=0)
-    w["bottleneck1.1.ext.conv_bn.var"][3] = np.inf
-    with warnings.catch_warnings(), pytest.raises(FoldError, match=re.escape(
-            "cannot fold bottleneck1.1.ext.conv_bn: "
-            "'bottleneck1.1.ext.conv_bn.var' is not finite")):
+    key = "bottleneck1.1.ext.conv_bn." + role
+    w[key][3] = value
+    with warnings.catch_warnings(), pytest.raises(
+            ValidationError, match=re.escape(repr(key))):
         warnings.simplefilter("error")
-        fold_batchnorm(g, w)
+        optimize(g, w)
 
 
 def test_fold_refuses_a_folded_weight_that_overflows_float32():
@@ -282,20 +291,9 @@ def test_fused_and_unfused_refuse_a_bad_weight_alike(key, corruption):
 
 
 # ---------------------------------------------------------------------------
-# elide_dropout
+# dropout elision
 
-def test_elide_dropout_on_enet_removes_one_per_bottleneck():
-    g = build_enet(19, 64, 64)
-    g2, report = elide_dropout(g)
-    assert len(report.removed) == 27
-    assert all(name.endswith(".ext.dropout") for name in report.removed)
-    assert not any(n.kind is NodeKind.DROPOUT for n in g2.nodes)
-    assert len(g2.nodes) == 315 - 27
-    g3, report2 = elide_dropout(g2)
-    assert report2.removed == ()
-
-
-def test_elide_dropout_preserves_execution_bitwise():
+def test_chained_dropouts_are_elided_and_execution_is_bitwise_unchanged():
     b = GraphBuilder(Shape(4, 8, 8))
     x = b.conv("c", b.input_id, ConvParams(out_channels=4, kernel_h=3,
                                            kernel_w=3, pad_h=1, pad_w=1))
@@ -304,36 +302,37 @@ def test_elide_dropout_preserves_execution_bitwise():
     x = b.prelu("act", x)
     g = b.build(x)
     w = init_weights(g, seed=4)
-    g2, report = elide_dropout(g)
+    g2, w2, report = optimize(g, w)
     assert report.removed == ("d1", "d2")
+    assert g2.find("act").inputs == (g.find("c").id,)
     rng = np.random.default_rng(5)
     xin = rng.random((4, 8, 8), dtype=F32)
-    np.testing.assert_array_equal(execute(g, w, xin), execute(g2, w, xin))
+    np.testing.assert_array_equal(execute(g, w, xin), execute(g2, w2, xin))
+
+
+def test_a_bn_behind_a_dropout_is_kept_when_the_conv_has_another_reader():
+    # conv -> dropout -> {BN, add}: the conv has one reader, the dropout,
+    # but folding the BN through it would hand the add the scaled conv
+    # output; the BN stays, with a note, and the fused output is bitwise
+    # the unfused one
+    b = GraphBuilder(Shape(4, 8, 8))
+    c = b.conv("c", b.input_id, ConvParams(out_channels=4, kernel_h=3,
+                                           kernel_w=3, pad_h=1, pad_w=1))
+    d = b.dropout("d", c)
+    g = b.build(b.prelu("act", b.add("s", b.batchnorm("bn", d), d)))
+    w = _perturb_bn_stats(init_weights(g, seed=15), seed=16)
+    g2, w2, report = optimize(g, w)
+    assert report.removed == ("d",) and report.changed == ()
+    assert report.notes == ("kept bn: input d is a dropout, not a conv",)
+    assert g2.find("bn").inputs == (c,) and g2.find("s").inputs == (g2.find("bn").id, c)
+    assert w2.keys() == w.keys() and all(w2[k] is w[k] for k in w)
+    x = np.random.default_rng(17).random((4, 8, 8), dtype=F32) - 0.5
+    np.testing.assert_array_equal(execute(g2, w2, x).view(np.int32),
+                                  execute(g, w, x).view(np.int32))
 
 
 # ---------------------------------------------------------------------------
-# pass composition
-
-def test_pass_order_does_not_matter():
-    g = build_enet(7, 64, 64)
-    w = _perturb_bn_stats(init_weights(g, seed=6), seed=7)
-    a_g, a_w, _ = fold_batchnorm(g, w)
-    a_g, _ = elide_dropout(a_g)
-    b_g, _ = elide_dropout(g)
-    b_g, b_w, _ = fold_batchnorm(b_g, w)
-    assert a_g.nodes == b_g.nodes
-    assert set(a_w) == set(b_w)
-    assert all(np.array_equal(a_w[k], b_w[k]) for k in a_w)
-
-
-def test_optimize_runs_both_passes():
-    g = build_enet(5, 64, 64)
-    w = init_weights(g, seed=8)
-    g2, w2, reports = optimize(g, w)
-    assert [r.pass_name for r in reports] == ["fold_batchnorm", "elide_dropout"]
-    assert len(g2.nodes) == 315 - 83 - 27
-    assert validate(g2, w2) == []
-
+# optimize
 
 def test_full_network_equivalence_after_optimize():
     g = build_enet(19, 64, 64)

@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 
 from enetcpu import graph, kernels, passes, runtime
+from enetcpu.analyzer import count_flops, count_params, model_size_fp16
 from enetcpu.errors import ExecutionError, ShapeError, ValidationError
 from enetcpu.graph import (
+    CONV_KINDS,
     GraphBuilder,
     NodeKind,
     build_enet,
+    expected_weight_shapes,
     infer_shapes,
     init_weights,
 )
@@ -48,35 +51,55 @@ def _chain_graph():
 ELEMENTWISE = {NodeKind.PRELU, NodeKind.ADD, NodeKind.BATCHNORM, NodeKind.DROPOUT}
 
 
-def _assert_planned_bytes_disjoint(g, plan):
-    """Byte-interval checks of a plan against liveness worked out here: every
-    value fits the buffer, and no two values live at the same time share a
-    byte, but for one kind of sharing: a PReLU, add, batch norm or dropout
-    node on the same offset and size as an input it is the last reader of."""
+def _plan_faults(g, plan):
+    """What is wrong with a plan, found from the nodes, infer_shapes(g) and
+    the plan alone, with liveness worked out here; empty for a sound plan.
+    Every offset is a multiple of 64 and its value fits the buffer; no two
+    values live at one position share a byte, but for one kind of sharing:
+    a PReLU, add, batch norm or dropout node on the same offset and size as
+    an input it is the last reader of; the input, the output, the output's
+    producer and what it reads have no offset; band_of holds exactly the
+    convolutions, none below the floor; the frame peak covers the buffer."""
+    faults = []
     shapes = infer_shapes(g)
     pos = {n.id: i for i, n in enumerate(g.nodes)}
-    last_use = {}
-    for n in g.nodes:
-        for src in n.inputs:
-            last_use[src] = max(last_use.get(src, -1), pos[n.id])
-    span = {nid: (off, off + shapes[nid].count * 4)
-            for nid, off in plan.offset_of.items()}
-    assert all(0 <= lo and hi <= plan.peak_bytes for lo, hi in span.values())
-
-    def apart(a, b):
-        return span[a][1] <= span[b][0] or span[b][1] <= span[a][0]
+    last_use = {src: pos[n.id] for n in g.nodes for src in n.inputs}
+    span = {}
+    for nid, off in plan.offset_of.items():
+        if nid not in pos:
+            faults.append(f"offset for id {nid}, which the graph lacks")
+            continue
+        span[nid] = (off, off + shapes[nid].count * 4)
+        if off < 0 or off % 64 or span[nid][1] > plan.peak_bytes:
+            faults.append(f"{g.node(nid).name} at {span[nid]} is misaligned "
+                          f"or outside the {plan.peak_bytes}-byte buffer")
 
     def written_over(a, b):
         n = g.node(a)
         return (n.kind in ELEMENTWISE and b in n.inputs
                 and last_use[b] == pos[a] and span[a] == span[b])
 
-    ids = sorted(span)
+    ids = sorted(span, key=pos.get)
     for k, a in enumerate(ids):
         for b in ids[k + 1:]:
-            if pos[a] <= last_use.get(b, pos[b]) and pos[b] <= last_use.get(a, pos[a]):
-                assert apart(a, b) or written_over(a, b) or written_over(b, a), \
-                    f"{g.node(a).name} and {g.node(b).name} are live together"
+            if pos[b] > last_use.get(a, pos[a]):
+                continue  # a is dead before b is made
+            apart = span[a][1] <= span[b][0] or span[b][1] <= span[a][0]
+            if not (apart or written_over(b, a)):
+                faults.append(f"{g.node(a).name} and {g.node(b).name} are live "
+                              f"together and share bytes")
+    producer = g.node(g.output_node.inputs[0])
+    for nid in {g.input_node.id, g.output_node.id, producer.id, *producer.inputs}:
+        if nid in plan.offset_of:
+            faults.append(f"{g.node(nid).name} has an offset")
+    convs = {n.id for n in g.nodes if n.kind in CONV_KINDS}
+    if set(plan.band_of) != convs:
+        faults.append("band_of does not hold exactly the convolutions")
+    faults += [f"{g.node(nid).name}'s band {band} is below the floor"
+               for nid, band in plan.band_of.items() if band < runtime._BAND_FLOOR]
+    if plan.frame_peak_bytes < plan.peak_bytes:
+        faults.append("frame_peak_bytes is below peak_bytes")
+    return faults
 
 
 def test_plan_chain_reuses_one_slot():
@@ -88,7 +111,7 @@ def test_plan_chain_reuses_one_slot():
         x = b.prelu(f"p{i}", x)
     g = b.build(b.conv("last", x, ConvParams(out_channels=4, kernel_h=1, kernel_w=1)))
     plan = plan_buffers(g)
-    _assert_planned_bytes_disjoint(g, plan)
+    assert _plan_faults(g, plan) == []
     value = 4 * 8 * 8 * 4
     # the output's producer writes into the returned array, and the value it
     # reads is a fresh array too, so neither is in the buffer
@@ -110,7 +133,7 @@ def test_plan_add_inputs_get_distinct_slots():
     # a second PReLU, so the sum is not read by the output's producer
     g = b.build(b.prelu("act2", b.prelu("act", s)))
     plan = plan_buffers(g)
-    _assert_planned_bytes_disjoint(g, plan)
+    assert _plan_faults(g, plan) == []
     # both addends die at the sum, which writes over the first; the addends
     # are live together and stay apart
     value = 2 * 4 * 4 * 4
@@ -131,7 +154,7 @@ def test_plan_puts_an_unfused_conv_bn_prelu_chain_on_one_offset():
     g = b.build(b.conv("last", mid, ConvParams(out_channels=4, kernel_h=1,
                                                kernel_w=1)))
     plan = plan_buffers(g)
-    _assert_planned_bytes_disjoint(g, plan)
+    assert _plan_faults(g, plan) == []
     # `mid` is read by the output's producer, so it is a fresh array, and
     # the three buffered values take one value's bytes
     assert plan.offset_of.keys() == {g.find(name).id for name in ("c", "bn", "act")}
@@ -149,7 +172,7 @@ def test_plan_never_aliases_output_with_live_inputs():
     fused = optimize(g, init_weights(g, seed=0))[0]
     for graph in (g, fused):
         plan = plan_buffers(graph)
-        _assert_planned_bytes_disjoint(graph, plan)
+        assert _plan_faults(graph, plan) == []
         assert graph.output_node.inputs[0] not in plan.offset_of
 
 
@@ -175,6 +198,35 @@ def test_plan_enet_reuse_beats_no_reuse():
     # greedy-by-size packing reaches the live-set lower bound on ENet
     assert plan.peak_bytes == plan.live_bytes
     assert len(plan.retained) == 2  # two encoder pools feed decoder unpools
+
+
+def test_plan_checker_passes_fused_and_unfused_enet_at_128x256():
+    g = build_enet(19, 128, 256)
+    for graph_ in (g, optimize(g, init_weights(g, seed=0))[0]):
+        assert _plan_faults(graph_, plan_buffers(graph_)) == []
+
+
+def test_plan_checker_rejects_each_kind_of_fault():
+    g = build_enet(5, 32, 32)
+    plan = plan_buffers(g)
+    first = next(iter(plan.offset_of))
+    conv = next(n.id for n in g.nodes if n.kind in CONV_KINDS)
+    edits = {  # the fault each edit must be reported as
+        "is misaligned": dict(offset_of={**plan.offset_of,
+                                         first: plan.offset_of[first] + 4}),
+        f"outside the {plan.peak_bytes - 64}-byte buffer":
+            dict(peak_bytes=plan.peak_bytes - 64),
+        "input has an offset": dict(offset_of={**plan.offset_of,
+                                               g.input_node.id: 0}),
+        "band_of does not hold": dict(band_of={k: v for k, v in plan.band_of.items()
+                                               if k != conv}),
+        "below the floor": dict(band_of={**plan.band_of,
+                                         conv: runtime._BAND_FLOOR - 1}),
+        "frame_peak_bytes is below": dict(frame_peak_bytes=plan.peak_bytes - 1),
+    }
+    for fault, edit in edits.items():
+        found = _plan_faults(g, dataclasses.replace(plan, **edit))
+        assert any(fault in f for f in found), (fault, found)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +273,7 @@ def test_execute_planned_equals_unplanned_bitwise_on_random_graphs():
         drawn |= {n.kind for n in g.nodes}
         w = init_weights(g, seed=seed)
         x = rng.random((4, 8, 8), dtype=F32)
+        assert _plan_faults(g, plan_buffers(g)) == []
         plain = execute(g, w, x)
         planned = execute(g, w, x, plan_buffers(g))
         poisoned = execute(g, w, x, plan_buffers(g), poison=True)
@@ -252,6 +305,7 @@ def test_poison_catches_a_value_moved_onto_a_live_inputs_bytes(monkeypatch):
         and shapes[n.id].count <= shapes[src].count)
     mutant = dataclasses.replace(
         plan, offset_of={**plan.offset_of, node.id: plan.offset_of[src]})
+    assert _plan_faults(g, mutant)
     monkeypatch.setattr(runtime, "_plan", lambda *_: mutant)
     got = execute(g, w, x, mutant, poison=True)
     assert not np.array_equal(got, plain) or not np.all(np.isfinite(got)), \
@@ -282,6 +336,7 @@ def test_poison_catches_an_elementwise_node_written_over_an_input_read_later(
         assert plan.offset_of[nid] != plan.offset_of[c0]
         mutant = dataclasses.replace(
             plan, offset_of={**plan.offset_of, nid: plan.offset_of[c0]})
+        assert _plan_faults(g, mutant)
         monkeypatch.setattr(runtime, "_plan", lambda *_: mutant)
         got = execute(g, w, x, mutant, poison=True)
         assert not np.array_equal(got, plain) or not np.all(np.isfinite(got)), \
@@ -302,6 +357,7 @@ def test_the_output_producers_input_placed_in_the_buffer_holds_it_to_the_end(
     mutant = dataclasses.replace(
         plan, offset_of={**plan.offset_of, src: plan.peak_bytes},
         peak_bytes=plan.peak_bytes + infer_shapes(g)[src].count * 4)
+    assert _plan_faults(g, mutant) == ["bottleneck5.1.prelu has an offset"]
 
     def traced(p):
         tracemalloc.start()
@@ -355,12 +411,36 @@ def test_shapes_are_walked_once_per_graph_and_never_per_execute(monkeypatch):
     assert len(walks) == 1
     w = init_weights(g, seed=0)
     fused, fw, _ = optimize(g, w)
-    assert len(walks) == 3  # fold_batchnorm and elide_dropout make one each
+    assert len(walks) == 2  # optimize builds one graph
     plan = plan_buffers(fused)
     x = np.random.default_rng(3).random((3, 32, 32), dtype=F32)
     for args in ((g, w, x), (fused, fw, x, plan), (fused, fw, x)):
         execute(*args)
-    assert len(walks) == 3
+    assert len(walks) == 2
+
+
+def test_weight_shapes_are_derived_once_per_graph_and_never_per_execute(
+        monkeypatch):
+    # the graph stores them when it is made; validate, the analyzer and
+    # init_weights read them
+    derived = []
+    real = graph._weight_shape_walk
+    monkeypatch.setattr(graph, "_weight_shape_walk",
+                        lambda g: derived.append(g) or real(g))
+    g = build_enet(5, 32, 32)
+    assert derived == [g]
+    w = init_weights(g, seed=0)
+    count_params(g), count_flops(g), model_size_fp16(g)
+    fused, fw, _ = optimize(g, w)
+    assert derived == [g, fused]
+    plan = plan_buffers(fused)
+    x = np.random.default_rng(3).random((3, 32, 32), dtype=F32)
+    for args in ((g, w, x), (fused, fw, x, plan), (fused, fw, x)):
+        execute(*args)
+    assert derived == [g, fused]
+    assert expected_weight_shapes(g) is expected_weight_shapes(g)
+    with pytest.raises(TypeError):
+        expected_weight_shapes(g)["initial.conv.weight"] = (1,)
 
 
 def test_execute_returns_a_fresh_array_when_the_output_reads_the_input():
@@ -596,6 +676,7 @@ def test_planned_equals_unplanned_when_the_output_producer_reads_the_buffer():
         g = _random_graph_ending_in_two_buffered_inputs(seed)
         kinds |= {n.kind for n in g.nodes}
         plan = plan_buffers(g)
+        assert _plan_faults(g, plan) == []
         producer = g.node(g.output_node.inputs[0])
         assert not any(src in plan.offset_of for src in producer.inputs)
         assert len(set(producer.inputs)) == (1 if seed % 3 == 2 else 2)
@@ -696,6 +777,7 @@ def test_execute_refuses_a_plan_that_places_the_output_producer():
     plan = plan_buffers(g)
     mutant = dataclasses.replace(
         plan, offset_of={**plan.offset_of, g.find("c2").id: 0})
+    assert _plan_faults(g, mutant)
     with pytest.raises(ExecutionError, match="plan's offset_of differs"):
         execute(g, w, np.zeros((4, 8, 8), dtype=F32), mutant)
 
@@ -711,6 +793,7 @@ def test_execute_refuses_a_plan_whose_live_values_share_bytes():
     assert plan.offset_of[moved] != plan.offset_of[host]
     mutant = dataclasses.replace(
         plan, offset_of={**plan.offset_of, moved: plan.offset_of[host]})
+    assert _plan_faults(g, mutant)
     x = np.random.default_rng(7).random((3, 32, 32), dtype=F32)
     with pytest.raises(ExecutionError, match="plan's offset_of differs"):
         execute(g, w, x, mutant)
