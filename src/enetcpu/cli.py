@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .analyzer import (
     FlopConvention,
@@ -23,8 +26,8 @@ from .errors import EnetError, FormatError
 from .graph import build_enet, init_weights
 from .passes import optimize, validate
 from .pnm import load_palette, load_ppm, save_colormap, save_labelmap
-from .runtime import argmax_labels, benchmark, execute, plan_buffers
-from .tensor import DType, Shape
+from .runtime import argmax_labels, execute, plan_buffers
+from .tensor import DType
 
 
 class _Parser(argparse.ArgumentParser):
@@ -119,7 +122,11 @@ def _classes_from_store(store) -> int:
         raise FormatError(
             "weight store has no 'fullconv.bias'; cannot determine the class "
             "count (is this an ENet weight file?)")
-    return int(store["fullconv.bias"].shape[0])
+    bias = store["fullconv.bias"]
+    if bias.ndim != 1:
+        raise FormatError(f"'fullconv.bias' has shape {bias.shape}; the class "
+                          f"count needs a 1-D bias")
+    return int(bias.shape[0])
 
 
 def _cmd_build(args) -> int:
@@ -193,15 +200,22 @@ def _cmd_bench(args) -> int:
     store = load_weights(args.model)
     classes = _classes_from_store(store)
     g, store = _graph(classes, args.height, args.width, store, args.no_fuse)
-    res = benchmark(g, store, Shape(3, args.height, args.width),
-                    warmup=args.warmup, iters=args.iters)
-    print(f"benchmark {res.shape}, warmup {res.warmup}, iters {res.iters}")
-    print(f"mean {res.mean_ms:.2f} ms  std {res.std_ms:.2f} ms  "
-          f"median {res.median_ms:.2f} ms  min {res.min_ms:.2f} ms  "
-          f"{res.fps:.1f} fps")
-    print(f"arena {res.plan.peak_bytes / 1e6:.2f} MB  "
-          f"live-set bound {res.plan.live_bytes / 1e6:.2f} MB")
-    print(f"frame peak {res.plan.frame_peak_bytes / 1e6:.2f} MB "
+    plan = plan_buffers(g)
+    x = np.random.default_rng(0).random(tuple(g.input_shape), dtype=np.float32)
+    for _ in range(args.warmup):
+        execute(g, store, x, plan)
+    times = []
+    for _ in range(args.iters):
+        t0 = time.perf_counter()
+        execute(g, store, x, plan)
+        times.append((time.perf_counter() - t0) * 1000.0)
+    median = float(np.median(times))
+    print(f"benchmark {g.input_shape}, warmup {args.warmup}, iters {args.iters}")
+    print(f"median {median:.2f} ms  min {min(times):.2f} ms  "
+          f"{1000.0 / median:.1f} fps")
+    print(f"arena {plan.peak_bytes / 1e6:.2f} MB  "
+          f"live-set bound {plan.live_bytes / 1e6:.2f} MB")
+    print(f"frame peak {plan.frame_peak_bytes / 1e6:.2f} MB "
           f"(values, window codes and convolution bands)")
     return 0
 

@@ -42,10 +42,11 @@ weight matrix into that matrix over bands of output rows of equal height:
 each band's im2col plus its accumulator holds at most `band` float64
 elements (or one row), and is freed before the next band is built.  execute
 passes each convolution the budget its plan gives it, the headroom under the
-frame's peak (see runtime); a call without one runs as one band.  A bias is
-the GEMM's last K term, a float64 column of the weight matrix times a
-last im2col row of 1.0, so no separate pass adds it to the accumulator.  BLAS
-sums each output's K terms in order (tests/test_gemm_order.py checks this
+frame's peak (see runtime); a call without one runs as one band.  Each
+GEMM widens its float32 weights once, into one float64 matrix.  A bias is
+the GEMM's last K term, that matrix's last column times a last im2col row
+of 1.0, so no separate pass adds it to the accumulator.  BLAS sums each
+output's K terms in order (tests/test_gemm_order.py checks this
 for every GEMM shape of the network at 3x360x640), so each sum ends with
 s + bias*1.0 rounded once, the bits a separate float64 add gives;
 tests/test_conv_lowering.py checks this on every network convolution (K up to
@@ -260,18 +261,27 @@ def _conv_gemm(x: np.ndarray, top: int, left: int, kh: int, kw: int,
                stride: int, dilation: int, gemms: list, bias: Optional[np.ndarray],
                band: Optional[int] = None) -> None:
     """For each (wmat, dst) of `gemms`: dst = wmat @ im2col(x) (+ bias),
-    rounded into dst, a float32 (oc, oh, ow) view, every dst of one shape.
-    It runs over bands of equal height of the dsts' rows: each band's im2col
-    (see _im2col for top and left) is built once and serves every GEMM in
-    turn, and it (its ones row included) plus one accumulator holds at most
-    `band` float64 elements (or one row); with None, all rows are one band.
+    wmat a float32 (oc, K) matrix, rounded into dst, a float32 (oc, oh, ow)
+    view, every dst of one shape.  Each wmat is widened here, once, into one
+    float64 matrix.  It runs over bands of equal height of the dsts' rows:
+    each band's im2col (see _im2col for top and left) is built once and
+    serves every GEMM in turn, and it (its ones row included) plus one
+    accumulator holds at most `band` float64 elements (or one row); with
+    None, all rows are one band.
 
-    A bias is the GEMM's last K term: wmat gains it as a float64 column and
-    im2col a row of 1.0, so each sum ends with + bias*1.0, rounded once."""
+    A bias is the GEMM's last K term: the last column of each widened matrix
+    and a row of 1.0 in im2col, so each sum ends with + bias*1.0, rounded
+    once."""
     oc, oh, ow = gemms[0][1].shape
-    if bias is not None:
-        b64 = bias.astype(np.float64)[:, None]
-        gemms = [(np.concatenate([wmat, b64], axis=1), dst) for wmat, dst in gemms]
+    k = gemms[0][0].shape[1]
+    wide = []
+    for wmat, dst in gemms:
+        w64 = np.empty((oc, k if bias is None else k + 1), dtype=np.float64)
+        w64[:, :k] = wmat
+        if bias is not None:
+            w64[:, k] = bias
+        wide.append((w64, dst))
+    gemms = wide
     rows = oh if band is None else max(1, band // ((gemms[0][0].shape[1] + oc) * ow))
     height = -(-oh // -(-oh // rows))  # ceil(oh / number of bands)
     for y0 in range(0, oh, height):
@@ -294,7 +304,7 @@ def conv2d(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray],
     x = _conv_operands(x, w, bias, params, transposed=False)
     oc, _, kh, kw = w.shape
     oh, ow = params.conv_out_hw(x.shape[1], x.shape[2])  # raises if kernel does not fit
-    wmat = np.asarray(w, dtype=F32).reshape(oc, -1).astype(np.float64)
+    wmat = np.asarray(w, dtype=F32).reshape(oc, -1)
     out = _out(out, (oc, oh, ow))
     _conv_gemm(x, params.pad_h, params.pad_w, kh, kw, params.stride,
                params.dilation, [(wmat, out)], bias, band)
@@ -346,7 +356,7 @@ def conv_transpose2d(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray],
                 phase[...] = 0.0 if bias is None else bias[:, None, None]
                 continue
             sub = w_flip[:, :, fy::stride, fx::stride]
-            wmat = sub.transpose(1, 0, 2, 3).reshape(oc, -1).astype(np.float64)
+            wmat = sub.transpose(1, 0, 2, 3).reshape(oc, -1)
             windows.setdefault((by, ty, ny, bx, tx, nx), []).append((wmat, phase))
     for (by, ty, _, bx, tx, _), gemms in windows.items():
         _conv_gemm(x, -by, -bx, ty, tx, 1, 1, gemms, bias, band)

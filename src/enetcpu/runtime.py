@@ -1,5 +1,5 @@
-"""Graph execution: buffer planning, the interpreter loop, label extraction,
-and latency measurement.
+"""Graph execution: buffer planning, the interpreter loop and label
+extraction.
 
 Planning packs intermediate values into one float32 buffer by byte offset.
 Values and maxpool window codes (kept outside the buffer) share one liveness
@@ -44,13 +44,11 @@ same budgets, and band height does not change a convolution's bits.
 
 A graph was checked, and its shapes inferred, when it was made (see
 graph.Graph).  `execute` validates the weight store against it on every
-call, before any kernel reads a weight; there is no unchecked mode, so
-`benchmark` times the same call that inference makes.
+call, before any kernel reads a weight; there is no unchecked mode.
 """
 
 from __future__ import annotations
 
-import time
 from bisect import insort
 from dataclasses import dataclass, fields
 from itertools import accumulate
@@ -361,45 +359,3 @@ def argmax_labels(logits: np.ndarray) -> np.ndarray:
         raise ShapeError(f"need at least 2 class maps, got {logits.shape[0]}")
     return np.argmax(logits, axis=0).astype(np.int64, copy=False)
 
-
-@dataclass(frozen=True)
-class BenchResult:
-    """Latency measurement for one graph at one resolution, and its plan."""
-
-    shape: Shape
-    warmup: int
-    iters: int
-    mean_ms: float
-    std_ms: float
-    median_ms: float
-    min_ms: float
-    plan: ExecutionPlan
-
-    @property
-    def fps(self) -> float:
-        return 1000.0 / self.mean_ms if self.mean_ms > 0 else float("inf")
-
-
-def benchmark(g: Graph, weights: dict[str, np.ndarray], input_shape: Shape,
-              warmup: int = 1, iters: int = 5) -> BenchResult:
-    """Time planned execution of the graph over a fixed random input: each
-    warmup and timed pass is the same checked `execute` call inference makes."""
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
-    if warmup < 0:
-        raise ValueError(f"warmup must be >= 0, got {warmup}")
-    input_shape = Shape(*input_shape)
-    rng = np.random.default_rng(0)
-    x = rng.random(tuple(input_shape), dtype=np.float32)
-    plan = plan_buffers(g)
-    for _ in range(warmup):
-        execute(g, weights, x, plan)
-    times = []
-    for _ in range(iters):
-        t0 = time.perf_counter()
-        execute(g, weights, x, plan)
-        times.append((time.perf_counter() - t0) * 1000.0)
-    return BenchResult(shape=input_shape, warmup=warmup, iters=iters,
-                       mean_ms=float(np.mean(times)), std_ms=float(np.std(times)),
-                       median_ms=float(np.median(times)),
-                       min_ms=float(np.min(times)), plan=plan)

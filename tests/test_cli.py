@@ -138,6 +138,8 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert run(capsys, "build")[0] == 1  # missing required arguments
     assert run(capsys, "class-weights", "--histogram", "h", "--c", "1.0")[0] == 1
     assert run(capsys, "bench", "--model", "m", "--height", 0, "--width", 8)[0] == 1
+    assert run(capsys, "bench", "--model", "m", "--height", 8, "--width", 8,
+               "--iters", 0)[0] == 1
     code, _, err = run(capsys, "infer", "--model", "m", "--image", "i",
                        "--out", "o", "--colormap", "c.ppm")
     assert code == 1 and "--palette" in err
@@ -152,13 +154,12 @@ def test_bench_negative_warmup_is_a_usage_error(capsys):
 
 def test_bench_times_the_fused_graph_unless_no_fuse(tmp_path, capsys, monkeypatch):
     timed = []
-    real = cli.benchmark
 
-    def recording_benchmark(g, *args, **kwargs):
+    def recording_execute(g, *args, real=cli.execute):
         timed.append(len(g.nodes))
-        return real(g, *args, **kwargs)
+        return real(g, *args)
 
-    monkeypatch.setattr(cli, "benchmark", recording_benchmark)
+    monkeypatch.setattr(cli, "execute", recording_execute)
     model = tmp_path / "m.enwt"
     run(capsys, "build", "--classes", 5, "--out", model)
     bench = ("bench", "--model", model, "--height", 32, "--width", 32,
@@ -195,12 +196,11 @@ def test_bench_plans_the_graph_once(tmp_path, capsys, monkeypatch):
 def test_bench_prints_the_plan_frame_peak(tmp_path, capsys, monkeypatch):
     plans = []
 
-    def recording_plan_buffers(g, real=runtime.plan_buffers):
+    def recording_plan_buffers(g, real=cli.plan_buffers):
         plans.append(real(g))
         return plans[-1]
 
-    # the first plan is the one the timed passes ran on
-    monkeypatch.setattr(runtime, "plan_buffers", recording_plan_buffers)
+    monkeypatch.setattr(cli, "plan_buffers", recording_plan_buffers)
     model = tmp_path / "m.enwt"
     run(capsys, "build", "--classes", 5, "--out", model)
     code, out, err = run(capsys, "bench", "--model", model, "--height", 32,
@@ -210,6 +210,53 @@ def test_bench_prints_the_plan_frame_peak(tmp_path, capsys, monkeypatch):
                      r"convolution bands\)$", out, re.M)
     assert line, out
     assert line.group(1) == f"{plans[0].frame_peak_bytes / 1e6:.2f}"
+
+
+def test_bench_times_the_checked_call_on_the_printed_plan(tmp_path, capsys,
+                                                         monkeypatch):
+    # every warmup and timed pass validates, as inference does, and runs on
+    # the one plan the arena figures come from
+    validated, plans, run_on = [], [], []
+    monkeypatch.setattr(runtime, "validate", lambda *args, real=runtime.validate:
+                        validated.append(1) or real(*args))
+
+    def recording_plan_buffers(g, real=cli.plan_buffers):
+        plans.append(real(g))
+        return plans[-1]
+
+    def recording_execute(g, store, x, plan, real=cli.execute):
+        run_on.append(plan)
+        return real(g, store, x, plan)
+
+    monkeypatch.setattr(cli, "plan_buffers", recording_plan_buffers)
+    monkeypatch.setattr(cli, "execute", recording_execute)
+    model = tmp_path / "m.enwt"
+    run(capsys, "build", "--classes", 5, "--out", model)
+    code, out, err = run(capsys, "bench", "--model", model, "--height", 32,
+                         "--width", 32, "--warmup", 1, "--iters", 3)
+    assert code == 0 and err == ""
+    assert "benchmark 3x32x32, warmup 1, iters 3" in out
+    assert len(validated) == 4 and len(plans) == 1
+    assert len(run_on) == 4 and all(p is plans[0] for p in run_on)
+    assert (f"arena {plans[0].peak_bytes / 1e6:.2f} MB  "
+            f"live-set bound {plans[0].live_bytes / 1e6:.2f} MB") in out
+
+
+def test_bench_reports_median_min_and_fps(tmp_path, capsys):
+    model = tmp_path / "m.enwt"
+    run(capsys, "build", "--classes", 5, "--out", model)
+    code, out, err = run(capsys, "bench", "--model", model, "--height", 32,
+                         "--width", 32, "--warmup", 0, "--iters", 4)
+    assert code == 0 and err == ""
+    line = re.search(r"^median (\d+\.\d\d) ms  min (\d+\.\d\d) ms  "
+                     r"(\d+\.\d) fps$", out, re.M)
+    assert line, out
+    median, low, fps = map(float, line.groups())
+    assert 0.0 < low <= median
+    # fps is 1000/median before either is rounded for printing
+    slack = 1000.0 / median**2 * 0.005 * 1.01 + 0.05
+    assert abs(fps - 1000.0 / median) <= slack
+    assert "mean" not in out and "std" not in out
 
 
 def test_data_errors_exit_2(tmp_path, capsys):
@@ -313,6 +360,18 @@ def test_model_without_classifier_bias_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "bench", "--model", model,
                        "--height", 8, "--width", 8)
     assert code == 2 and "fullconv.bias" in err
+
+
+def test_scalar_classifier_bias_exits_2_in_infer_and_bench(tmp_path, capsys):
+    model, image = tmp_path / "scalar.enwt", tmp_path / "in.ppm"
+    save_weights({"fullconv.bias": np.array(3.0, dtype=np.float32)}, model)
+    _write_image(image, h=8, w=8)
+    for cmd in (("infer", "--image", image, "--out", tmp_path / "o.pgm"),
+                ("bench", "--height", 8, "--width", 8)):
+        code, _, err = run(capsys, cmd[0], "--model", model, *cmd[1:])
+        assert code == 2, (cmd[0], err)
+        assert "'fullconv.bias'" in err and "()" in err
+        assert "Traceback" not in err
 
 
 def test_console_entry_point():

@@ -459,6 +459,26 @@ def test_conv_scratch_stays_within_the_band_budget(case):
     assert peak <= SCRATCH_BAND * 8 + 128 * 1024, peak / 1e6
 
 
+def test_biased_conv_widens_its_weights_once():
+    # a 512->512 3x3 conv at 8x8, whose 18.9 MB float64 weight matrix
+    # outweighs its scratch: one widened matrix holds the bias column, so
+    # the peak stays below two float64 copies of the weights
+    rng = np.random.default_rng(91)
+    x = rand_input(rng, 512, 8, 8)
+    wt = rand_conv_weight(rng, 512, 512, 3, 3)
+    bias = rand_bias(rng, 512)
+    p = ConvParams(out_channels=512, kernel_h=3, kernel_w=3, pad_h=1, pad_w=1,
+                   has_bias=True)
+    out = np.empty((512, 8, 8), dtype=F32)
+    tracemalloc.start()
+    try:
+        conv2d(x, wt, bias, p, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * wt.size * 8, peak / 1e6
+
+
 def test_conv_and_transpose_are_adjoint():
     # <conv(x; W), y> == <x, conv_T(y; W)> with W reinterpreted for each op
     rng = np.random.default_rng(31)

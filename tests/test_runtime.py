@@ -1,5 +1,5 @@
 """Runtime: buffer planning, interpreter correctness (planned == unplanned,
-bitwise), pooled-index retention, labels, and benchmarking."""
+bitwise), pooled-index retention and labels."""
 
 import dataclasses
 import tracemalloc
@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from enetcpu import graph, kernels, passes, runtime
+from enetcpu import graph, kernels, runtime
 from enetcpu.analyzer import count_flops, count_params, model_size_fp16
 from enetcpu.errors import ExecutionError, ShapeError, ValidationError
 from enetcpu.graph import (
@@ -21,13 +21,7 @@ from enetcpu.graph import (
 )
 from enetcpu.kernels import ConvParams
 from enetcpu.passes import optimize
-from enetcpu.runtime import (
-    BenchResult,
-    argmax_labels,
-    benchmark,
-    execute,
-    plan_buffers,
-)
+from enetcpu.runtime import argmax_labels, execute, plan_buffers
 from enetcpu.tensor import Shape
 from reference import ref_conv_transpose2d
 
@@ -898,45 +892,3 @@ def test_argmax_labels_needs_two_classes():
     with pytest.raises(ShapeError):
         argmax_labels(np.zeros((1, 4, 4), dtype=F32))
 
-
-# ---------------------------------------------------------------------------
-# benchmark
-
-def test_benchmark_single_iteration_has_zero_std():
-    g = build_enet(4, 64, 64)
-    w = init_weights(g, seed=0)
-    res = benchmark(g, w, Shape(3, 64, 64), warmup=0, iters=1)
-    assert isinstance(res, BenchResult)
-    assert res.iters == 1 and res.warmup == 0
-    assert res.std_ms == 0.0
-    assert res.mean_ms > 0.0
-    assert res.fps == pytest.approx(1000.0 / res.mean_ms)
-    assert res.median_ms == res.min_ms == res.mean_ms
-
-
-def test_benchmark_reports_median_and_min():
-    g = build_enet(4, 64, 64)
-    w = init_weights(g, seed=0)
-    res = benchmark(g, w, Shape(3, 64, 64), warmup=0, iters=4)
-    assert 0.0 < res.min_ms <= res.median_ms
-    assert res.min_ms <= res.mean_ms
-
-
-def test_benchmark_times_the_checked_call(monkeypatch):
-    # every warmup and timed pass validates, as inference does
-    g = _chain_graph()
-    w = init_weights(g, seed=0)
-    calls = []
-    monkeypatch.setattr(runtime, "validate",
-                        lambda *args: calls.append(1) or passes.validate(*args))
-    benchmark(g, w, g.input_shape, warmup=1, iters=3)
-    assert len(calls) == 4
-
-
-def test_benchmark_validates_arguments():
-    g = build_enet(4, 64, 64)
-    w = init_weights(g, seed=0)
-    with pytest.raises(ValueError):
-        benchmark(g, w, Shape(3, 64, 64), warmup=0, iters=0)
-    with pytest.raises(ExecutionError):
-        benchmark(g, w, Shape(3, 32, 32), warmup=0, iters=1)
