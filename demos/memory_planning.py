@@ -3,8 +3,8 @@ buffer bounds the activation memory of a deep encoder-decoder, how many
 values share a slot because an elementwise node writes over its dying input,
 how close the buffer comes to the live-set lower bound, the plan's figure
 for the whole frame (values, window codes and convolution bands sized to the
-headroom under the values' peak), and the measured peak of planned against
-unplanned execution, verified bitwise.
+headroom under the values' peak, never below one output row), and the
+measured peak of planned against unplanned execution, verified bitwise.
 
 Run from the repository root:  python3 demos/memory_planning.py
 """

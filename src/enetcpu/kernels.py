@@ -26,6 +26,8 @@ the strip is in (0, 1], and the select of x where x >= 0, else t, otherwise.
 prelu, batchnorm_infer, maxpool2x2 and max_unpool2x2 run over strips of
 whole channels, each about _STRIP elements of their input (of the pooled
 plane for the two pooling kernels), so their temporaries stay in L2.
+maxpool2x2 copies each window row's two cells out of their strided views
+into one contiguous two-plane buffer before it compares them.
 
 batchnorm_infer takes a batch norm as the per-channel float64 scale and
 shift that graph.bn_affine derives from its statistics, the same pair the
@@ -40,9 +42,11 @@ and writes 0.0 over the rows and columns of the tap that fall in the padding,
 so no padded copy of the input is made.  It multiplies the (oc, C*kh*kw)
 weight matrix into that matrix over bands of output rows of equal height:
 each band's im2col plus its accumulator holds at most `band` float64
-elements (or one row), and is freed before the next band is built.  execute
-passes each convolution the budget its plan gives it, the headroom under the
-frame's peak (see runtime); a call without one runs as one band.  Each
+elements, or one row when `band` is smaller, and is freed before the next
+band is built.  band_row gives that row for a whole convolution node.
+execute passes each convolution the budget its plan gives it, the headroom
+under the frame's peak but never less than one row (see runtime), so every
+band fits its budget there; a call without one runs as one band.  Each
 GEMM widens its float32 weights once, into one float64 matrix.  A bias is
 the GEMM's last K term, that matrix's last column times a last im2col row
 of 1.0, so no separate pass adds it to the accumulator.  BLAS sums each
@@ -257,6 +261,37 @@ def _conv_operands(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray],
     return x
 
 
+def _gemm_row(k: int, oc: int, ow: int) -> int:
+    """Float64 elements one output row of a _conv_gemm band holds: its k
+    im2col rows (a bias's ones row included) and one oc-row accumulator,
+    each ow wide."""
+    return (k + oc) * ow
+
+
+def band_row(c: int, h: int, w: int, params: ConvParams, *,
+             transposed: bool = False, asymmetric: bool = False) -> int:
+    """Float64 elements one output row of a band holds in the convolution
+    of a (c, h, w) input that `params` describe: conv2d's GEMM, the widest
+    window group of conv_transpose2d, or the larger of conv_asymmetric5's
+    two passes.  A budget of at least this many elements bounds every band
+    the convolution builds."""
+    if asymmetric:
+        p1, p2 = _asymmetric_passes(params.out_channels, params.out_channels,
+                                    params.has_bias)
+        return max(band_row(c, h, w, p1), band_row(p1.out_channels, h, w, p2))
+    bias, oc = int(params.has_bias), params.out_channels
+    if transposed:
+        oh, ow = params.tconv_out_hw(h, w)
+        ys = [ty for _, _, ty, _, _ in _phases(oh, params.kernel_h, params.stride,
+                                               params.pad_h) if ty]
+        xs = [(tx, nx) for _, _, tx, _, nx in _phases(ow, params.kernel_w,
+                                                      params.stride, params.pad_w) if tx]
+        return max((_gemm_row(c * ty * tx + bias, oc, nx) for ty in ys for tx, nx in xs),
+                   default=0)
+    _, ow = params.conv_out_hw(h, w)
+    return _gemm_row(c * params.kernel_h * params.kernel_w + bias, oc, ow)
+
+
 def _conv_gemm(x: np.ndarray, top: int, left: int, kh: int, kw: int,
                stride: int, dilation: int, gemms: list, bias: Optional[np.ndarray],
                band: Optional[int] = None) -> None:
@@ -266,8 +301,8 @@ def _conv_gemm(x: np.ndarray, top: int, left: int, kh: int, kw: int,
     float64 matrix.  It runs over bands of equal height of the dsts' rows:
     each band's im2col (see _im2col for top and left) is built once and
     serves every GEMM in turn, and it (its ones row included) plus one
-    accumulator holds at most `band` float64 elements (or one row); with
-    None, all rows are one band.
+    accumulator holds at most `band` float64 elements, or one row (see
+    _gemm_row) when `band` is smaller; with None, all rows are one band.
 
     A bias is the GEMM's last K term: the last column of each widened matrix
     and a row of 1.0 in im2col, so each sum ends with + bias*1.0, rounded
@@ -282,7 +317,7 @@ def _conv_gemm(x: np.ndarray, top: int, left: int, kh: int, kw: int,
             w64[:, k] = bias
         wide.append((w64, dst))
     gemms = wide
-    rows = oh if band is None else max(1, band // ((gemms[0][0].shape[1] + oc) * ow))
+    rows = oh if band is None else max(1, band // _gemm_row(gemms[0][0].shape[1], oc, ow))
     height = -(-oh // -(-oh // rows))  # ceil(oh / number of bands)
     for y0 in range(0, oh, height):
         y1 = min(y0 + height, oh)
@@ -363,6 +398,15 @@ def conv_transpose2d(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray],
     return out
 
 
+def _asymmetric_passes(mid: int, oc: int, has_bias: bool
+                       ) -> tuple[ConvParams, ConvParams]:
+    """The params of conv_asymmetric5's 5x1 pass to `mid` channels and its
+    1x5 pass to `oc`, which takes the bias."""
+    return (ConvParams(out_channels=mid, kernel_h=5, kernel_w=1, pad_h=2, pad_w=0),
+            ConvParams(out_channels=oc, kernel_h=1, kernel_w=5, pad_h=0, pad_w=2,
+                       has_bias=has_bias))
+
+
 def conv_asymmetric5(x: np.ndarray, w5x1: np.ndarray, w1x5: np.ndarray,
                      bias: Optional[np.ndarray],
                      out: Optional[np.ndarray] = None, *,
@@ -377,10 +421,7 @@ def conv_asymmetric5(x: np.ndarray, w5x1: np.ndarray, w1x5: np.ndarray,
     # conv2d checks on each pass
     if w5x1.ndim != 4 or w1x5.ndim != 4:
         raise ShapeError(f"kernels must be 4D, got ndim={w5x1.ndim} and {w1x5.ndim}")
-    p1 = ConvParams(out_channels=w5x1.shape[0], kernel_h=5, kernel_w=1,
-                    pad_h=2, pad_w=0)
-    p2 = ConvParams(out_channels=w1x5.shape[0], kernel_h=1, kernel_w=5,
-                    pad_h=0, pad_w=2, has_bias=bias is not None)
+    p1, p2 = _asymmetric_passes(w5x1.shape[0], w1x5.shape[0], bias is not None)
     return conv2d(conv2d(x, w5x1, None, p1, band=band), w1x5, bias, p2, out,
                   band=band)
 
@@ -401,19 +442,26 @@ def maxpool2x2(x: np.ndarray, out: Optional[np.ndarray] = None) -> PoolResult:
     """2x2 stride-2 max pooling; records each max's window code 0..3
     (2*row + col), ties broken toward the smallest code.
 
-    Works over the window's four strided phase views: first within each row,
-    then between the rows' winners.  Both top-row codes are smaller than both
-    bottom-row codes, so this order keeps the smallest-code tie-break exact."""
+    Compares first within each window row, then between the rows' winners.
+    Both top-row codes are smaller than both bottom-row codes, so this order
+    keeps the smallest-code tie-break exact.  Each row's two cells are first
+    copied out of their strided phase views into one contiguous buffer, so
+    the comparisons run over contiguous operands."""
     x = _chw(x)
     c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2x2 needs even dims, got {h}x{w}")
     values = _out(out, (c, h // 2, w // 2))
     codes = np.empty(values.shape, dtype=np.uint8)
-    for s in _strips(*values.shape):
+    strips = _strips(*values.shape)
+    cells = np.empty((2, *(values[strips[0]] if strips else values).shape), dtype=F32)
+    for s in strips:
         xs, cs = x[s], codes[s]
-        top_left, top = _earlier_max(xs[:, 0::2, 0::2], xs[:, 0::2, 1::2])
-        bottom_left, bottom = _earlier_max(xs[:, 1::2, 0::2], xs[:, 1::2, 1::2])
+        left_cell, right_cell = cells[:, :len(cs)]
+        left_cell[...], right_cell[...] = xs[:, 0::2, 0::2], xs[:, 0::2, 1::2]
+        top_left, top = _earlier_max(left_cell, right_cell)
+        left_cell[...], right_cell[...] = xs[:, 1::2, 0::2], xs[:, 1::2, 1::2]
+        bottom_left, bottom = _earlier_max(left_cell, right_cell)
         upper, _ = _earlier_max(top, bottom, values[s])
         left = bottom_left ^ ((bottom_left ^ top_left) & upper)
         np.multiply((~upper).view(np.uint8), np.uint8(2), out=cs)

@@ -36,11 +36,15 @@ The plan also sizes convolution scratch.  It totals the bytes a planned
 the fresh arrays, each pool's window codes until its last unpool, and an
 asymmetric conv's 5x1 intermediate.  The largest total is the frame's value
 peak, and each convolution bands its im2col scratch (ones row and one
-accumulator included) to the headroom under that peak, at least _BAND_FLOOR
-float64 elements, so the scratch fills memory the frame holds anyway instead
-of adding to its peak (im2col scratch is the memory cost of GEMM
-convolution: Anderson et al., arXiv 1709.03395).  Unplanned runs band by the
-same budgets, and band height does not change a convolution's bits.
+accumulator included) to the headroom under that peak, so the scratch fills
+memory the frame holds anyway instead of adding to its peak (im2col scratch
+is the memory cost of GEMM convolution: Anderson et al., arXiv 1709.03395).
+No band is less than one output row (kernels.band_row), so a convolution
+with less headroom than that, such as the output's producer at the value
+peak, runs one row per band, and its row is all it adds to the peak.  Every
+band fits its budget, so the frame figure bounds every band byte.  Unplanned
+runs band by the same budgets, and band height does not change a
+convolution's bits.
 
 A graph was checked, and its shapes inferred, when it was made (see
 graph.Graph).  `execute` validates the weight store against it on every
@@ -58,9 +62,10 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .errors import EnetError, ExecutionError, ShapeError
-# bn_affine is called through the module: perfbench times every function
-# imported here by name as a span of its own, and bn_affine is not a kernel
-from . import graph
+# bn_affine and band_row are called through their modules: perfbench times
+# every function imported here by name as a span of its own, and neither
+# is a kernel
+from . import graph, kernels
 from .graph import CONV_KINDS, Graph, NodeKind, infer_shapes
 from .kernels import (
     add,
@@ -81,7 +86,6 @@ from .tensor import Shape
 _BYTES_F32 = 4
 _BYTES_F64 = 8
 _ALIGN = 64  # planned offsets are multiples of one cache line, in bytes
-_BAND_FLOOR = 1 << 15  # least planned band budget, float64 elements (256 KiB)
 # kinds whose output may take the slot of an input that dies at them
 _IN_PLACE = frozenset({NodeKind.PRELU, NodeKind.ADD, NodeKind.BATCHNORM,
                        NodeKind.DROPOUT})
@@ -99,7 +103,8 @@ class ExecutionPlan:
     are fresh arrays, and the producer's is the one `execute` returns.
     `retained` names the pools whose window codes some unpool reads; the
     codes of the others are dropped as soon as they exist.  `band_of` maps
-    each convolution node's id to its band budget in float64 elements, and
+    each convolution node's id to its band budget in float64 elements, the
+    larger of one band row and the headroom under the value peak, and
     frame_peak_bytes is the most bytes of values, window codes and band
     budget held while any one node runs (see the module docstring); strip
     temporaries and weight casts are left out.  `execute` refuses a plan
@@ -157,7 +162,7 @@ def _plan(g: Graph, shapes, last_use) -> ExecutionPlan:
     # output included: the fresh arrays, each pool's window codes until its
     # last unpool, and an asymmetric conv's 5x1 intermediate
     spans: list[tuple[int, int, int]] = []
-    convs: list[tuple[int, int]] = []  # (position, id) of each convolution
+    convs: list[tuple[int, int, int]] = []  # (position, id, band row) of each conv
     for i, n in enumerate(g.nodes):
         if n.kind in (NodeKind.INPUT, NodeKind.OUTPUT):
             continue
@@ -166,7 +171,10 @@ def _plan(g: Graph, shapes, last_use) -> ExecutionPlan:
         if n.kind is NodeKind.MAXPOOL:
             spans.append((size // _BYTES_F32, i, last_use.get(~n.id, i)))
         elif n.kind in CONV_KINDS:
-            convs.append((i, n.id))
+            convs.append((i, n.id, kernels.band_row(
+                *shapes[n.inputs[0]], n.conv,
+                transposed=n.kind is NodeKind.CONV_TRANSPOSE,
+                asymmetric=n.kind is NodeKind.ASYM_CONV5)))
             if n.kind is NodeKind.ASYM_CONV5:
                 spans.append((size, i, i))
         if n.id in unplaced:
@@ -200,8 +208,8 @@ def _plan(g: Graph, shapes, last_use) -> ExecutionPlan:
     freed = max((last for _, _, last in slots), default=-1)  # buffer's last use
     held = _totals([*spans, (peak_bytes, 0, freed)], len(g.nodes))
     value_peak = max(held, default=0)
-    band_of = {nid: max(_BAND_FLOOR, (value_peak - held[i]) // _BYTES_F64)
-               for i, nid in convs}
+    band_of = {nid: max(row, (value_peak - held[i]) // _BYTES_F64)
+               for i, nid, row in convs}
 
     return ExecutionPlan(offset_of={nid: slot_offset[k] for nid, k in slot_of.items()},
                          peak_bytes=peak_bytes,
@@ -212,7 +220,7 @@ def _plan(g: Graph, shapes, last_use) -> ExecutionPlan:
                          band_of=MappingProxyType(band_of),
                          frame_peak_bytes=max(
                              [value_peak] + [held[i] + _BYTES_F64 * band_of[nid]
-                                             for i, nid in convs]))
+                                             for i, nid, _ in convs]))
 
 
 def _node_value(n, weights, vals, out, band):

@@ -32,10 +32,11 @@ import numpy as np
 import pytest
 
 from enetcpu import kernels, runtime
-from enetcpu.graph import NodeKind, build_enet
+from enetcpu.graph import GraphBuilder, NodeKind, build_enet, init_weights
 from enetcpu.kernels import ConvParams, conv2d, conv_transpose2d
 from enetcpu.passes import optimize
 from enetcpu.runtime import execute, plan_buffers
+from enetcpu.tensor import Shape
 from reference import (
     padded_conv2d,
     padded_conv_transpose2d,
@@ -214,13 +215,37 @@ def test_execute_bands_each_conv_to_its_plan_budget(monkeypatch, name, planned):
         plan.band_of[min(convs)] = 1
     fullconv = g.node(g.output_node.inputs[0])
     assert fullconv.name == "fullconv"
-    assert plan.band_of[fullconv.id] == runtime._BAND_FLOOR  # no headroom there
+    # no headroom there: one row of its 16x32x64 input's band, 16 im2col
+    # rows of its one tap per phase, the ones row and a 19-row accumulator
+    assert plan.band_of[fullconv.id] == (16 + 1 + 19) * 64
     bands = _bands_of_execute(monkeypatch, g, weights,
                               plan if planned else None)
     assert {n.id for n, *_ in bands} == convs
-    for n, band, oc, (k, cols), oh in bands:
+    for n, band, oc, (k, cols), _ in bands:
         assert band == plan.band_of[n.id], n.name
-        assert (k + oc) * cols <= band or oh == 1, (n.name, k, oc, cols, band)
+        assert (k + oc) * cols <= band, (n.name, k, oc, cols, band)
+
+
+def test_a_wide_contraction_bands_within_its_budget(monkeypatch):
+    # a biased 3x3 512->512 conv at 8x30, K = 4,609: one row of its band is
+    # (4,609 + 512) * 30 float64 elements, 1.2 MB.  It is the output's
+    # producer, at the frame's peak, so its budget is that one row, and
+    # every band it builds fits it.  Past K = 384 this BLAS sums K in
+    # blocks, so nothing here is checked bit for bit
+    b = GraphBuilder(Shape(512, 8, 30))
+    conv = b.conv("wide", b.input_id,
+                  ConvParams(out_channels=512, kernel_h=3, kernel_w=3, pad_h=1,
+                             pad_w=1, has_bias=True))
+    g = b.build(conv)
+    plan = plan_buffers(g)
+    assert plan.band_of[conv] == kernels.band_row(512, 8, 30, g.node(conv).conv) \
+        == (4609 + 512) * 30
+    assert plan.frame_peak_bytes == 512 * 8 * 30 * 4 + 8 * plan.band_of[conv]
+    bands = _bands_of_execute(monkeypatch, g, init_weights(g, seed=0), plan)
+    assert len(bands) == 8  # one output row per band
+    for n, band, oc, (k, cols), _ in bands:
+        assert (k, oc, cols) == (4609, 512, 30)
+        assert (k + oc) * cols <= band == plan.band_of[conv]
 
 
 def test_phases_that_read_one_window_share_its_im2col(monkeypatch):

@@ -45,6 +45,36 @@ def _chain_graph():
 ELEMENTWISE = {NodeKind.PRELU, NodeKind.ADD, NodeKind.BATCHNORM, NodeKind.DROPOUT}
 
 
+def _band_rows(g):
+    """For each convolution of g, the float64 elements one output row of its
+    band holds, worked out from the nodes, infer_shapes(g) and the conv
+    params: its im2col rows (a bias's ones row included) plus one
+    accumulator, times the row's width.  A transposed conv's output phase
+    (ry, rx) takes the taps ky = ry + pad_h and kx = rx + pad_w (mod
+    stride), and its row is that of its widest phase; an asymmetric conv's
+    is the larger of its 5x1 and 1x5 passes'."""
+    shapes = infer_shapes(g)
+    rows = {}
+    for n in g.nodes:
+        if n.kind not in CONV_KINDS:
+            continue
+        p, c = n.conv, shapes[n.inputs[0]].channels
+        oc, bias, (_, oh, ow) = p.out_channels, int(p.has_bias), shapes[n.id]
+        if n.kind is NodeKind.CONV:
+            rows[n.id] = (c * p.kernel_h * p.kernel_w + bias + oc) * ow
+        elif n.kind is NodeKind.ASYM_CONV5:
+            rows[n.id] = max(c * 5 + oc, oc * 5 + bias + oc) * ow
+        else:
+            s = p.stride
+            tys = [sum((ky - ry - p.pad_h) % s == 0 for ky in range(p.kernel_h))
+                   for ry in range(min(s, oh))]
+            txs = [(sum((kx - rx - p.pad_w) % s == 0 for kx in range(p.kernel_w)),
+                    len(range(rx, ow, s))) for rx in range(min(s, ow))]
+            rows[n.id] = max(((c * ty * tx + bias + oc) * nx
+                              for ty in tys if ty for tx, nx in txs if tx), default=0)
+    return rows
+
+
 def _plan_faults(g, plan):
     """What is wrong with a plan, found from the nodes, infer_shapes(g) and
     the plan alone, with liveness worked out here; empty for a sound plan.
@@ -53,7 +83,9 @@ def _plan_faults(g, plan):
     a PReLU, add, batch norm or dropout node on the same offset and size as
     an input it is the last reader of; the input, the output, the output's
     producer and what it reads have no offset; band_of holds exactly the
-    convolutions, none below the floor; the frame peak covers the buffer."""
+    convolutions, none below one row of its band (see _band_rows); the
+    frame peak covers the bytes held while each node runs, its band
+    budget included."""
     faults = []
     shapes = infer_shapes(g)
     pos = {n.id: i for i, n in enumerate(g.nodes)}
@@ -86,13 +118,41 @@ def _plan_faults(g, plan):
     for nid in {g.input_node.id, g.output_node.id, producer.id, *producer.inputs}:
         if nid in plan.offset_of:
             faults.append(f"{g.node(nid).name} has an offset")
-    convs = {n.id for n in g.nodes if n.kind in CONV_KINDS}
-    if set(plan.band_of) != convs:
+    rows = _band_rows(g)
+    if set(plan.band_of) != rows.keys():
         faults.append("band_of does not hold exactly the convolutions")
-    faults += [f"{g.node(nid).name}'s band {band} is below the floor"
-               for nid, band in plan.band_of.items() if band < runtime._BAND_FLOOR]
-    if plan.frame_peak_bytes < plan.peak_bytes:
-        faults.append("frame_peak_bytes is below peak_bytes")
+    faults += [f"{g.node(nid).name}'s band {band} is below one row ({rows[nid]})"
+               for nid, band in plan.band_of.items() if band < rows.get(nid, 0)]
+
+    # bytes held while each node runs: the buffer until the last position a
+    # placed value is live, every other value from its producer to its last
+    # reader, a pool's uint8 window codes until its last unpool, an
+    # asymmetric conv's 5x1 intermediate and a convolution's band budget
+    held = [0] * len(g.nodes)
+
+    def hold(size, first, last):
+        for i in range(first, last + 1):
+            held[i] += size
+
+    if span:
+        hold(plan.peak_bytes, 0, max(last_use.get(nid, pos[nid]) for nid in span))
+    codes_last = {n.index_link: pos[n.id] for n in g.nodes
+                  if n.kind is NodeKind.MAX_UNPOOL}
+    for i, n in enumerate(g.nodes):
+        if n.kind in (NodeKind.INPUT, NodeKind.OUTPUT):
+            continue
+        size = shapes[n.id].count * 4
+        if n.id not in span:
+            hold(size, i, last_use.get(n.id, i))
+        if n.kind is NodeKind.MAXPOOL:
+            hold(size // 4, i, codes_last.get(n.id, i))
+        if n.kind is NodeKind.ASYM_CONV5:
+            held[i] += size
+        held[i] += 8 * plan.band_of.get(n.id, 0)
+    top = max(range(len(held)), key=held.__getitem__)
+    if plan.frame_peak_bytes < held[top]:
+        faults.append(f"frame_peak_bytes is below the {held[top]} bytes held "
+                      f"while {g.nodes[top].name} runs")
     return faults
 
 
@@ -205,6 +265,7 @@ def test_plan_checker_rejects_each_kind_of_fault():
     plan = plan_buffers(g)
     first = next(iter(plan.offset_of))
     conv = next(n.id for n in g.nodes if n.kind in CONV_KINDS)
+    row = _band_rows(g)[conv]
     edits = {  # the fault each edit must be reported as
         "is misaligned": dict(offset_of={**plan.offset_of,
                                          first: plan.offset_of[first] + 4}),
@@ -214,8 +275,12 @@ def test_plan_checker_rejects_each_kind_of_fault():
                                                g.input_node.id: 0}),
         "band_of does not hold": dict(band_of={k: v for k, v in plan.band_of.items()
                                                if k != conv}),
-        "below the floor": dict(band_of={**plan.band_of,
-                                         conv: runtime._BAND_FLOOR - 1}),
+        f"{g.node(conv).name}'s band {row - 1} is below one row ({row})":
+            dict(band_of={**plan.band_of, conv: row - 1}),
+        # at 32x32 the frame's peak is at the first conv, whose band fills
+        # the headroom under it
+        f"frame_peak_bytes is below the {plan.frame_peak_bytes} bytes held "
+        f"while initial.conv runs": dict(frame_peak_bytes=plan.frame_peak_bytes - 1),
         "frame_peak_bytes is below": dict(frame_peak_bytes=plan.peak_bytes - 1),
     }
     for fault, edit in edits.items():
@@ -342,7 +407,7 @@ def test_the_output_producers_input_placed_in_the_buffer_holds_it_to_the_end(
     # a planner mutant: fullconv's input given bytes of its own past the end
     # of the buffer; execute follows the plan's offsets, so the bits stay,
     # poisoned or not, but the buffer lives until fullconv has read that
-    # input, beside the logits, and the peak grows
+    # input, beside the logits, and the peak grows past the plan's figure
     g = build_enet(5, 64, 64)
     w = init_weights(g, seed=1)
     x = np.random.default_rng(2).random((3, 64, 64), dtype=F32)
@@ -351,7 +416,11 @@ def test_the_output_producers_input_placed_in_the_buffer_holds_it_to_the_end(
     mutant = dataclasses.replace(
         plan, offset_of={**plan.offset_of, src: plan.peak_bytes},
         peak_bytes=plan.peak_bytes + infer_shapes(g)[src].count * 4)
-    assert _plan_faults(g, mutant) == ["bottleneck5.1.prelu has an offset"]
+    held = (mutant.peak_bytes + infer_shapes(g)[g.find("fullconv").id].count * 4
+            + 8 * plan.band_of[g.find("fullconv").id])
+    assert _plan_faults(g, mutant) == [
+        "bottleneck5.1.prelu has an offset",
+        f"frame_peak_bytes is below the {held} bytes held while fullconv runs"]
 
     def traced(p):
         tracemalloc.start()
@@ -474,8 +543,10 @@ def test_planned_execute_peak_is_at_most_the_unplanned_peak(fused, h, w):
     # the buffer is freed before fullconv runs, so while it runs only its
     # input (a fresh array, never in the buffer), the logits and one band of
     # convolution scratch are held; fullconv has no headroom under that
-    # value peak, so its band is the floor budget, with numpy's cast buffers
-    # on top.  Every earlier band fills the headroom under the same peak
+    # value peak, so its band is one row: 16 im2col rows of its one tap per
+    # phase, the bias's ones row and a 19-row accumulator, w/2 wide, with
+    # numpy's cast buffers on top.  Every earlier band fills the headroom
+    # under the same peak
     g = build_enet(19, h, w)
     weights = init_weights(g, seed=0)
     if fused:
@@ -494,9 +565,10 @@ def test_planned_execute_peak_is_at_most_the_unplanned_peak(fused, h, w):
     assert producer.name == "fullconv"
     fullconv_input = infer_shapes(g)[producer.inputs[0]].count * 4
     assert peaks["planned"] <= 1.01 * peaks["unplanned"], peaks
-    assert plan.band_of[producer.id] == runtime._BAND_FLOOR
+    row = (16 + 1 + 19) * (w // 2)
+    assert plan.band_of[producer.id] == row
     assert peaks["planned"] <= (logits.nbytes + fullconv_input
-                                + runtime._BAND_FLOOR * 8 + 2**17), peaks
+                                + row * 8 + 2**17), peaks
 
 
 @pytest.mark.parametrize("planned", [True, False], ids=["planned", "unplanned"])
@@ -545,9 +617,10 @@ def test_execute_through_pool_unpool_with_retained_indices():
 def test_plan_frame_peak_counts_window_codes_and_the_asymmetric_intermediate():
     # values of 4x8x8 (1 KiB) and 4x4x4 (256 B) float32; the pool's uint8
     # codes (64 B) live until the unpool, and the 5x1 pass's 4x4x4 output is
-    # held while the 1x5 pass runs.  No node has headroom above the floor,
-    # so the figure is the most held at a conv plus one floor band: the
-    # buffer, the codes and the intermediate, at `mid`
+    # held while the 1x5 pass runs.  `mid` has no headroom above one row of
+    # its band, (4*5 + 4) * 4 float64 elements in either pass, so the
+    # figure is what it holds plus that row: the buffer, the codes, the
+    # intermediate and 768 bytes of band
     b = GraphBuilder(Shape(4, 8, 8))
     pre = b.conv("pre", b.input_id,
                  ConvParams(out_channels=4, kernel_h=1, kernel_w=1))
@@ -557,9 +630,8 @@ def test_plan_frame_peak_counts_window_codes_and_the_asymmetric_intermediate():
     g = b.build(b.prelu("out", b.add("merge", pre, up)))
     plan = plan_buffers(g)
     assert set(plan.band_of) == {pre, mid}
-    assert set(plan.band_of.values()) == {runtime._BAND_FLOOR}
-    assert plan.frame_peak_bytes == (plan.peak_bytes + 64 + 256
-                                     + 8 * runtime._BAND_FLOOR)
+    assert plan.band_of[mid] == (4 * 5 + 4) * 4
+    assert plan.frame_peak_bytes == plan.peak_bytes + 64 + 256 + 8 * 96
 
 
 def test_window_codes_live_until_the_last_unpool_that_reads_them():
