@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage errors, 2 data/runtime errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import Optional, Sequence
@@ -196,6 +197,17 @@ def _cmd_infer(args, parser: _Parser) -> int:
     return 0
 
 
+def _environment() -> str:
+    """One line naming what a timing depends on beyond the code: numpy, the
+    BLAS it was built with, the BLAS thread setting and the usable CPUs."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    return (f"numpy {np.__version__}  blas {blas.get('name', 'unknown')} "
+            f"{blas.get('version', 'unknown')}  OPENBLAS_NUM_THREADS "
+            f"{os.environ.get('OPENBLAS_NUM_THREADS', 'default')}  nproc {cpus}")
+
+
 def _cmd_bench(args) -> int:
     store = load_weights(args.model)
     classes = _classes_from_store(store)
@@ -211,6 +223,7 @@ def _cmd_bench(args) -> int:
         times.append((time.perf_counter() - t0) * 1000.0)
     median = float(np.median(times))
     print(f"benchmark {g.input_shape}, warmup {args.warmup}, iters {args.iters}")
+    print(_environment())
     print(f"median {median:.2f} ms  min {min(times):.2f} ms  "
           f"{1000.0 / median:.1f} fps")
     print(f"arena {plan.peak_bytes / 1e6:.2f} MB  "

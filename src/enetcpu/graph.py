@@ -7,8 +7,9 @@ and id may diverge after it.  A graph is checked once, when it is made: a
 node refuses an input count or a parameter its kind does not have, and a
 graph refuses duplicate or forward ids, any count of input or output nodes
 but one, a node the output does not read, and inconsistent geometry.  It
-stores every node's output shape as it checks them, and then the shape of
-every weight its nodes bind, so no later call derives either again.
+stores each key's last reader (last_readers: this module alone says an
+unpool reads its pool's window codes), every node's output shape, and then
+the shape of every weight its nodes bind, so no later call derives any again.
 Weights live outside the graph in a plain dict keyed by "<node
 name>.<role>" strings.  A node is never given its keys: they are derived
 when it is made, from its kind, which names the roles it binds (a
@@ -144,8 +145,9 @@ class Graph:
     def __post_init__(self):
         seen_ids: set[int] = set()
         seen_names: set[str] = set()
-        for n in self.nodes:
-            if n.id < 0:  # the runtime keys a pool's window codes by ~id
+        last_reader: dict[int, int] = {}  # see last_readers
+        for i, n in enumerate(self.nodes):
+            if n.id < 0:  # ~id keys a pool's window codes in last_reader
                 raise ValidationError(f"negative node id {n.id}")
             if n.id in seen_ids:
                 raise ValidationError(f"duplicate node id {n.id}")
@@ -156,6 +158,10 @@ class Graph:
                     raise ValidationError(
                         f"node {n.name} consumes id {src} that is not stored earlier"
                     )
+                last_reader[src] = i
+            # a link stored earlier only (~-1 is 0): the shape walk refuses the rest
+            if n.kind is NodeKind.MAX_UNPOOL and n.index_link in seen_ids:
+                last_reader[~n.index_link] = i
             seen_ids.add(n.id)
             seen_names.add(n.name)
         object.__setattr__(self, "_by_id", {n.id: n for n in self.nodes})
@@ -167,19 +173,13 @@ class Graph:
                 raise ValidationError(f"graph must have exactly 1 {kind.value} "
                                       f"node, found {len(found)}")
             object.__setattr__(self, f"{kind.value}_node", found[0])
-        # every node but the input reads a node stored before it, so every
-        # node is reachable from the input; one sweep back from the output
-        # finds the nodes it does not read, an unpool's link counting as a read
-        read = {self.output_node.id}
-        for n in reversed(self.nodes):
-            if n.id in read:
-                read.update(n.inputs)
-                if n.kind is NodeKind.MAX_UNPOOL:
-                    read.add(n.index_link)
+        # a reader is stored after what it reads, so every chain of readers
+        # ends at a node nobody reads, which only the output may be
         for n in self.nodes:
-            if n.id not in read:
+            if n is not self.output_node and not {n.id, ~n.id} & last_reader.keys():
                 raise ValidationError(
                     f"node {n.id} ({n.name}) does not contribute to the output")
+        object.__setattr__(self, "_last_reader", MappingProxyType(last_reader))
         object.__setattr__(self, "_shapes", MappingProxyType(_shape_walk(self)))
         object.__setattr__(self, "_weight_shapes",
                            MappingProxyType(_weight_shape_walk(self)))
@@ -410,6 +410,13 @@ def build_enet(num_classes: int, input_h: int, input_w: int) -> Graph:
 
 # ---------------------------------------------------------------------------
 # shape inference
+
+def last_readers(g: Graph) -> Mapping[int, int]:
+    """Storage position of each key's last reader, a value's by its id and a
+    pool's window codes (an unpool reads them through index_link) by ~id:
+    the read-only mapping the graph stored when it was made, with no walk."""
+    return g._last_reader
+
 
 def infer_shapes(g: Graph) -> Mapping[int, Shape]:
     """Output shape of every node, by id: the read-only mapping the graph

@@ -49,14 +49,22 @@ under the frame's peak but never less than one row (see runtime), so every
 band fits its budget there; a call without one runs as one band.  Each
 GEMM widens its float32 weights once, into one float64 matrix.  A bias is
 the GEMM's last K term, that matrix's last column times a last im2col row
-of 1.0, so no separate pass adds it to the accumulator.  BLAS sums each
-output's K terms in order (tests/test_gemm_order.py checks this
-for every GEMM shape of the network at 3x360x640), so each sum ends with
-s + bias*1.0 rounded once, the bits a separate float64 add gives;
-tests/test_conv_lowering.py checks this on every network convolution (K up to
-289).  Each output element stays one dot product over the same K terms in the
-same order whatever the band, so its bits do not depend on the band height
-(the band tests and golden hashes check this against the BLAS in use).
+of 1.0, so no separate pass adds it to the accumulator.  Where BLAS sums
+each output's K terms in order, each sum ends with s + bias*1.0 rounded once,
+the bits a separate float64 add gives, and each output element is one dot
+product over the same K terms in the same order whatever the band, so its
+bits do not depend on the band height.  BLAS does not promise that order.
+This OpenBLAS (0.3.31, run-time core SkylakeX) keeps it only up to K = 384,
+and only in whole blocks of 8 output columns: from K = 385 it sums K in
+blocks, and in a band whose width N is not a multiple of 8 the last N mod 8
+columns can be summed in another order.  Every ENet convolution at 3x360x640
+meets both: its deepest K is 289 and every band width is a multiple of 8.
+tests/test_gemm_order.py checks the order for each of those GEMM shapes at
+1, 2 and 3 BLAS threads, tests/test_conv_lowering.py the bias bits on every
+network convolution, and the band tests and golden hashes the band
+invariance.  At an input size with band widths that are not multiples of 8,
+band height can change the last bits of a float64 sum, and so, in the rare
+case that the rounding to float32 does not hide them, an output's bits.
 conv_transpose2d is lowered by sub-pixel phase (Dumoulin & Visin, arXiv
 1603.07285, section 4): the outputs with (Y mod stride, X mod stride) =
 (ry, rx) are reached only by the kernel taps with ky = Y + pad_h and

@@ -3,10 +3,11 @@ extraction.
 
 Planning packs intermediate values into one float32 buffer by byte offset.
 Values and maxpool window codes (kept outside the buffer) share one liveness
-map: each is live from its producer's position to its last reader's.  A
-PReLU, add, batch norm or spatial dropout node gives an output of its input's
-shape, so it joins the slot of an input that dies at it (either addend of an
-add) and writes over that input's bytes.  A slot is a chain of such values;
+map, graph.last_readers, which the plan and execute's frees both read: each
+is live from its producer's position to its last reader's.  A PReLU, add,
+batch norm or spatial dropout node gives an output of its input's shape, so
+it joins the slot of an input that dies at it (either addend of an add) and
+writes over that input's bytes.  A slot is a chain of such values;
 it lives from its first member's producer to its last member's last reader.
 Slots are placed largest first, each into the smallest gap left by the
 already-placed slots whose lifetimes overlap its own (greedy by size,
@@ -46,9 +47,12 @@ band fits its budget, so the frame figure bounds every band byte.  Unplanned
 runs band by the same budgets, and band height does not change a
 convolution's bits.
 
-A graph was checked, and its shapes inferred, when it was made (see
-graph.Graph).  `execute` validates the weight store against it on every
-call, before any kernel reads a weight; there is no unchecked mode.
+A graph was checked, and its shapes and last readers found, when it was
+made (see graph.Graph).  `execute` validates the weight store against it on
+every call, before any kernel reads a weight; there is no unchecked mode.
+A finite weight or input can still be too large for float32 arithmetic:
+kernels then overflow to infinities and NaN without a numpy warning, and
+`execute` refuses an output that holds any, naming the output's producer.
 """
 
 from __future__ import annotations
@@ -120,20 +124,6 @@ class ExecutionPlan:
     frame_peak_bytes: int
 
 
-def _reads(n) -> tuple[int, ...]:
-    """Keys of the live arrays a node reads: its inputs, and for an unpool
-    the window codes of its pool, kept under the key ~pool_id."""
-    if n.kind is NodeKind.MAX_UNPOOL:
-        return (*n.inputs, ~n.index_link)
-    return n.inputs
-
-
-def _last_uses(g: Graph) -> dict[int, int]:
-    """Liveness over storage order: for each key a node reads (see _reads),
-    the position of its last reader."""
-    return {key: i for i, n in enumerate(g.nodes) for key in _reads(n)}
-
-
 def _totals(spans, n: int) -> list[int]:
     """For each position 0..n-1, the sum of the sizes of the (size, first,
     last) spans that cover it, first and last inclusive."""
@@ -148,11 +138,11 @@ def plan_buffers(g: Graph) -> ExecutionPlan:
     """Greedy-by-size offset assignment over the liveness intervals of
     slots, and a band budget for each convolution from the headroom under
     the frame's value peak."""
-    return _plan(g, infer_shapes(g), _last_uses(g))
+    return _plan(g, infer_shapes(g), graph.last_readers(g))
 
 
 def _plan(g: Graph, shapes, last_use) -> ExecutionPlan:
-    """plan_buffers over infer_shapes(g) and _last_uses(g), given."""
+    """plan_buffers over infer_shapes(g) and graph.last_readers(g), given."""
     producer = g.node(g.output_node.inputs[0])
     unplaced = {producer.id, *producer.inputs}
 
@@ -260,6 +250,9 @@ def _node_value(n, weights, vals, out, band):
     raise ExecutionError(f"no kernel for {n.kind}")  # pragma: no cover
 
 
+# numpy warns of no overflow here: an input value beyond float32 and a
+# non-finite output are refused with ExecutionError instead
+@np.errstate(over="ignore", invalid="ignore")
 def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
             plan: Optional[ExecutionPlan] = None, *, poison: bool = False
             ) -> np.ndarray:
@@ -269,7 +262,9 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
     read never gets here.  Every call validates the weight store against
     the graph (see passes.validate) and raises ExecutionError with its
     diagnostics before any kernel runs.  An input holding a NaN or an
-    infinity is refused with ExecutionError too.
+    infinity is refused with ExecutionError too, and so is an output that
+    holds one, which a finite weight or input too large for float32
+    arithmetic can give; the error names the output's producer.
 
     Every call derives the plan once, as plan_buffers(g) would, and each
     convolution bands its scratch to its budget in that plan's band_of.  A
@@ -293,8 +288,7 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
     diags = validate(g, weights)
     if diags:
         raise ExecutionError("graph failed validation: " + "; ".join(diags[:5]))
-    with np.errstate(over="ignore"):  # a value beyond float32 is refused below
-        x, given = np.ascontiguousarray(x, dtype=np.float32), x
+    x, given = np.ascontiguousarray(x, dtype=np.float32), x
     if x.ndim != 3 or Shape(*x.shape) != g.input_shape:
         raise ExecutionError(
             f"input shape {'x'.join(map(str, x.shape))} does not match the "
@@ -307,7 +301,7 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
             (grown, "finite value(s) beyond the float32 range")) if k))
 
     shapes = infer_shapes(g)
-    last_use = _last_uses(g)
+    last_use = graph.last_readers(g)
 
     derived = _plan(g, shapes, last_use)
     if plan is not None and plan != derived:
@@ -327,6 +321,8 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
         tuple(shapes[n.id])) for n in reversed(g.nodes) if n.id in offset_of]
     del arena
 
+    # every key, ordered by its last reader's position, the latest first
+    dying = sorted(last_use, key=last_use.get, reverse=True)
     vals: dict[int, np.ndarray] = {}  # live values and window codes, by key
 
     for i, n in enumerate(g.nodes):
@@ -346,17 +342,25 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
                 vals[n.id] = _node_value(n, weights, vals, out, band_of.get(n.id))
             except EnetError as e:
                 raise type(e)(f"node {n.name}: {e}") from e
+            if n.kind is NodeKind.MAXPOOL and ~n.id not in last_use:
+                del vals[~n.id]  # window codes no unpool reads
 
-        # drop what this node read last, and a pool's codes no unpool reads;
-        # poison no value this node wrote its output over, on its offset
-        done = (*_reads(n), ~n.id) if n.kind is NodeKind.MAXPOOL else _reads(n)
-        for key in set(done):
-            if last_use.get(key, i) == i:
-                if poison and offset_of.get(key) not in (None, offset_of.get(n.id)):
-                    vals[key][...] = np.nan
-                del vals[key]
+        # drop what this node read last; poison no value this node wrote its
+        # output over, on its offset
+        while dying and last_use[dying[-1]] == i:
+            key = dying.pop()
+            if poison and offset_of.get(key) not in (None, offset_of.get(n.id)):
+                vals[key][...] = np.nan
+            del vals[key]
 
-    return vals[g.output_node.id]
+    result = vals[g.output_node.id]
+    # one class plane at a time: no temporary the size of the logits
+    if not all(np.isfinite(plane).all() for plane in result):
+        raise ExecutionError(
+            f"node {g.node(g.output_node.inputs[0]).name}: output holds a "
+            f"non-finite value (NaN or infinity); float32 overflowed at or "
+            f"before this node, so a weight or the input is too large")
+    return result
 
 
 def argmax_labels(logits: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ frozen report numbers, and the 0/1/2 exit-code contract."""
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 
@@ -259,6 +260,25 @@ def test_bench_reports_median_min_and_fps(tmp_path, capsys):
     assert "mean" not in out and "std" not in out
 
 
+def test_bench_prints_the_environment_it_ran_in(tmp_path, capsys, monkeypatch):
+    model = tmp_path / "m.enwt"
+    run(capsys, "build", "--classes", 5, "--out", model)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    code, out, err = run(capsys, "bench", "--model", model, "--height", 32,
+                         "--width", 32, "--warmup", 0, "--iters", 1)
+    assert code == 0 and err == ""
+    line = re.search(r"^numpy (\S+)  blas (\S+) (\S+)  OPENBLAS_NUM_THREADS "
+                     r"(\S+)  nproc (\d+)$", out, re.M)
+    assert line, out
+    numpy_version, blas_name, blas_version, threads, nproc = line.groups()
+    assert numpy_version == np.__version__ and threads == "3"
+    assert blas_name and blas_version and int(nproc) >= 1
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    out = run(capsys, "bench", "--model", model, "--height", 32, "--width", 32,
+              "--warmup", 0, "--iters", 1)[1]
+    assert "  OPENBLAS_NUM_THREADS default  " in out
+
+
 def test_data_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.enwt"
     bad.write_bytes(b"JUNKJUNKJUNK")
@@ -352,6 +372,28 @@ def test_fold_overflow_exits_2_without_a_numpy_warning(tmp_path, capsys):
     assert proc.returncode == 2, proc.stderr
     assert "cannot fold bottleneck5.1.ext.expand_bn" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr and not labels.exists()
+
+
+def test_a_non_finite_output_exits_2_fused_and_unfused(tmp_path, capsys):
+    # a finite weight too large for float32 arithmetic overflows the
+    # logits: both paths refuse them with one error line naming the output's
+    # producer, no numpy warning and no label map
+    good, image = tmp_path / "m.enwt", tmp_path / "in.ppm"
+    _write_image(image, h=32, w=32)
+    run(capsys, "build", "--classes", 5, "--out", good)
+    store = load_weights(good)
+    store["initial.conv.weight"].flat[0] = 3e38
+    model = tmp_path / "huge.enwt"
+    save_weights(store, model)
+    for flags in ([], ["--no-fuse"]):
+        labels = tmp_path / f"out{len(flags)}.pgm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "infer", "--model", model, "--image",
+                               image, "--out", labels, *flags)
+        assert code == 2, (flags, err)
+        assert err.startswith("error: node fullconv: output holds a non-finite")
+        assert err.count("\n") == 1 and not labels.exists()
 
 
 def test_model_without_classifier_bias_exits_2(tmp_path, capsys):

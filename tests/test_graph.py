@@ -22,6 +22,7 @@ from enetcpu.graph import (
     expected_weight_shapes,
     infer_shapes,
     init_weights,
+    last_readers,
 )
 from enetcpu.kernels import ConvParams
 from enetcpu.tensor import Shape
@@ -273,8 +274,8 @@ def test_graph_rejects_forward_references_and_duplicates():
 
 
 def test_graph_rejects_negative_ids():
-    # the runtime keys a pool's window codes by ~id, which must never be a
-    # node id
+    # the graph keys a pool's window codes by ~id in its last readers,
+    # which must never be a node id
     n0 = NodeSpec(id=-1, kind=NodeKind.INPUT, name="input", inputs=())
     with pytest.raises(ValidationError, match="negative node id -1"):
         Graph(nodes=(n0,), input_shape=Shape(1, 2, 2))
@@ -329,15 +330,89 @@ def test_graph_refuses_detached_nodes():
         Graph(nodes=nodes, input_shape=Shape(2, 4, 4))
 
 
+def test_graph_refuses_a_dead_chain_naming_its_last_node():
+    # every node but the output must be read: of a chain nobody reads, the
+    # last node is the one with no reader
+    b = GraphBuilder(Shape(2, 4, 4))
+    main = b.prelu("act", b.input_id)
+    dead = b.conv("dead0", b.input_id, ConvParams(out_channels=2, kernel_h=1,
+                                                  kernel_w=1))
+    b.prelu("dead1", dead)
+    with pytest.raises(ValidationError,
+                       match=r"^node 3 \(dead1\) does not contribute to the output$"):
+        b.build(main)
+
+
+def test_graph_refuses_a_pool_read_only_through_a_dead_unpools_link():
+    b = GraphBuilder(Shape(2, 8, 8))
+    pool = b.maxpool("pool", b.input_id)
+    other = b.maxpool("other", b.input_id)
+    b.max_unpool("up", other, pool)  # reads pool's window codes; nothing reads it
+    main = b.prelu("act", other)
+    with pytest.raises(ValidationError,
+                       match=r"^node 3 \(up\) does not contribute to the output$"):
+        b.build(main)
+
+
+def test_graph_refuses_nodes_stored_after_the_output_producer():
+    b = GraphBuilder(Shape(2, 4, 4))
+    act = b.prelu("act", b.input_id)
+    late = b.conv("late", act, ConvParams(out_channels=2, kernel_h=1, kernel_w=1))
+    b.prelu("later", late)
+    with pytest.raises(ValidationError,
+                       match=r"^node 3 \(later\) does not contribute to the output$"):
+        b.build(act)
+    # nor may any node read the output node
+    nodes = (NodeSpec(0, NodeKind.INPUT, "input", ()),
+             NodeSpec(1, NodeKind.PRELU, "act", (0,)),
+             NodeSpec(2, NodeKind.OUTPUT, "output", (1,)),
+             NodeSpec(3, NodeKind.PRELU, "after", (2,)))
+    with pytest.raises(ValidationError,
+                       match=r"^node 3 \(after\) does not contribute to the output$"):
+        Graph(nodes=nodes, input_shape=Shape(2, 4, 4))
+
+
+def test_an_unpool_link_to_a_later_node_is_no_read_of_it():
+    # only a node stored earlier can be read: a later pool that nothing else
+    # reads does not contribute, whatever links to it
+    nodes = (NodeSpec(0, NodeKind.INPUT, "input", ()),
+             NodeSpec(1, NodeKind.MAXPOOL, "pool", (0,)),
+             NodeSpec(2, NodeKind.MAX_UNPOOL, "up", (1,), index_link=3),
+             NodeSpec(3, NodeKind.MAXPOOL, "late", (0,)),
+             NodeSpec(4, NodeKind.OUTPUT, "output", (2,)))
+    with pytest.raises(ValidationError,
+                       match=r"^node 3 \(late\) does not contribute to the output$"):
+        Graph(nodes=nodes, input_shape=Shape(2, 8, 8))
+
+
+def test_last_readers_key_values_by_id_and_window_codes_by_not_id():
+    b = GraphBuilder(Shape(2, 8, 8))
+    pool = b.maxpool("pool", b.input_id)  # positions equal ids here
+    up1 = b.max_unpool("up1", pool, pool)
+    mid = b.maxpool("mid", up1)  # no unpool reads its codes
+    up2 = b.max_unpool("up2", mid, pool)  # pool's codes' last reader
+    twice = b.add("twice", up2, up2)
+    out = b.add("sum", twice, up1)
+    g = b.build(out)
+    last = last_readers(g)
+    assert dict(last) == {0: pool, pool: up1, ~pool: up2, up1: out, mid: up2,
+                          up2: twice, twice: out, out: g.output_node.id}
+    assert last_readers(g) is last
+    with pytest.raises(TypeError):
+        last[0] = 0
+
+
 def test_graph_refuses_a_bad_unpool_link():
     b = GraphBuilder(Shape(2, 8, 8))
     pool = b.maxpool("pool", b.input_id)
     up = b.max_unpool("up", pool, pool)
     g = b.build(up)
-    # corrupt the link: a non-pool node, a missing node, no node at all
+    # corrupt the link: a non-pool node, a missing node, no node at all, and
+    # -1, which the graph must not record as a read of ~-1 == 0, the input
     for link, why in ((0, "unpool index source input is not a maxpool"),
                       (99, "unpool has no resolvable index source"),
-                      (None, "unpool has no resolvable index source")):
+                      (None, "unpool has no resolvable index source"),
+                      (-1, "unpool has no resolvable index source")):
         bad_nodes = tuple(
             replace(n, index_link=link) if n.name == "up" else n for n in g.nodes
         )

@@ -290,6 +290,39 @@ def test_fused_and_unfused_refuse_a_bad_weight_alike(key, corruption):
         execute(fg, fw, x, plan_buffers(fg))
 
 
+_HUGE_GRAPH = build_enet(5, 32, 32)
+_HUGE_BASE = init_weights(_HUGE_GRAPH, seed=0)
+
+
+@pytest.mark.parametrize("key", list(_HUGE_BASE)[::8])
+def test_a_huge_weight_gives_finite_logits_or_an_error_on_both_paths(key):
+    # one element at 3e38, finite in float32, in every eighth key: each path
+    # returns finite logits or raises an EnetError, with no numpy warning,
+    # and both do the same but where the fold overflows (see
+    # test_fold_refuses_a_folded_weight_that_overflows_float32)
+    g = _HUGE_GRAPH
+    w = {k: v.copy() for k, v in _HUGE_BASE.items()}
+    w[key].flat[0] = 3e38
+    x = np.random.default_rng(0).random((3, 32, 32), dtype=F32)
+
+    def outcome(run):
+        try:
+            out = run()
+        except EnetError as e:
+            return type(e)
+        assert np.isfinite(out).all()
+        return "finite"
+
+    def fused():
+        fg, fw, _ = optimize(g, w)
+        return execute(fg, fw, x, plan_buffers(fg))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        both = outcome(lambda: execute(g, w, x)), outcome(fused)
+    assert both[1] in (both[0], FoldError), both
+
+
 # ---------------------------------------------------------------------------
 # dropout elision
 

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enetcpu import graph, kernels, runtime
 from enetcpu.analyzer import count_flops, count_params, model_size_fp16
@@ -342,6 +344,119 @@ def test_execute_planned_equals_unplanned_bitwise_on_random_graphs():
     assert drawn == set(NodeKind)
 
 
+_STEPS = ("conv", "down", "up", "asym", "prelu", "bn", "dropout", "add",
+          "concat", "pad", "pool", "unpool")
+
+
+@st.composite
+def _built_graphs(draw):
+    """A graph that GraphBuilder makes step by step from every node kind.
+    Each step reads the value before it, so every node reaches the output,
+    and an add or concat also reads any earlier value that fits, the input
+    or the step's own source included, so values have shared readers.
+    Stride-2 convolutions halve a value and stride-2 transposed ones double
+    it; several unpools may read one pool's window codes, in one step or in
+    steps far apart.  With no steps, the output reads the input."""
+    b = GraphBuilder(Shape(3, 8, 8))
+    vals = [(b.input_id, Shape(3, 8, 8))]
+    pools = []  # (maxpool id, its output shape)
+    for i in range(draw(st.integers(0, 12), label="steps")):
+        src, (c, h, w) = vals[-1]
+        step = draw(st.sampled_from(_STEPS), label="step")
+        oc = draw(st.integers(1, 6), label="channels")
+        same_hw = [v for v in vals if v[1][1:] == (h, w)]
+        open_pools = [p for p in pools if p[1][1:] == (h, w)]
+        if step == "conv":
+            nid = b.conv(f"conv{i}", src, ConvParams(
+                out_channels=oc, kernel_h=3, kernel_w=3, pad_h=1, pad_w=1))
+            shape = Shape(oc, h, w)
+        elif step == "down" and h > 1 and w > 1:
+            nid = b.conv(f"down{i}", src, ConvParams(
+                out_channels=oc, kernel_h=3, kernel_w=3, stride=2, pad_h=1, pad_w=1))
+            shape = Shape(oc, (h + 1) // 2, (w + 1) // 2)
+        elif step == "up" and h <= 8:
+            nid = b.conv_transpose(f"up{i}", src, ConvParams(
+                out_channels=oc, kernel_h=3, kernel_w=3, stride=2, pad_h=1,
+                pad_w=1, out_pad=1))
+            shape = Shape(oc, 2 * h, 2 * w)
+        elif step == "asym":
+            nid, shape = b.asym_conv5(f"asym{i}", src, c), Shape(c, h, w)
+        elif step == "add":
+            other = draw(st.sampled_from([v for v, shp in vals if shp == (c, h, w)]))
+            nid, shape = b.add(f"add{i}", src, other), Shape(c, h, w)
+        elif step == "concat" and c <= 6:
+            other, (oc, _, _) = draw(st.sampled_from(
+                [v for v in same_hw if v[1].channels <= 6]))
+            nid, shape = b.concat(f"cat{i}", src, other), Shape(c + oc, h, w)
+        elif step == "pad" and c <= 6:
+            nid, shape = b.pad_channels(f"pad{i}", src, c + oc), Shape(c + oc, h, w)
+        elif step == "pool" and h % 2 == 0 and w % 2 == 0:
+            nid, shape = b.maxpool(f"pool{i}", src), Shape(c, h // 2, w // 2)
+            pools.append((nid, shape))
+        elif step == "unpool" and open_pools:
+            pool, pooled = draw(st.sampled_from(open_pools))
+            if c != pooled.channels:
+                src = b.conv(f"fit{i}", src, ConvParams(
+                    out_channels=pooled.channels, kernel_h=1, kernel_w=1))
+            nid = b.max_unpool(f"unpool{i}", src, pool)
+            shape = Shape(pooled.channels, 2 * h, 2 * w)
+            if draw(st.booleans(), label="unpool twice"):
+                nid = b.add(f"both{i}", nid, b.max_unpool(f"again{i}", src, pool))
+        elif step == "bn":
+            nid, shape = b.batchnorm(f"bn{i}", src), Shape(c, h, w)
+        elif step == "dropout":
+            nid, shape = b.dropout(f"drop{i}", src), Shape(c, h, w)
+        else:  # also any step whose precondition failed
+            nid, shape = b.prelu(f"act{i}", src), Shape(c, h, w)
+        vals.append((nid, shape))
+    return b.build(vals[-1][0])
+
+
+def test_plans_of_built_graphs_are_sound_and_runs_agree_bitwise():
+    # every graph _built_graphs draws: _plan_faults finds nothing, and the
+    # planned and poisoned runs give the unplanned run's bits, which also
+    # shows that each pool's window codes live until its last unpool
+    seen = set()
+
+    @settings(max_examples=150)
+    @given(g=_built_graphs(), seed=st.integers(0, 2**16))
+    def check(g, seed):
+        plan = plan_buffers(g)
+        assert _plan_faults(g, plan) == []
+        w = init_weights(g, seed=seed)
+        x = np.random.default_rng(seed).random((3, 8, 8), dtype=F32) - 0.5
+        plain = execute(g, w, x)
+        for got in (execute(g, w, x, plan), execute(g, w, x, plan, poison=True)):
+            np.testing.assert_array_equal(got.view(np.int32), plain.view(np.int32))
+        links = [n.index_link for n in g.nodes if n.kind is NodeKind.MAX_UNPOOL]
+        strides = {(n.kind, n.conv.stride) for n in g.nodes if n.conv}
+        readers = [src for n in g.nodes for src in n.inputs]
+        facts = {
+            "two unpools of one pool": len(links) > len(set(links)),
+            "stride-2 conv and tconv": {(NodeKind.CONV, 2),
+                                        (NodeKind.CONV_TRANSPOSE, 2)} <= strides,
+            "a shared reader": len(readers) > len(set(readers)),
+            "output reads the input": g.output_node.inputs == (g.input_node.id,),
+        }
+        seen.update(n.kind for n in g.nodes)
+        seen.update(fact for fact, held in facts.items() if held)
+
+    check()
+    assert seen == set(NodeKind) | {
+        "two unpools of one pool", "stride-2 conv and tconv", "a shared reader",
+        "output reads the input"}
+
+
+def _poison_shows(g, w, x, plan, plain):
+    """Whether a poisoned run on `plan` gives an output other than `plain`,
+    or a non-finite one, which execute refuses."""
+    try:
+        got = execute(g, w, x, plan, poison=True)
+    except ExecutionError as e:
+        return "non-finite" in str(e)
+    return not np.array_equal(got, plain)
+
+
 def test_poison_catches_a_value_moved_onto_a_live_inputs_bytes(monkeypatch):
     # a planner mutant: one value placed on the bytes of an input that a
     # later node still reads; poison mode must turn that into a wrong or
@@ -366,8 +481,7 @@ def test_poison_catches_a_value_moved_onto_a_live_inputs_bytes(monkeypatch):
         plan, offset_of={**plan.offset_of, node.id: plan.offset_of[src]})
     assert _plan_faults(g, mutant)
     monkeypatch.setattr(runtime, "_plan", lambda *_: mutant)
-    got = execute(g, w, x, mutant, poison=True)
-    assert not np.array_equal(got, plain) or not np.all(np.isfinite(got)), \
+    assert _poison_shows(g, w, x, mutant, plain), \
         f"{node.name} written over live {g.node(src).name} went unnoticed"
 
 
@@ -397,8 +511,7 @@ def test_poison_catches_an_elementwise_node_written_over_an_input_read_later(
             plan, offset_of={**plan.offset_of, nid: plan.offset_of[c0]})
         assert _plan_faults(g, mutant)
         monkeypatch.setattr(runtime, "_plan", lambda *_: mutant)
-        got = execute(g, w, x, mutant, poison=True)
-        assert not np.array_equal(got, plain) or not np.all(np.isfinite(got)), \
+        assert _poison_shows(g, w, x, mutant, plain), \
             f"{node} written over live c0 went unnoticed"
 
 
@@ -449,7 +562,7 @@ def test_execute_accepts_a_plan_made_for_an_equal_graph():
 
 
 @pytest.mark.parametrize("planned", [False, True], ids=["unplanned", "planned"])
-def test_execute_derives_shapes_liveness_and_plan_once(monkeypatch, planned):
+def test_execute_derives_shapes_and_plan_once(monkeypatch, planned):
     # a given plan is checked against the one execute derives anyway, not
     # against a second derivation; validate and infer_shapes stay runtime
     # globals, where a tracer wrapping them times each once a frame
@@ -457,13 +570,39 @@ def test_execute_derives_shapes_liveness_and_plan_once(monkeypatch, planned):
     w = init_weights(g, seed=0)
     plan = plan_buffers(g) if planned else None
     calls = []
-    for name in ("validate", "infer_shapes", "_last_uses", "_plan"):
+    for name in ("validate", "infer_shapes", "_plan"):
         def counting(*args, real=getattr(runtime, name), name=name):
             calls.append(name)
             return real(*args)
         monkeypatch.setattr(runtime, name, counting)
     execute(g, w, np.zeros((3, 32, 32), dtype=F32), plan)
-    assert sorted(calls) == ["_last_uses", "_plan", "infer_shapes", "validate"]
+    assert sorted(calls) == ["_plan", "infer_shapes", "validate"]
+
+
+def test_liveness_is_recorded_once_per_graph_and_never_per_execute(monkeypatch):
+    # a Graph records its last readers when it is made; plan_buffers and
+    # every execute, planned or not, read that one stored map
+    made = []
+    real_init = graph.Graph.__post_init__
+    monkeypatch.setattr(graph.Graph, "__post_init__",
+                        lambda g: made.append(g) or real_init(g))
+    g = build_enet(5, 32, 32)
+    w = init_weights(g, seed=0)
+    fused, fw, _ = optimize(g, w)
+    assert made == [g, fused]  # optimize builds one graph
+    stored = {id(graph.last_readers(h)) for h in (g, fused)}
+    with pytest.raises(TypeError):
+        graph.last_readers(g)[0] = 0
+    handed = []
+    real_plan = runtime._plan
+    monkeypatch.setattr(runtime, "_plan", lambda h, shapes, last_use: (
+        handed.append(last_use) or real_plan(h, shapes, last_use)))
+    plan = plan_buffers(fused)
+    x = np.random.default_rng(3).random((3, 32, 32), dtype=F32)
+    for args in ((g, w, x), (fused, fw, x, plan), (fused, fw, x)):
+        execute(*args)
+    assert made == [g, fused] and len(handed) == 4
+    assert {id(m) for m in handed} == stored
 
 
 def test_shapes_are_walked_once_per_graph_and_never_per_execute(monkeypatch):
