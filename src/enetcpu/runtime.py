@@ -22,9 +22,11 @@ view of the same bytes.  The views alone hold the buffer, so it is freed
 when its last value dies, before the producer runs: it is never held beside
 the output, and nothing is copied out of it.  Planned and unplanned runs
 are bitwise identical, so a planning bug shows up as corrupted values (or
-poisoned NaNs in debug mode) instead of silent reuse.  `execute` derives the
-plan once per call and runs a given plan only when it equals that one, so no
-plan edited by hand, whose live values might share bytes, is ever trusted.
+poisoned NaNs in debug mode) instead of silent reuse.  A graph's plan is
+derived once, on the first plan_buffers call for it, and stored with the
+graph, read-only; `execute` reads that stored plan and runs a given plan only
+when it is that one or equal to it, so no plan edited by hand, whose live
+values might share bytes, is ever trusted.
 
 The buffer saves resident memory that a tracemalloc peak does not show.  On
 the fused 19-class 3x360x640 graph (2 vCPUs, numpy 2.4.6, OpenBLAS 0.3.31;
@@ -66,9 +68,10 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .errors import EnetError, ExecutionError, ShapeError
-# bn_affine and band_row are called through their modules: perfbench times
-# every function imported here by name as a span of its own, and neither
-# is a kernel
+# bn_affine and band_row are called through their modules, and so is
+# _plan's infer_shapes: perfbench times every function imported here by name
+# as a span of its own; neither of the first two is a kernel, and execute
+# calls infer_shapes once a call, even when it derives the plan
 from . import graph, kernels
 from .graph import CONV_KINDS, Graph, NodeKind, infer_shapes
 from .kernels import (
@@ -90,6 +93,7 @@ from .tensor import Shape
 _BYTES_F32 = 4
 _BYTES_F64 = 8
 _ALIGN = 64  # planned offsets are multiples of one cache line, in bytes
+_STORED = "_buffer_plan"  # the Graph attribute plan_buffers stores its plan in
 # kinds whose output may take the slot of an input that dies at them
 _IN_PLACE = frozenset({NodeKind.PRELU, NodeKind.ADD, NodeKind.BATCHNORM,
                        NodeKind.DROPOUT})
@@ -111,11 +115,12 @@ class ExecutionPlan:
     larger of one band row and the headroom under the value peak, and
     frame_peak_bytes is the most bytes of values, window codes and band
     budget held while any one node runs (see the module docstring); strip
-    temporaries and weight casts are left out.  `execute` refuses a plan
-    unequal to the one it derives for its graph, rather than trust it.
+    temporaries and weight casts are left out.  plan_buffers stores one
+    plan with each graph; `execute` refuses a plan unequal to it, rather
+    than trust it.
     """
 
-    offset_of: dict[int, int]
+    offset_of: Mapping[int, int]
     peak_bytes: int
     live_bytes: int
     no_reuse_bytes: int
@@ -137,12 +142,17 @@ def _totals(spans, n: int) -> list[int]:
 def plan_buffers(g: Graph) -> ExecutionPlan:
     """Greedy-by-size offset assignment over the liveness intervals of
     slots, and a band budget for each convolution from the headroom under
-    the frame's value peak."""
-    return _plan(g, infer_shapes(g), graph.last_readers(g))
+    the frame's value peak.  The plan is derived on the first call for g
+    and stored with it, as a NodeSpec stores its weight keys; every later
+    call returns that same object."""
+    if _STORED not in vars(g):
+        object.__setattr__(g, _STORED, _plan(g))
+    return vars(g)[_STORED]
 
 
-def _plan(g: Graph, shapes, last_use) -> ExecutionPlan:
-    """plan_buffers over infer_shapes(g) and graph.last_readers(g), given."""
+def _plan(g: Graph) -> ExecutionPlan:
+    """plan_buffers' derivation, from the shapes and last readers g stores."""
+    shapes, last_use = graph.infer_shapes(g), graph.last_readers(g)
     producer = g.node(g.output_node.inputs[0])
     unplaced = {producer.id, *producer.inputs}
 
@@ -201,7 +211,8 @@ def _plan(g: Graph, shapes, last_use) -> ExecutionPlan:
     band_of = {nid: max(row, (value_peak - held[i]) // _BYTES_F64)
                for i, nid, row in convs}
 
-    return ExecutionPlan(offset_of={nid: slot_offset[k] for nid, k in slot_of.items()},
+    return ExecutionPlan(offset_of=MappingProxyType(
+                             {nid: slot_offset[k] for nid, k in slot_of.items()}),
                          peak_bytes=peak_bytes,
                          live_bytes=max(_totals(slots, len(g.nodes)), default=0),
                          no_reuse_bytes=sum(shapes[nid].count * _BYTES_F32
@@ -266,10 +277,11 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
     holds one, which a finite weight or input too large for float32
     arithmetic can give; the error names the output's producer.
 
-    Every call derives the plan once, as plan_buffers(g) would, and each
-    convolution bands its scratch to its budget in that plan's band_of.  A
-    given plan must equal the derived one, or ExecutionError naming the
-    first field that differs is raised before any kernel runs.  With it, a
+    Every call reads the plan stored with g (see plan_buffers, which this
+    derives and stores if no call made it yet), and each convolution bands
+    its scratch to its budget in that plan's band_of.  A given plan must be
+    the stored one or equal to it, or ExecutionError naming the first field
+    that differs is raised before any kernel runs.  With it, a
     node the plan gives an offset writes into its own view of one buffer
     allocated for this call, so a PReLU, add, batch norm or dropout on the
     offset of an input it reads writes over that input; every other node
@@ -303,17 +315,17 @@ def execute(g: Graph, weights: dict[str, np.ndarray], x: np.ndarray,
     shapes = infer_shapes(g)
     last_use = graph.last_readers(g)
 
-    derived = _plan(g, shapes, last_use)
-    if plan is not None and plan != derived:
+    # the plan stored with g, derived here only if no plan_buffers call made it
+    stored = vars(g).get(_STORED) or plan_buffers(g)
+    if plan is not None and plan is not stored and plan != stored:
         field = next(f.name for f in fields(ExecutionPlan)
-                     if getattr(plan, f.name) != getattr(derived, f.name))
+                     if getattr(plan, f.name) != getattr(stored, f.name))
         raise ExecutionError(f"plan's {field} differs from the one "
                              f"plan_buffers makes for this graph")
-    # unplanned: the derived plan's band budgets, and none of its offsets
-    offset_of = {} if plan is None else plan.offset_of
-    band_of = (derived if plan is None else plan).band_of
-    del derived
-    arena = np.empty(0 if plan is None else plan.peak_bytes // _BYTES_F32, np.float32)
+    # unplanned: the stored plan's band budgets, and none of its offsets
+    offset_of = {} if plan is None else stored.offset_of
+    band_of = stored.band_of
+    arena = np.empty(0 if plan is None else stored.peak_bytes // _BYTES_F32, np.float32)
     if poison:
         arena.fill(np.nan)
     # placed nodes' views, last first: popped in storage order, list freed

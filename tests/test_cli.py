@@ -187,8 +187,8 @@ def test_bench_plans_the_graph_once(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "bench", "--model", model, "--height", 32,
                          "--width", 32, "--warmup", 0, "--iters", 1)
     assert code == 0 and err == ""
-    # the plan the one timed pass ran on; execute checks it against the plan
-    # it derives itself, without calling plan_buffers again
+    # the plan the one timed pass ran on; it is the plan stored with the
+    # graph, which execute reads without calling plan_buffers again
     assert planned == [205]
     assert re.search(r"^arena \d+\.\d\d MB  live-set bound \d+\.\d\d MB$",
                      out, re.M), out

@@ -460,8 +460,8 @@ def _poison_shows(g, w, x, plan, plain):
 def test_poison_catches_a_value_moved_onto_a_live_inputs_bytes(monkeypatch):
     # a planner mutant: one value placed on the bytes of an input that a
     # later node still reads; poison mode must turn that into a wrong or
-    # non-finite output.  execute runs only the plan it derives, so the
-    # mutant stands in for it
+    # non-finite output.  execute runs only the plan stored with the graph,
+    # so the mutant is stored in its place
     g = build_enet(5, 64, 64)
     w = init_weights(g, seed=1)
     x = np.random.default_rng(2).random((3, 64, 64), dtype=F32)
@@ -480,7 +480,7 @@ def test_poison_catches_a_value_moved_onto_a_live_inputs_bytes(monkeypatch):
     mutant = dataclasses.replace(
         plan, offset_of={**plan.offset_of, node.id: plan.offset_of[src]})
     assert _plan_faults(g, mutant)
-    monkeypatch.setattr(runtime, "_plan", lambda *_: mutant)
+    monkeypatch.setitem(vars(g), runtime._STORED, mutant)
     assert _poison_shows(g, w, x, mutant, plain), \
         f"{node.name} written over live {g.node(src).name} went unnoticed"
 
@@ -510,7 +510,7 @@ def test_poison_catches_an_elementwise_node_written_over_an_input_read_later(
         mutant = dataclasses.replace(
             plan, offset_of={**plan.offset_of, nid: plan.offset_of[c0]})
         assert _plan_faults(g, mutant)
-        monkeypatch.setattr(runtime, "_plan", lambda *_: mutant)
+        monkeypatch.setitem(vars(g), runtime._STORED, mutant)
         assert _poison_shows(g, w, x, mutant, plain), \
             f"{node} written over live c0 went unnoticed"
 
@@ -543,7 +543,7 @@ def test_the_output_producers_input_placed_in_the_buffer_holds_it_to_the_end(
             tracemalloc.stop()
 
     plain, peak = traced(plan)
-    monkeypatch.setattr(runtime, "_plan", lambda *_: mutant)
+    monkeypatch.setitem(vars(g), runtime._STORED, mutant)
     got, mutant_peak = traced(mutant)
     np.testing.assert_array_equal(got.view(np.int32), plain.view(np.int32))
     np.testing.assert_array_equal(
@@ -563,20 +563,85 @@ def test_execute_accepts_a_plan_made_for_an_equal_graph():
 
 @pytest.mark.parametrize("planned", [False, True], ids=["unplanned", "planned"])
 def test_execute_derives_shapes_and_plan_once(monkeypatch, planned):
-    # a given plan is checked against the one execute derives anyway, not
-    # against a second derivation; validate and infer_shapes stay runtime
-    # globals, where a tracer wrapping them times each once a frame
+    # the plan is derived once per Graph, by whichever of plan_buffers and
+    # execute asks first, and never per execute; validate and infer_shapes
+    # stay runtime globals, where a tracer wrapping them times each once a
+    # frame, the frame that derives the plan included
     g = build_enet(5, 32, 32)
     w = init_weights(g, seed=0)
-    plan = plan_buffers(g) if planned else None
     calls = []
     for name in ("validate", "infer_shapes", "_plan"):
         def counting(*args, real=getattr(runtime, name), name=name):
             calls.append(name)
             return real(*args)
         monkeypatch.setattr(runtime, name, counting)
-    execute(g, w, np.zeros((3, 32, 32), dtype=F32), plan)
-    assert sorted(calls) == ["_plan", "infer_shapes", "validate"]
+    plan = plan_buffers(g) if planned else None
+    assert calls == (["_plan"] if planned else [])
+    x = np.zeros((3, 32, 32), dtype=F32)
+    for given in (plan, None, plan):
+        execute(g, w, x, given)
+    assert sorted(calls) == ["_plan"] + ["infer_shapes"] * 3 + ["validate"] * 3
+    assert plan is None or plan_buffers(g) is plan
+
+
+# the kernel each compute node's kind runs, by its name in runtime
+KERNEL_OF = {
+    NodeKind.CONV: "conv2d", NodeKind.CONV_TRANSPOSE: "conv_transpose2d",
+    NodeKind.ASYM_CONV5: "conv_asymmetric5", NodeKind.MAXPOOL: "maxpool2x2",
+    NodeKind.MAX_UNPOOL: "max_unpool2x2", NodeKind.BATCHNORM: "batchnorm_infer",
+    NodeKind.PRELU: "prelu", NodeKind.ADD: "add",
+    NodeKind.CONCAT: "concat_channels", NodeKind.PAD_CHANNELS: "pad_channels",
+    NodeKind.DROPOUT: "spatial_dropout_infer",
+}
+
+
+@pytest.mark.parametrize("planned", [False, True], ids=["unplanned", "planned"])
+@pytest.mark.parametrize("fused,compute_nodes", [(True, 203), (False, 313)],
+                         ids=["fused", "unfused"])
+def test_execute_calls_one_kernel_global_per_compute_node_in_order(
+        monkeypatch, planned, fused, compute_nodes):
+    # perfbench times every function runtime imports from another enetcpu
+    # module by wrapping that module global, and gives the k-th kernel span
+    # of a frame to the k-th compute node; validate and infer_shapes must
+    # each be one span of every frame, the one that derives the plan too
+    g = build_enet(19, 16, 32)
+    w = init_weights(g, seed=0)
+    if fused:
+        g, w, _ = optimize(g, w)
+    imported = {attr: obj.__module__ for attr, obj in vars(runtime).items()
+                if callable(obj) and not isinstance(obj, type)
+                and obj.__module__.startswith("enetcpu.")
+                and obj.__module__ != runtime.__name__}
+    assert {attr for attr, mod in imported.items()
+            if mod != "enetcpu.kernels"} == {"validate", "infer_shapes"}
+    assert {a for a, mod in imported.items()
+            if mod == "enetcpu.kernels"} == set(KERNEL_OF.values())
+    calls = []
+    for attr in imported:
+        def counting(*args, real=getattr(runtime, attr), attr=attr, **kw):
+            calls.append(attr)
+            return real(*args, **kw)
+        monkeypatch.setattr(runtime, attr, counting)
+    plan = plan_buffers(g) if planned else None
+    calls.clear()
+    execute(g, w, np.zeros((3, 16, 32), dtype=F32), plan)
+    compute = [n for n in g.nodes
+               if n.kind not in (NodeKind.INPUT, NodeKind.OUTPUT)]
+    assert len(compute) == compute_nodes
+    assert [c for c in calls if c in KERNEL_OF.values()] == [
+        KERNEL_OF[n.kind] for n in compute]
+    assert sorted(c for c in calls if c not in KERNEL_OF.values()) == [
+        "infer_shapes", "validate"]
+
+
+def test_a_plan_is_stored_read_only():
+    g = build_enet(5, 32, 32)
+    plan = plan_buffers(g)
+    assert plan_buffers(g) is plan
+    with pytest.raises(TypeError):
+        plan.offset_of[next(iter(plan.offset_of))] = 0
+    with pytest.raises(TypeError):
+        plan.band_of[next(iter(plan.band_of))] = 0
 
 
 def test_liveness_is_recorded_once_per_graph_and_never_per_execute(monkeypatch):
@@ -593,16 +658,19 @@ def test_liveness_is_recorded_once_per_graph_and_never_per_execute(monkeypatch):
     stored = {id(graph.last_readers(h)) for h in (g, fused)}
     with pytest.raises(TypeError):
         graph.last_readers(g)[0] = 0
-    handed = []
-    real_plan = runtime._plan
-    monkeypatch.setattr(runtime, "_plan", lambda h, shapes, last_use: (
-        handed.append(last_use) or real_plan(h, shapes, last_use)))
+    # the plan too is derived once per Graph, from that stored map
+    planned, read = [], []
+    real_plan, real_readers = runtime._plan, graph.last_readers
+    monkeypatch.setattr(runtime, "_plan",
+                        lambda h: planned.append(h) or real_plan(h))
+    monkeypatch.setattr(graph, "last_readers",
+                        lambda h: read.append(real_readers(h)) or read[-1])
     plan = plan_buffers(fused)
     x = np.random.default_rng(3).random((3, 32, 32), dtype=F32)
-    for args in ((g, w, x), (fused, fw, x, plan), (fused, fw, x)):
+    for args in ((g, w, x), (fused, fw, x, plan), (fused, fw, x), (g, w, x)):
         execute(*args)
-    assert made == [g, fused] and len(handed) == 4
-    assert {id(m) for m in handed} == stored
+    assert made == [g, fused] and planned == [fused, g]
+    assert len(read) == 6 and {id(m) for m in read} == stored
 
 
 def test_shapes_are_walked_once_per_graph_and_never_per_execute(monkeypatch):
